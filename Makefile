@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
+.PHONY: all build test race vet check bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
 
 all: build
 
@@ -29,7 +29,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke
+check: build vet test race bench-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke
+
+# hetbench smoke test: every benchmark workload at -quick scale, including
+# the check that each workload's default-seed output digest still matches
+# bench/hetbench/golden.json. bench/ is its own Go module, so `make test`
+# does not reach it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Tier-1 performance snapshot: the event-engine microbenchmarks plus the
 # figure-level simulator benchmarks, with allocation counts, captured to a

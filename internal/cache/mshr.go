@@ -31,8 +31,12 @@ type MSHR struct {
 	slots   []mshrEntry
 	used    int
 	scratch []FillWaiter // reused waiter snapshot during Fill
-	stalled []stalledReq
-	stats   MSHRStats
+	// stalled[stallHead:] is the FIFO of requests waiting for an entry.
+	// Waking advances stallHead instead of shifting the queue; the slice
+	// is compacted when it drains, or on growth once half of it is dead.
+	stalled   []stalledReq
+	stallHead int
+	stats     MSHRStats
 }
 
 type mshrEntry struct {
@@ -93,7 +97,7 @@ func (m *MSHR) Used() int { return m.used }
 
 // Stalled reports how many requests are currently queued on a full file —
 // the instantaneous backpressure depth, read by flight-recorder probes.
-func (m *MSHR) Stalled() int { return len(m.stalled) }
+func (m *MSHR) Stalled() int { return len(m.stalled) - m.stallHead }
 
 // Stats returns a copy of the counters.
 func (m *MSHR) Stats() MSHRStats { return m.stats }
@@ -153,11 +157,16 @@ func (m *MSHR) Allocate(line uint64, w FillWaiter) Outcome {
 // should re-attempt the whole access (the line may have been filled or
 // evicted meanwhile).
 func (m *MSHR) Stall(line uint64, retry Retrier) {
+	if h := m.stallHead; h > 0 && len(m.stalled) == cap(m.stalled) && h >= len(m.stalled)/2 {
+		n := copy(m.stalled, m.stalled[h:])
+		clear(m.stalled[n:])
+		m.stalled, m.stallHead = m.stalled[:n], 0
+	}
 	m.stalled = append(m.stalled, stalledReq{line: line, retry: retry})
 }
 
 // StallDepth reports how many requests are queued waiting for an entry.
-func (m *MSHR) StallDepth() int { return len(m.stalled) }
+func (m *MSHR) StallDepth() int { return m.Stalled() }
 
 // Fill completes the outstanding fill for line at time t: all merged
 // waiters are notified in registration order, the entry frees, and one
@@ -194,11 +203,13 @@ func (m *MSHR) Fill(line uint64, t sim.Time) {
 	// the queue drains) closes that hole while preserving the structural
 	// hazard: used never exceeds capacity, because a retry can only
 	// re-stall when Allocate reports Full, which ends the loop.
-	for len(m.stalled) > 0 && m.used < m.capacity {
-		next := m.stalled[0]
-		copy(m.stalled, m.stalled[1:])
-		m.stalled[len(m.stalled)-1] = stalledReq{}
-		m.stalled = m.stalled[:len(m.stalled)-1]
+	for m.stallHead < len(m.stalled) && m.used < m.capacity {
+		next := m.stalled[m.stallHead]
+		m.stalled[m.stallHead] = stalledReq{}
+		m.stallHead++
 		next.retry.Retry()
+	}
+	if m.stallHead == len(m.stalled) {
+		m.stalled, m.stallHead = m.stalled[:0], 0
 	}
 }

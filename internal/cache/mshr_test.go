@@ -232,3 +232,64 @@ func TestMSHRSteadyStateAllocFree(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestMSHRStallQueueUnderBackpressure: with the file permanently full and
+// the stall queue never draining, woken requests still come out in FIFO
+// order, StallDepth tracks the queue, and the queue's storage stays bounded
+// and allocation-free — woken slots are reclaimed without waiting for the
+// queue to empty.
+func TestMSHRStallQueueUnderBackpressure(t *testing.T) {
+	m := NewMSHR(2)
+	nop := FillFunc(func(sim.Time) {})
+	m.Allocate(0, nop)
+	m.Allocate(1, nop)
+	next, bad := uint64(2), 0 // stalled lines wake from 2 upward
+	rs := make([]fifoRetry, 16)
+	stall, fill := uint64(2), uint64(0)
+	cycle := func() {
+		r := &rs[stall%uint64(len(rs))]
+		*r = fifoRetry{m: m, line: stall, next: &next, bad: &bad, w: nop}
+		m.Stall(stall, r)
+		stall++
+		m.Fill(fill, 0) // wakes the oldest stall, which refills the entry
+		fill++
+	}
+	for i := 0; i < 8; i++ { // queue depth 8 after each cycle from here on
+		r := &rs[stall%uint64(len(rs))]
+		*r = fifoRetry{m: m, line: stall, next: &next, bad: &bad, w: nop}
+		m.Stall(stall, r)
+		stall++
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	if bad != 0 {
+		t.Fatalf("%d requests woke out of FIFO order", bad)
+	}
+	if m.StallDepth() != 8 || m.Stalled() != 8 {
+		t.Fatalf("StallDepth = %d, Stalled = %d, want 8", m.StallDepth(), m.Stalled())
+	}
+	if c := cap(m.stalled); c > 32 {
+		t.Fatalf("stall queue capacity grew to %d for a depth of 8", c)
+	}
+	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
+		t.Fatalf("stall/wake cycle allocates %.1f objects, want 0", avg)
+	}
+}
+
+// fifoRetry checks that it wakes in line order, then allocates its line.
+type fifoRetry struct {
+	m    *MSHR
+	line uint64
+	next *uint64
+	bad  *int
+	w    FillWaiter
+}
+
+func (r *fifoRetry) Retry() {
+	if r.line != *r.next {
+		*r.bad++
+	}
+	*r.next++
+	r.m.Allocate(r.line, r.w)
+}

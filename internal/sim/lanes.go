@@ -54,7 +54,7 @@ func (a *Actor) At(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: actor %d event scheduled at %d, before now=%d", a.id, t, e.now))
 	}
-	e.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), dst: a, h: h, arg: arg})
+	e.q.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), dst: a, h: h, arg: arg})
 }
 
 // After schedules h.OnEvent(arg) on the actor's own lane d cycles from now.
@@ -77,7 +77,7 @@ func (a *Actor) Send(dst *Actor, t Time, h Handler, arg uint64) {
 	}
 	it := scheduled{at: t, src: a.id, seq: a.nextSeq(), dst: dst, h: h, arg: arg}
 	if dst.eng == e || !w.parallel {
-		dst.eng.push(it)
+		dst.eng.q.push(it)
 		return
 	}
 	e.out = append(e.out, it)
@@ -89,9 +89,9 @@ func (a *Actor) SendAfter(dst *Actor, d Time, h Handler, arg uint64) {
 }
 
 // World partitions one simulation across n event lanes. Each lane owns a
-// heap and runs a conservative time window [W, W+lookahead) in parallel
+// queue and runs a conservative time window [W, W+lookahead) in parallel
 // with the others; at the window edge all lanes barrier, cross-lane
-// messages buffered in per-lane mailboxes are delivered (the heap order
+// messages buffered in per-lane mailboxes are delivered (the queue order
 // restores the canonical (time, source, seq) sequence), window hooks run,
 // and the next window starts at the new global minimum pending time.
 // Because a cross-lane Send may never target the current window and actors
@@ -199,8 +199,8 @@ func (w *World) FillLaneFired(dst []uint64) {
 func (w *World) Front() Time {
 	front := Forever
 	for _, e := range w.lanes {
-		if len(e.events) > 0 && e.events[0].at < front {
-			front = e.events[0].at
+		if t, ok := e.peekTime(); ok && t < front {
+			front = t
 		}
 	}
 	return front
@@ -257,8 +257,8 @@ func (w *World) runSingle() Time {
 	e := w.lanes[0]
 	step := w.step()
 	w.runHooks()
-	for len(e.events) > 0 {
-		e.runWindow(e.events[0].at + step)
+	for t := w.Front(); t != Forever; t = w.Front() {
+		e.drain(t + step - 1)
 		w.runHooks()
 	}
 	return e.now
@@ -267,13 +267,13 @@ func (w *World) runSingle() Time {
 func (w *World) runParallel() Time {
 	n := len(w.lanes)
 	step := w.step()
-	starts := make([]chan Time, n)
+	starts := make([]chan Time, n) // each lane's window end (inclusive)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		starts[i] = make(chan Time, 1)
 		go func(e *Engine, ch chan Time) {
-			for wend := range ch {
-				e.runWindow(wend)
+			for last := range ch {
+				e.drain(last)
 				wg.Done()
 			}
 		}(w.lanes[i], starts[i])
@@ -283,29 +283,24 @@ func (w *World) runParallel() Time {
 	for {
 		// The window start is the global minimum pending time, exactly as
 		// in the one-lane drain — the window grid is lane-count-invariant.
-		start := Forever
-		for _, e := range w.lanes {
-			if len(e.events) > 0 && e.events[0].at < start {
-				start = e.events[0].at
-			}
-		}
+		start := w.Front()
 		if start == Forever {
 			break
 		}
 		wend := start + step
 		wg.Add(n)
 		for _, ch := range starts {
-			ch <- wend
+			ch <- wend - 1
 		}
 		wg.Wait()
 		// Deliver mailboxes. Every buffered send targets t >= wend (the
 		// lookahead check), so delivery order cannot matter for the window
-		// just drained; the destination heap restores canonical order.
+		// just drained; the destination queue restores canonical order.
 		for _, e := range w.lanes {
 			for i := range e.out {
 				it := e.out[i]
 				e.out[i] = scheduled{}
-				it.dst.eng.push(it)
+				it.dst.eng.q.push(it)
 			}
 			e.out = e.out[:0]
 		}

@@ -144,8 +144,8 @@ func TestSelfSendIgnoresLookahead(t *testing.T) {
 }
 
 // TestBatchPopFeedback: handlers that schedule more events at the current
-// timestamp still fire in exact canonical order — the batch drain re-merges
-// heap arrivals that order before buffered items.
+// timestamp still fire in exact canonical order — same-cycle arrivals are
+// insertion-sorted into the unfired tail of the cycle's batch.
 func TestBatchPopFeedback(t *testing.T) {
 	e := New()
 	var got []int
@@ -167,7 +167,7 @@ func TestBatchPopFeedback(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineBatch measures the same-timestamp batch pop: many events
+// BenchmarkEngineBatch measures same-timestamp batches: many events
 // collapse onto shared timestamps, the common shape in SM issue bursts.
 func BenchmarkEngineBatch(b *testing.B) {
 	const fanout = 64

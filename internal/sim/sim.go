@@ -10,13 +10,21 @@
 // Two scheduling paths exist. At/After take ordinary closures and are the
 // convenient API for cold code. AtHandler/AfterHandler take a long-lived
 // Handler plus a uint64 argument and never allocate: the event record is
-// stored inline in the engine's heap slice, so models that keep pooled
+// stored inline in the engine's queue slab, so models that keep pooled
 // per-request records (memsys) or per-actor state machines (gpu warps) can
 // schedule millions of events with zero garbage. Both paths share one
 // canonical ordering, so mixing them cannot perturb the schedule.
+//
+// The queue is a monotone calendar (queue.go): the clock never goes
+// backwards — scheduling into the past panics — so events sit in per-cycle
+// buckets over a 4096-cycle window, with a small binary heap for events
+// beyond it.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in simulated time, in GPU core cycles.
 type Time int64
@@ -24,6 +32,9 @@ type Time int64
 // Forever is a time later than any reachable simulation time. It is useful
 // as an initial value for "earliest deadline" computations.
 const Forever Time = 1<<62 - 1
+
+// maxTime bounds drains that have no deadline.
+const maxTime Time = math.MaxInt64
 
 // Event is a callback scheduled to fire at a fixed simulation time.
 type Event func()
@@ -37,7 +48,7 @@ type Handler interface {
 }
 
 // scheduled is one queued event. Exactly one of fn and h is set. Records
-// live inline in the engine's heap slice — scheduling never boxes them into
+// live inline in the engine's queue slab — scheduling never boxes them into
 // an interface{} and never heap-allocates per event.
 type scheduled struct {
 	at  Time
@@ -51,11 +62,11 @@ type scheduled struct {
 
 // before is the strict total order events fire in: (time, source actor,
 // per-source seq). (src, seq) is unique, so there are never ties and any
-// correct heap yields the same pop sequence — determinism does not depend
-// on sift implementation details. Ordering by actor ID rather than lane
-// makes the canonical schedule independent of how actors are partitioned
-// into lanes, which is what lets laned runs reproduce sequential output
-// byte for byte.
+// correct priority queue yields the same pop sequence — determinism does
+// not depend on queue implementation details. Ordering by actor ID rather
+// than lane makes the canonical schedule independent of how actors are
+// partitioned into lanes, which is what lets laned runs reproduce
+// sequential output byte for byte.
 func (s *scheduled) before(o *scheduled) bool {
 	if s.at != o.at {
 		return s.at < o.at
@@ -70,20 +81,15 @@ func (s *scheduled) before(o *scheduled) bool {
 // In a World, each lane is one Engine; a standalone Engine behaves exactly
 // like a one-lane World without barriers.
 type Engine struct {
-	now Time
-	seq uint64 // root-context insertion order (actor-less events)
-	// events is a hand-rolled binary min-heap over the canonical order. It
-	// replaces container/heap, whose interface{}-based Push/Pop boxed every
-	// record (one allocation each way) — the dominant cost of the
-	// simulation's inner loop before the rewrite.
-	events []scheduled
-	fired  uint64
+	now   Time
+	seq   uint64 // root-context insertion order (actor-less events)
+	q     queue  // pending events in canonical order (queue.go)
+	fired uint64
 
 	world *World      // nil until the engine joins (or lazily creates) a World
 	lane  int         // index of this engine within world.lanes
 	cur   *Actor      // actor whose event is currently firing (nil = root)
 	out   []scheduled // cross-lane mailbox: sends buffered during a window
-	batch []scheduled // reusable buffer for same-timestamp batch pops
 }
 
 // New returns a fresh Engine with the clock at zero.
@@ -96,53 +102,15 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to fire.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.n }
 
-// push inserts it into the heap, sifting up with the hole technique (move
-// parents down, write the new record once).
-func (e *Engine) push(it scheduled) {
-	h := append(e.events, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !it.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// peekTime reports the earliest pending event time; ok is false when
+// nothing is queued.
+func (e *Engine) peekTime() (t Time, ok bool) {
+	if e.q.n == 0 {
+		return 0, false
 	}
-	h[i] = it
-	e.events = h
-}
-
-// pop removes and returns the earliest event.
-func (e *Engine) pop() scheduled {
-	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = scheduled{} // drop callback references so finished events can be collected
-	h = h[:n]
-	e.events = h
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && h[r].before(&h[c]) {
-				c = r
-			}
-			if !h[c].before(&last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
-	}
-	return top
+	return e.q.peek(), true
 }
 
 // schedule validates t, stamps the record with the scheduling context (the
@@ -162,7 +130,7 @@ func (e *Engine) schedule(it scheduled) {
 		e.seq++
 		it.seq = e.seq
 	}
-	e.push(it)
+	e.q.push(it)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -204,40 +172,21 @@ func (e *Engine) fire(it *scheduled) {
 // Step fires the single earliest event, advancing the clock to its time.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if !e.q.load(maxTime) {
 		return false
 	}
-	it := e.pop()
+	it := e.q.take()
 	e.fire(&it)
 	return true
 }
 
-// runWindow fires every event with time < wend in canonical order,
-// batch-popping same-timestamp runs to amortize heap sift cost: the whole
-// run at the earliest pending time is extracted back to back (each pop
-// sifts a strictly shorter heap than pop-fire-pop interleaving would see,
-// since firing pushes feedback events between pops), then executed in
-// order. Feedback events landing at the same timestamp are merged back in
-// canonically: before each buffered event runs, any heap entries that
-// order ahead of it are drained first.
-func (e *Engine) runWindow(wend Time) {
-	buf := e.batch[:0]
-	for len(e.events) > 0 && e.events[0].at < wend {
-		t := e.events[0].at
-		buf = buf[:0]
-		for len(e.events) > 0 && e.events[0].at == t {
-			buf = append(buf, e.pop())
-		}
-		for i := range buf {
-			for len(e.events) > 0 && e.events[0].at == t && e.events[0].before(&buf[i]) {
-				it := e.pop()
-				e.fire(&it)
-			}
-			e.fire(&buf[i])
-			buf[i] = scheduled{} // drop callback refs
-		}
+// drain fires every event with time <= last in canonical order. Events the
+// handlers schedule at or before last fire within the same call.
+func (e *Engine) drain(last Time) {
+	for e.q.load(last) {
+		it := e.q.take()
+		e.fire(&it)
 	}
-	e.batch = buf[:0]
 }
 
 // Run fires events until none remain and returns the final clock value.
@@ -247,9 +196,7 @@ func (e *Engine) Run() Time {
 	if w := e.world; w != nil {
 		return w.Run()
 	}
-	for len(e.events) > 0 {
-		e.runWindow(e.events[0].at + 1)
-	}
+	e.drain(maxTime)
 	return e.now
 }
 
@@ -257,11 +204,9 @@ func (e *Engine) Run() Time {
 // and advances the clock to min(deadline, last fired event time). It
 // reports whether any events remain queued.
 func (e *Engine) RunUntil(deadline Time) bool {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
+	e.drain(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
-	return len(e.events) > 0
+	return e.q.n > 0
 }
