@@ -308,12 +308,13 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	}
 
 	// Effective lane count: features that mutate shared state outside the
-	// lane protocol (migration locks/remaps, background traffic closures,
-	// trace recording) and configs whose lookahead collapses below one
-	// cycle run sequentially. The output is byte-identical either way —
-	// lanes only change wall-clock time — but ignoring an explicit
-	// -lanes N must be loud: log once per run, stamp the span, and let
-	// the sweep executor count it (SweepStats.LaneFallbacks).
+	// lane protocol (migration locks/remaps, background traffic injected
+	// into channel DRAM from the root actor, trace recording) and configs
+	// whose lookahead collapses below one cycle run sequentially. The
+	// output is byte-identical either way — lanes only change wall-clock
+	// time — but ignoring an explicit -lanes N must be loud: log once per
+	// run, stamp the span, and let the sweep executor count it
+	// (SweepStats.LaneFallbacks).
 	lanes := rc.Lanes
 	if lanes < 1 {
 		lanes = 1
@@ -350,7 +351,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	}
 	g := gpu.New(eng, gpuMem, gpuCfg)
 	if rc.CPUTrafficGBps > 0 {
-		bg := memsys.NewBackgroundTraffic(eng, mem, vm.ZoneCO, rc.CPUTrafficGBps, seed)
+		bg := memsys.NewBackgroundTraffic(mem, vm.ZoneCO, rc.CPUTrafficGBps, seed)
 		bg.Active = func() bool { return g.Outstanding() > 0 }
 		bg.Start()
 	}

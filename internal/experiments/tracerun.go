@@ -110,7 +110,8 @@ func RunTrace(events []trace.Event, rc RunConfig, replay trace.ReplayConfig) (Re
 // RecordTrace runs a workload while writing its post-L1 access stream to
 // w (the recorder taps the GPU-to-memory-system interface, so the event
 // count equals the run's L1 misses plus writes). It returns the run result
-// and the number of events recorded.
+// and the number of events recorded. Recording does not perturb the
+// simulation: the result is identical to Run's for the same config.
 func RecordTrace(rc RunConfig, w io.Writer) (Result, uint64, error) {
 	tw := trace.NewWriter(w)
 	rc.traceWriter = tw

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
+	"hetsim/internal/migrate"
+	"hetsim/internal/topology"
 	"hetsim/internal/trace"
 )
 
@@ -92,5 +95,53 @@ func TestRunTraceOracle(t *testing.T) {
 	}
 	if orc.Perf < bw.Perf {
 		t.Fatalf("trace oracle (%.1f) below BW-AWARE (%.1f)", orc.Perf, bw.Perf)
+	}
+}
+
+// TestRecordTraceMatchesRun: recording is transparent — a traced run's
+// Report JSON is byte-identical to the untraced run's, including a
+// migration run on a three-pool topology.
+func TestRecordTraceMatchesRun(t *testing.T) {
+	memOf := func(name string) RunConfig {
+		top, err := topology.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunConfig{Mem: top.MemsysConfig(), Policy: BWAwarePolicy, Shrink: 16}
+	}
+	var cases []RunConfig
+	for _, wl := range []string{"hotspot", "xsbench", "sgemm"} {
+		rc := memOf("k40-ddr4")
+		rc.Workload = wl
+		cases = append(cases, rc)
+	}
+	mig := migrate.DefaultConfig()
+	rc := memOf("cxl-expansion")
+	rc.Workload, rc.BOCapacityFrac, rc.Migration = "bfs", 0.1, &mig
+	cases = append(cases, rc)
+
+	reportJSON := func(res Result) []byte {
+		var buf bytes.Buffer
+		if err := NewReport(res).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, rc := range cases {
+		plain, err := Run(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, n, err := RecordTrace(rc, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatalf("%s: no events recorded", rc.Workload)
+		}
+		if got, want := reportJSON(traced), reportJSON(plain); !bytes.Equal(got, want) {
+			t.Errorf("%s (migration %v): traced report differs from untraced\n got %s\nwant %s",
+				rc.Workload, rc.Migration != nil, got, want)
+		}
 	}
 }

@@ -49,18 +49,12 @@ type WarpProgram interface {
 	NextPhase() (Phase, bool)
 }
 
-// Memory is the interface to the memory hierarchy below the L1
-// (package memsys implements it).
+// Memory is the interface to the memory hierarchy below the L1 (package
+// memsys implements it; the trace recorder wraps it). AccessH is called on
+// the issuing SM's lane with that SM's actor as src and its one-entry
+// translation cache as tc; completion fires h.OnEvent(arg) at data-return
+// time, so the warp's memory path allocates nothing.
 type Memory interface {
-	Access(va uint64, write bool, done func())
-}
-
-// fastMemory is the allocation-free variant of Memory (memsys implements
-// it): completion fires through a long-lived sim.Handler instead of a
-// closure, and tc is the SM's one-entry translation cache. The GPU probes
-// for it at construction and falls back to Memory for wrappers that only
-// implement the closure form (e.g. the trace recorder).
-type fastMemory interface {
 	AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCache, h sim.Handler, arg uint64)
 }
 
@@ -147,11 +141,10 @@ type sm struct {
 
 // GPU executes warp programs against a memory system.
 type GPU struct {
-	cfg     Config
-	eng     *sim.Engine
-	mem     Memory
-	fastMem fastMemory // non-nil when mem supports the pooled-record path
-	sms     []*sm
+	cfg Config
+	eng *sim.Engine
+	mem Memory
+	sms []*sm
 }
 
 // New builds a GPU. It panics on invalid configuration. The engine's World
@@ -165,7 +158,6 @@ func New(eng *sim.Engine, mem Memory, cfg Config) *GPU {
 		cfg.PageSize = 4096
 	}
 	g := &GPU{cfg: cfg, eng: eng, mem: mem}
-	g.fastMem, _ = mem.(fastMemory)
 	w := sim.WorldOf(eng)
 	for i := 0; i < cfg.SMs; i++ {
 		s := &sm{act: w.NewActor(), l1: cache.New(cfg.L1)}
@@ -280,7 +272,7 @@ const (
 	wopAccess                // payload = Addrs index: post-TLB L1/memory path
 	wopOneDone               // one access completed (write or L1 hit)
 	wopMemDone               // payload = VA: read returned; fill L1, complete
-	wopBits                  = 3 // low bits hold the code, the rest payload
+	wopBits           = 3    // low bits hold the code, the rest payload
 )
 
 // OnEvent implements sim.Handler, dispatching on the encoded event code.
@@ -400,11 +392,7 @@ func (w *warp) access(a Access) {
 		// the memory system.
 		w.sm.l1.Invalidate(a.VA)
 		w.sm.stats.L1Misses++
-		if g.fastMem != nil {
-			g.fastMem.AccessH(w.sm.act, a.VA, true, &w.sm.tc, w, wopOneDone)
-		} else {
-			g.mem.Access(a.VA, true, w.oneDone)
-		}
+		g.mem.AccessH(w.sm.act, a.VA, true, &w.sm.tc, w, wopOneDone)
 		return
 	}
 	if w.sm.l1.Lookup(a.VA, false) {
@@ -413,14 +401,7 @@ func (w *warp) access(a Access) {
 		return
 	}
 	w.sm.stats.L1Misses++
-	if g.fastMem != nil {
-		g.fastMem.AccessH(w.sm.act, a.VA, false, &w.sm.tc, w, wopMemDone|a.VA<<wopBits)
-		return
-	}
-	g.mem.Access(a.VA, false, func() {
-		w.sm.l1.Insert(a.VA, false)
-		w.oneDone()
-	})
+	g.mem.AccessH(w.sm.act, a.VA, false, &w.sm.tc, w, wopMemDone|a.VA<<wopBits)
 }
 
 func (w *warp) oneDone() {

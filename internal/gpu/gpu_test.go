@@ -6,23 +6,23 @@ import (
 	"hetsim/internal/cache"
 	"hetsim/internal/sim"
 	"hetsim/internal/tlb"
+	"hetsim/internal/vm"
 )
 
 // fakeMem completes every access after a fixed latency, with unlimited
-// bandwidth. It records issue times.
+// bandwidth. It counts reads and writes.
 type fakeMem struct {
-	eng     *sim.Engine
 	latency sim.Time
 	count   int
 	writes  int
 }
 
-func (m *fakeMem) Access(va uint64, write bool, done func()) {
+func (m *fakeMem) AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCache, h sim.Handler, arg uint64) {
 	m.count++
 	if write {
 		m.writes++
 	}
-	m.eng.After(m.latency, done)
+	src.After(m.latency, h, arg)
 }
 
 // listProgram replays a fixed list of phases.
@@ -80,7 +80,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestSingleWarpCompletes(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 100}
+	mem := &fakeMem{latency: 100}
 	g := New(eng, mem, smallConfig())
 	g.Launch([]WarpProgram{phasesOf(3, 10, []Access{{VA: 0}}, 1)})
 	end := g.Run()
@@ -101,7 +101,7 @@ func TestSingleWarpCompletes(t *testing.T) {
 
 func TestL1FiltersRepeatedReads(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 100}
+	mem := &fakeMem{latency: 100}
 	g := New(eng, mem, smallConfig())
 	g.Launch([]WarpProgram{phasesOf(5, 0, []Access{{VA: 256}}, 1)})
 	g.Run()
@@ -116,7 +116,7 @@ func TestL1FiltersRepeatedReads(t *testing.T) {
 
 func TestWritesBypassAndInvalidateL1(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 10}
+	mem := &fakeMem{latency: 10}
 	g := New(eng, mem, smallConfig())
 	prog := &listProgram{phases: []Phase{
 		{Addrs: []Access{{VA: 0}}, MLP: 1},              // read: miss, fill
@@ -139,7 +139,7 @@ func TestWritesBypassAndInvalidateL1(t *testing.T) {
 func TestLatencyHiding(t *testing.T) {
 	run := func(nwarps int, latency sim.Time, mlp int) sim.Time {
 		eng := sim.New()
-		mem := &fakeMem{eng: eng, latency: latency}
+		mem := &fakeMem{latency: latency}
 		cfg := smallConfig()
 		cfg.SMs = 1
 		cfg.WarpsPerSM = 64
@@ -175,7 +175,7 @@ func TestLatencyHiding(t *testing.T) {
 
 func TestIssuePortSerializes(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 1}
+	mem := &fakeMem{latency: 1}
 	cfg := smallConfig()
 	cfg.SMs = 1
 	g := New(eng, mem, cfg)
@@ -194,7 +194,7 @@ func TestIssuePortSerializes(t *testing.T) {
 
 func TestMoreWarpsThanContexts(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 20}
+	mem := &fakeMem{latency: 20}
 	cfg := smallConfig() // 2 SMs x 4 contexts = 8 resident
 	g := New(eng, mem, cfg)
 	const n = 50
@@ -211,7 +211,7 @@ func TestMoreWarpsThanContexts(t *testing.T) {
 
 func TestDegeneratePhaseProgress(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 1}
+	mem := &fakeMem{latency: 1}
 	g := New(eng, mem, smallConfig())
 	// Phases with no compute and no memory must still terminate.
 	g.Launch([]WarpProgram{phasesOf(10, 0, nil, 0)})
@@ -223,7 +223,7 @@ func TestDegeneratePhaseProgress(t *testing.T) {
 
 func TestComputeOnlyWarpTime(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 1}
+	mem := &fakeMem{latency: 1}
 	g := New(eng, mem, smallConfig())
 	g.Launch([]WarpProgram{phasesOf(4, 25, nil, 0)})
 	end := g.Run()
@@ -249,7 +249,7 @@ func TestL1HitRate(t *testing.T) {
 func TestMLPWindowLimitsOutstanding(t *testing.T) {
 	eng := sim.New()
 	outstanding, peak := 0, 0
-	mem := &hookMem{eng: eng, latency: 50, onIssue: func() {
+	mem := &hookMem{latency: 50, onIssue: func() {
 		outstanding++
 		if outstanding > peak {
 			peak = outstanding
@@ -271,24 +271,31 @@ func TestMLPWindowLimitsOutstanding(t *testing.T) {
 }
 
 type hookMem struct {
-	eng     *sim.Engine
 	latency sim.Time
 	onIssue func()
 	onDone  func()
 }
 
-func (m *hookMem) Access(va uint64, write bool, done func()) {
+func (m *hookMem) AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCache, h sim.Handler, arg uint64) {
 	m.onIssue()
-	m.eng.After(m.latency, func() {
-		m.onDone()
-		done()
-	})
+	src.After(m.latency, hookDone{m, h}, arg)
+}
+
+// hookDone runs the hook's completion callback before the warp's handler.
+type hookDone struct {
+	m *hookMem
+	h sim.Handler
+}
+
+func (d hookDone) OnEvent(arg uint64) {
+	d.m.onDone()
+	d.h.OnEvent(arg)
 }
 
 func TestTLBChargesWalks(t *testing.T) {
 	run := func(withTLB bool) (sim.Time, Stats) {
 		eng := sim.New()
-		mem := &fakeMem{eng: eng, latency: 10}
+		mem := &fakeMem{latency: 10}
 		cfg := smallConfig()
 		cfg.SMs = 1
 		if withTLB {
@@ -316,7 +323,7 @@ func TestTLBChargesWalks(t *testing.T) {
 
 func TestTLBHitsAreFree(t *testing.T) {
 	eng := sim.New()
-	mem := &fakeMem{eng: eng, latency: 10}
+	mem := &fakeMem{latency: 10}
 	cfg := smallConfig()
 	cfg.SMs = 1
 	tc := tlb.Config{Entries: 8, WalkLatencyCycles: 500}

@@ -16,7 +16,6 @@ import (
 // bandwidth, so placement policies that lean on the shared pool feel the
 // contention. Used by the FigCPU extension experiment.
 type BackgroundTraffic struct {
-	eng  *sim.Engine
 	sys  *System
 	zone vm.ZoneID
 	rng  *rand.Rand
@@ -31,7 +30,7 @@ type BackgroundTraffic struct {
 // NewBackgroundTraffic builds an injector pushing gbps of line-sized reads
 // into zone. Rates that round below one line per cycle interval are
 // clamped to one line per cycle.
-func NewBackgroundTraffic(eng *sim.Engine, sys *System, zone vm.ZoneID, gbps float64, seed int64) *BackgroundTraffic {
+func NewBackgroundTraffic(sys *System, zone vm.ZoneID, gbps float64, seed int64) *BackgroundTraffic {
 	lineBytes := float64(sys.cfg.LineBytes)
 	bytesPerCycle := BytesPerCycle(gbps)
 	interval := sim.Time(lineBytes / bytesPerCycle)
@@ -39,7 +38,6 @@ func NewBackgroundTraffic(eng *sim.Engine, sys *System, zone vm.ZoneID, gbps flo
 		interval = 1
 	}
 	return &BackgroundTraffic{
-		eng:      eng,
 		sys:      sys,
 		zone:     zone,
 		rng:      rand.New(rand.NewSource(seed + 99)),
@@ -51,9 +49,17 @@ func NewBackgroundTraffic(eng *sim.Engine, sys *System, zone vm.ZoneID, gbps flo
 // Injected reports how many line transfers have been issued.
 func (b *BackgroundTraffic) Injected() uint64 { return b.injected }
 
-// Start schedules the first injection.
-func (b *BackgroundTraffic) Start() { b.eng.After(b.interval, b.tick) }
+// Start schedules the first injection on the root actor.
+func (b *BackgroundTraffic) Start() { b.sys.os.After(b.interval, injectTick{b}, 0) }
 
+// injectTick is the injector's sim.Handler. It keeps OnEvent off
+// BackgroundTraffic's public method set; being pointer-shaped, it
+// schedules without allocating.
+type injectTick struct{ b *BackgroundTraffic }
+
+func (t injectTick) OnEvent(uint64) { t.b.tick() }
+
+// tick injects one line transfer and schedules the next.
 func (b *BackgroundTraffic) tick() {
 	if !b.Active() {
 		return
@@ -64,8 +70,8 @@ func (b *BackgroundTraffic) tick() {
 		// CPU traffic goes straight to DRAM (it has its own caches on the
 		// host side; what the GPU feels is the bus occupancy).
 		addr := uint64(b.rng.Int63n(1<<26)) &^ uint64(b.sys.cfg.LineBytes-1)
-		sl.dram.Access(b.eng.Now(), addr, b.rng.Intn(4) == 0)
+		sl.dram.Access(b.sys.os.Now(), addr, b.rng.Intn(4) == 0)
 		b.injected++
 	}
-	b.eng.After(b.interval, b.tick)
+	b.sys.os.After(b.interval, injectTick{b}, 0)
 }

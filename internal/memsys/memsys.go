@@ -4,7 +4,7 @@
 // fixed-latency hop of the paper, or a C2C/CXL link in newer topologies),
 // and the virtual-memory translation layer. Table1Config is the paper's
 // two-pool instance; internal/topology compiles multi-pool presets into the
-// same Config. The package exposes one operation to the GPU model — Access
+// same Config. The package exposes one operation to the GPU model — AccessH
 // — and per-page DRAM access counts to the profiler.
 package memsys
 
@@ -340,7 +340,8 @@ func (s *System) Stats() Stats {
 }
 
 // PageCounts returns the per-virtual-page DRAM access counts accumulated
-// so far, merged across the per-channel shards into a fresh slice.
+// so far, merged across the per-channel shards into a fresh slice that the
+// caller owns (migration engines diff successive snapshots).
 func (s *System) PageCounts() []uint64 {
 	n := 0
 	for _, zc := range s.cfg.Zones {
@@ -438,8 +439,7 @@ type access struct {
 	vpage  uint64
 	write  bool
 	start  sim.Time
-	done   func()      // closure completion (nil when h is set)
-	h      sim.Handler // allocation-free completion
+	h      sim.Handler // completion
 	harg   uint64
 	next   *access // freelist link
 }
@@ -477,11 +477,7 @@ func (a *access) OnEvent(arg uint64) {
 		}
 		sl.mshr.Fill(a.chAddr/uint64(s.cfg.LineBytes), now)
 	case stepComplete:
-		if a.h != nil {
-			a.h.OnEvent(a.harg)
-		} else {
-			a.done()
-		}
+		a.h.OnEvent(a.harg)
 		s.putAccess(a)
 	case stepFault:
 		// Root lane: map the page unless an earlier fault already did (or
@@ -537,8 +533,7 @@ func (s *System) getAccess(src *sim.Actor) *access {
 
 func (s *System) putAccess(a *access) {
 	lane := a.src.Lane()
-	a.done, a.h = nil, nil
-	a.hw, a.sl, a.src = nil, nil, nil
+	a.h, a.hw, a.sl, a.src = nil, nil, nil, nil
 	a.next = s.freeAcc[lane]
 	s.freeAcc[lane] = a
 }
@@ -553,31 +548,37 @@ func (s *System) faultHop() sim.Time {
 	return s.hop
 }
 
-// Access sends one post-L1 memory access for virtual address va into the
-// memory system at the current engine time, on the root lane. done fires
-// at the completion (data return) time. Access panics on unmapped
-// addresses when no FaultHandler is set: the runtime maps all pages at
-// allocation time or on first touch, so a miss is a simulator bug.
-// Accesses to a page being migrated are deferred until the move completes,
-// then re-translated (the page has a new physical address).
+// funcHandler adapts a completion closure to sim.Handler. A func value is
+// pointer-shaped, so the conversion does not allocate.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(uint64) { f() }
+
+// Access is AccessH from the root actor with a closure completion: done
+// fires at data-return time.
 func (s *System) Access(va uint64, write bool, done func()) {
-	a := s.getAccess(s.os)
-	a.va, a.write, a.done, a.h = va, write, done, nil
-	s.begin(a, nil)
+	s.AccessH(s.os, va, write, nil, funcHandler(done), 0)
 }
 
-// AccessH is Access with an allocation-free completion: h.OnEvent(arg)
-// fires at data-return time instead of a closure. src is the requester's
-// actor (e.g. the issuing SM's); nil means the root actor. tc, when
-// non-nil, is a caller-owned one-entry translation cache (typically per
-// SM) consulted before the page table. AccessH must be called on src's
-// lane — from src's own event handlers or single-threaded setup code.
+// AccessH sends one post-L1 memory access for virtual address va into the
+// memory system at the requester's current time; h.OnEvent(arg) fires at
+// the completion (data return) time. src is the requester's actor (e.g.
+// the issuing SM's); nil means the root actor. tc, when non-nil, is a
+// caller-owned one-entry translation cache (typically per SM) consulted
+// before the page table. AccessH must be called on src's lane — from src's
+// own event handlers or single-threaded setup code.
+//
+// AccessH panics on unmapped addresses when no FaultHandler is set: the
+// runtime maps all pages at allocation time or on first touch, so a miss
+// is a simulator bug. Accesses to a page being migrated are deferred until
+// the move completes, then re-translated (the page has a new physical
+// address).
 func (s *System) AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCache, h sim.Handler, arg uint64) {
 	if src == nil {
 		src = s.os
 	}
 	a := s.getAccess(src)
-	a.va, a.write, a.done, a.h, a.harg = va, write, nil, h, arg
+	a.va, a.write, a.h, a.harg = va, write, h, arg
 	s.begin(a, tc)
 }
 

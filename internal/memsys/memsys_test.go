@@ -393,7 +393,7 @@ func TestBackgroundTrafficConsumesBandwidth(t *testing.T) {
 		}
 		active := true
 		if withCPU {
-			bg := NewBackgroundTraffic(eng, sys, vm.ZoneCO, 40, 1)
+			bg := NewBackgroundTraffic(sys, vm.ZoneCO, 40, 1)
 			bg.Active = func() bool { return active }
 			bg.Start()
 		}
@@ -433,7 +433,7 @@ func TestBackgroundTrafficConsumesBandwidth(t *testing.T) {
 func TestBackgroundTrafficStopsWhenInactive(t *testing.T) {
 	cfg := Table1Config()
 	eng, _, sys := buildSystem(t, cfg, 16, 16)
-	bg := NewBackgroundTraffic(eng, sys, vm.ZoneCO, 20, 2)
+	bg := NewBackgroundTraffic(sys, vm.ZoneCO, 20, 2)
 	ticks := 0
 	bg.Active = func() bool { ticks++; return ticks <= 3 }
 	bg.Start()
@@ -479,18 +479,20 @@ func TestLockPageKeepsLatestDeadline(t *testing.T) {
 	}
 }
 
+// TestEpochPageCountsIsolated: PageCounts returns a snapshot the caller
+// owns, so a migration epoch can keep it to diff against the next one.
 func TestEpochPageCountsIsolated(t *testing.T) {
 	eng, space, sys := buildSystem(t, Table1Config(), 16, 16)
 	space.MapPage(0, vm.ZoneBO)
 	sys.Access(0, false, func() {})
 	eng.Run()
-	snap := sys.EpochPageCounts()
+	snap := sys.PageCounts()
 	if snap[0] != 1 {
 		t.Fatalf("snapshot count = %d, want 1", snap[0])
 	}
 	snap[0] = 99
 	if sys.PageCounts()[0] != 1 {
-		t.Fatal("EpochPageCounts aliased live storage")
+		t.Fatal("PageCounts aliased live storage")
 	}
 }
 
@@ -499,8 +501,9 @@ type countHandler struct{ n int }
 
 func (c *countHandler) OnEvent(arg uint64) { c.n++ }
 
-// TestAccessHMatchesAccess: the allocation-free AccessH path must produce
-// the same completion time and counters as the closure path.
+// TestAccessHMatchesAccess: Access (closure completion, no translation
+// cache) must produce the same completion time and counters as AccessH
+// with a handler and a translation cache.
 func TestAccessHMatchesAccess(t *testing.T) {
 	run := func(fast bool) (sim.Time, Stats) {
 		eng, space, sys := buildSystem(t, Table1Config(), 64, 64)

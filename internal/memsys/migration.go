@@ -81,11 +81,12 @@ func (s *System) InvalidatePage(oldPA uint64, pageSize uint64) int {
 	return dropped
 }
 
-// copyPage charges one page copy to both pools' DRAM channels and returns
-// the completion time: the later of the read and write streams plus each
-// pool's interconnect hop (the per-hop transfer cost — a CXL → DDR move
-// crosses both links once per page).
-func (s *System) copyPage(oldPA, newPA, pageSize uint64) sim.Time {
+// CopyPageTraffic models the DRAM traffic of copying one page from oldPA
+// to newPA: line-sized reads on the source channel and writes on the
+// destination channel. It returns the completion time: the later of the
+// two streams plus each pool's interconnect hop (the per-hop transfer cost
+// — a CXL → DDR move crosses both links once per page).
+func (s *System) CopyPageTraffic(oldPA, newPA, pageSize uint64) sim.Time {
 	var done sim.Time
 	for off := uint64(0); off < pageSize; off += uint64(s.cfg.LineBytes) {
 		srcHW, srcSl, srcAddr := s.route(oldPA + off)
@@ -106,14 +107,6 @@ func (s *System) copyPage(oldPA, newPA, pageSize uint64) sim.Time {
 	return done
 }
 
-// CopyPageTraffic models the DRAM traffic of copying one page from oldPA
-// to newPA: line-sized reads on the source channel and writes on the
-// destination channel, plus the interconnect hop of each pool involved.
-// It returns the time the copy completes (the later of the two streams).
-func (s *System) CopyPageTraffic(oldPA, newPA, pageSize uint64) sim.Time {
-	return s.copyPage(oldPA, newPA, pageSize)
-}
-
 // wbEntry is one queued asynchronous demotion: the page has already been
 // remapped to newPA; the data still has to drain from oldPA.
 type wbEntry struct {
@@ -127,6 +120,7 @@ type wbEntry struct {
 // demotions drain head-first at DRAM speed while the application keeps
 // running (à la a GPU page manager's write_back_buffer).
 type writeBackBuf struct {
+	sys      *System
 	cap      int
 	queue    []wbEntry
 	pending  map[uint64]bool // vpage -> PagePendingWriteBack
@@ -141,7 +135,7 @@ func (s *System) ConfigureWriteBack(pages int) {
 		s.wb = nil
 		return
 	}
-	s.wb = &writeBackBuf{cap: pages, pending: make(map[uint64]bool)}
+	s.wb = &writeBackBuf{sys: s, cap: pages, pending: make(map[uint64]bool)}
 }
 
 // EnqueueWriteBack queues one demoted page for asynchronous draining and
@@ -164,25 +158,29 @@ func (s *System) EnqueueWriteBack(vpage, oldPA, newPA, pageSize uint64) bool {
 }
 
 // drainWriteBack processes the buffer head: charge its copy traffic now,
-// then complete (and start the next drain) when the DRAM streams finish.
-// Entries drain serially — the buffer models one copy engine.
+// then complete it (OnEvent, on the root actor) when the DRAM streams
+// finish. Entries drain serially — the buffer models one copy engine.
 func (s *System) drainWriteBack() {
 	if len(s.wb.queue) == 0 {
 		s.wb.draining = false
 		return
 	}
 	e := s.wb.queue[0]
-	done := s.copyPage(e.oldPA, e.newPA, e.pageSize)
+	done := s.CopyPageTraffic(e.oldPA, e.newPA, e.pageSize)
 	d := done - s.eng.Now()
 	if d < 1 {
 		d = 1
 	}
-	s.eng.After(d, func() {
-		s.wb.queue = s.wb.queue[1:]
-		delete(s.wb.pending, e.vpage)
-		s.stats.WriteBacksDrained++
-		s.drainWriteBack()
-	})
+	s.os.After(d, s.wb, 0)
+}
+
+// OnEvent implements sim.Handler: the head entry's copy has completed, so
+// the page leaves PagePendingWriteBack and the next entry starts draining.
+func (b *writeBackBuf) OnEvent(uint64) {
+	b.sys.stats.WriteBacksDrained++
+	delete(b.pending, b.queue[0].vpage)
+	b.queue = b.queue[1:]
+	b.sys.drainWriteBack()
 }
 
 // LockPage blocks accesses to vpage until t; accesses arriving earlier are
@@ -213,10 +211,6 @@ func (s *System) lockDelay(vpage uint64, now sim.Time) sim.Time {
 	}
 	return until - now
 }
-
-// EpochPageCounts returns a merged copy of the per-page DRAM access counts
-// and is intended for migration engines that diff successive snapshots.
-func (s *System) EpochPageCounts() []uint64 { return s.PageCounts() }
 
 // Space exposes the address space the system translates through (the
 // migration engine remaps pages in it).

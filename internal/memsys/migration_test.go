@@ -189,8 +189,7 @@ func TestPageStateMigrationLock(t *testing.T) {
 	if st := sys.PageState(0); st != PagePendingMigration {
 		t.Fatalf("locked state = %v, want PagePendingMigration", st)
 	}
-	eng.After(1001, func() {})
-	eng.Run()
+	eng.RunUntil(1001)
 	if st := sys.PageState(0); st != PageValid {
 		t.Fatalf("state after lock expiry = %v, want PageValid", st)
 	}

@@ -192,7 +192,7 @@ type Stats struct {
 // memory system, fastest pool first.
 type Engine struct {
 	cfg    Config
-	eng    *sim.Engine
+	root   *sim.Actor // epochs run on the world's root actor
 	mem    *memsys.System
 	space  *vm.Space
 	order  []vm.ZoneID // pools by descending bandwidth (SBIT order)
@@ -217,7 +217,7 @@ func New(eng *sim.Engine, mem *memsys.System, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:       cfg,
-		eng:       eng,
+		root:      sim.WorldOf(eng).Root(),
 		mem:       mem,
 		lastMoved: make(map[uint64]int),
 		Active:    func() bool { return true },
@@ -262,17 +262,24 @@ func (e *Engine) PolicyName() string { return e.policy.Name() }
 // Order returns the pools fastest-first — the promotion direction.
 func (e *Engine) Order() []vm.ZoneID { return e.order }
 
-// Start schedules the first epoch.
+// Start schedules the first epoch on the root actor.
 func (e *Engine) Start() {
-	e.eng.After(e.cfg.EpochCycles, e.epoch)
+	e.root.After(e.cfg.EpochCycles, epochTick{e}, 0)
 }
 
+// epochTick is the epoch's sim.Handler. It keeps OnEvent off Engine's
+// public method set; being pointer-shaped, it schedules without allocating.
+type epochTick struct{ e *Engine }
+
+func (t epochTick) OnEvent(uint64) { t.e.epoch() }
+
+// epoch runs one migration epoch and schedules the next.
 func (e *Engine) epoch() {
 	if !e.Active() {
 		return
 	}
 	e.stats.Epochs++
-	counts := e.mem.EpochPageCounts()
+	counts := e.mem.PageCounts()
 	delta := make([]uint64, len(counts))
 	for i, c := range counts {
 		d := c
@@ -291,7 +298,7 @@ func (e *Engine) epoch() {
 	}
 	e.policy.Epoch(v)
 	e.last = counts
-	e.eng.After(e.cfg.EpochCycles, e.epoch)
+	e.root.After(e.cfg.EpochCycles, epochTick{e}, 0)
 }
 
 // eligible reports whether a page may move this epoch (cooldown).
@@ -313,7 +320,7 @@ func (e *Engine) move(vpage uint64, from, to vm.ZoneID) bool {
 	}
 	e.lastMoved[vpage] = e.stats.Epochs
 	e.mem.InvalidatePage(oldPA, ps)
-	now := e.eng.Now()
+	now := e.root.Now()
 	if e.rank[to] > e.rank[from] { // demotion: data must drain downward
 		if e.mem.EnqueueWriteBack(vpage, oldPA, newPA, ps) {
 			e.stats.AsyncWriteBacks++

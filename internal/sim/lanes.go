@@ -6,11 +6,12 @@ import (
 )
 
 // ActorID identifies one scheduling source in a World. ID 0 is the root
-// context (pre-run setup code and plain closures); model components (SMs,
-// DRAM channel slices, the OS fault handler) allocate IDs 1.. in
-// construction order. The canonical event order is keyed by actor ID, not
-// lane index, so the schedule — and therefore every figure byte — is
-// independent of the lane count.
+// context: setup code and components without an actor of their own (the
+// OS fault handler, the migration epoch, CPU co-traffic). Model components
+// (DRAM channel slices, SMs) allocate IDs 1.. in construction order. The
+// canonical event order is keyed by actor ID, not lane index, so the
+// schedule — and therefore every figure byte — is independent of the lane
+// count.
 type ActorID int32
 
 // Actor is a scheduling endpoint pinned to one lane of a World. All events
@@ -28,15 +29,8 @@ type Actor struct {
 // ID returns the actor's canonical ordering key.
 func (a *Actor) ID() ActorID { return a.id }
 
-// nextSeq returns the actor's next per-source sequence number. Actor 0
-// shares the engine's root-context counter: closures scheduled through
-// Engine.At and events scheduled through the root actor both carry src 0,
-// and a single counter keeps (src, seq) unique.
+// nextSeq returns the actor's next per-source sequence number.
 func (a *Actor) nextSeq() uint64 {
-	if a.id == 0 {
-		a.eng.seq++
-		return a.eng.seq
-	}
 	a.seq++
 	return a.seq
 }
@@ -138,8 +132,8 @@ func WorldOf(e *Engine) *World {
 	return e.world
 }
 
-// Engine returns lane 0's engine: the handle for root-context scheduling
-// (At/After closures) and the clock to read after Run.
+// Engine returns lane 0's engine: the root actor's lane and the clock to
+// read after Run.
 func (w *World) Engine() *Engine { return w.lanes[0] }
 
 // Lanes reports the number of event lanes.

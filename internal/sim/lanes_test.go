@@ -106,11 +106,6 @@ type nopHandler struct{}
 
 func (nopHandler) OnEvent(uint64) {}
 
-// handlerFunc adapts a closure to Handler for tests.
-type handlerFunc func(uint64)
-
-func (f handlerFunc) OnEvent(arg uint64) { f(arg) }
-
 // TestLookaheadViolationPanics: a cross-actor send inside the conservative
 // window must panic — silently accepting it would corrupt laned schedules.
 func TestLookaheadViolationPanics(t *testing.T) {
@@ -148,17 +143,19 @@ func TestSelfSendIgnoresLookahead(t *testing.T) {
 // insertion-sorted into the unfired tail of the cycle's batch.
 func TestBatchPopFeedback(t *testing.T) {
 	e := New()
+	root := WorldOf(e).Root()
 	var got []int
+	var h handlerFunc
+	h = func(arg uint64) {
+		got = append(got, int(arg))
+		if arg < 4 {
+			// Same-timestamp follow-up: must fire after every event
+			// batched before it, in its own scheduling order.
+			root.At(100, h, 100+arg)
+		}
+	}
 	for i := 0; i < 8; i++ {
-		i := i
-		e.At(100, func() {
-			got = append(got, i)
-			if i < 4 {
-				// Same-timestamp follow-up: must fire after every event
-				// batched before it, in its own scheduling order.
-				e.At(100, func() { got = append(got, 100+i) })
-			}
-		})
+		root.At(100, h, uint64(i))
 	}
 	e.Run()
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102, 103}
@@ -167,30 +164,37 @@ func TestBatchPopFeedback(t *testing.T) {
 	}
 }
 
+// burster fires a fanout of same-timestamp leaf events every 10 cycles
+// (arg 1 = burst, 0 = leaf) until limit events have fired.
+type burster struct {
+	self  *Actor
+	count int
+	limit int
+}
+
+func (b *burster) OnEvent(arg uint64) {
+	b.count++
+	if arg == 0 || b.count >= b.limit {
+		return
+	}
+	const fanout = 64
+	t := b.self.Now() + 10
+	for i := 0; i < fanout && b.count+i < b.limit; i++ {
+		b.self.At(t, b, 0)
+	}
+	b.self.At(t, b, 1)
+}
+
 // BenchmarkEngineBatch measures same-timestamp batches: many events
 // collapse onto shared timestamps, the common shape in SM issue bursts.
 func BenchmarkEngineBatch(b *testing.B) {
-	const fanout = 64
 	e := New()
-	count := 0
-	var burst func()
-	burst = func() {
-		count++
-		if count >= b.N {
-			return
-		}
-		t := e.Now() + 10
-		for i := 0; i < fanout && count+i < b.N; i++ {
-			e.At(t, func() { count++ })
-		}
-		count--
-		e.After(10, burst)
-	}
+	r := &burster{self: WorldOf(e).Root(), limit: b.N}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.At(0, burst)
+	r.self.At(0, r, 1)
 	e.Run()
-	b.ReportMetric(float64(count)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(e.Fired())/b.Elapsed().Seconds(), "events/sec")
 }
 
 // laneBenchActor reschedules itself and periodically pings a peer on

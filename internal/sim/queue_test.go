@@ -361,32 +361,6 @@ func TestCrossLaneSendBehindClock(t *testing.T) {
 	}
 }
 
-// TestHandlerPathOrdering: handler events and closure events scheduled for
-// the same time interleave strictly by insertion order.
-func TestHandlerPathOrdering(t *testing.T) {
-	e := New()
-	var got []int
-	rec := recorder{out: &got}
-	e.AtHandler(10, rec, 0)
-	e.At(10, func() { got = append(got, 1) })
-	e.AtHandler(10, rec, 2)
-	e.At(5, func() { got = append(got, 3) })
-	e.Run()
-	want := []int{3, 0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", got, want)
-		}
-	}
-}
-
-type recorder struct{ out *[]int }
-
-func (r recorder) OnEvent(arg uint64) { *r.out = append(*r.out, int(arg)) }
-
 // TestHandlerPathAllocFree: steady-state handler scheduling performs no
 // per-event allocations once the queue's slab, batch and overflow heap have
 // grown. The warm-up runs three periods of the measured delay pattern, so
@@ -395,15 +369,15 @@ func (r recorder) OnEvent(arg uint64) { *r.out = append(*r.out, int(arg)) }
 // measuring.
 func TestHandlerPathAllocFree(t *testing.T) {
 	e := New()
+	root := WorldOf(e).Root()
 	var p pinger
-	p.e = e
 	for i := 0; i < 64; i++ {
-		e.AtHandler(Time(i*97), &p, 0)
+		root.At(Time(i*97), &p, 0)
 	}
 	k := 0
 	step := func() {
 		k++
-		e.AfterHandler(Time(1+k*2909%(2*calSpan)), &p, 1)
+		root.After(Time(1+k*2909%(2*calSpan)), &p, 1)
 		e.Step()
 	}
 	for k < 3*2*calSpan {
@@ -418,28 +392,25 @@ func TestHandlerPathAllocFree(t *testing.T) {
 	}
 }
 
-type pinger struct {
-	e     *Engine
-	count uint64
-}
+type pinger struct{ count uint64 }
 
 func (p *pinger) OnEvent(arg uint64) { p.count++ }
 
-// BenchmarkEngineHandler measures the allocation-free scheduling path on
-// the same self-rescheduling workload as BenchmarkEngine, reporting
-// events/sec — the engine's headline throughput metric.
+// BenchmarkEngineHandler measures the scheduling path on a
+// self-rescheduling workload with one event pending, reporting events/sec —
+// the engine's headline throughput metric.
 func BenchmarkEngineHandler(b *testing.B) {
 	e := New()
-	r := &resched{e: e, limit: uint64(b.N)}
+	r := &resched{self: WorldOf(e).Root(), limit: uint64(b.N)}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.AtHandler(0, r, 0)
+	r.self.At(0, r, 0)
 	e.Run()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 type resched struct {
-	e     *Engine
+	self  *Actor
 	count uint64
 	limit uint64
 	rng   uint64
@@ -450,7 +421,7 @@ func (r *resched) OnEvent(arg uint64) {
 	if r.count < r.limit {
 		// xorshift keeps the delay stream deterministic and allocation-free.
 		r.rng = r.rng*6364136223846793005 + 1442695040888963407
-		r.e.AfterHandler(Time(r.rng%100)+1, r, 0)
+		r.self.After(Time(r.rng%100)+1, r, 0)
 	}
 }
 
@@ -463,7 +434,7 @@ func (r *resched) OnEvent(arg uint64) {
 func BenchmarkEngineMix(b *testing.B) {
 	const pending = 1600
 	e := New()
-	m := &mixer{e: e, left: b.N - pending}
+	m := &mixer{self: WorldOf(e).Root(), left: b.N - pending}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < pending && i < b.N; i++ {
@@ -474,7 +445,7 @@ func BenchmarkEngineMix(b *testing.B) {
 }
 
 type mixer struct {
-	e    *Engine
+	self *Actor
 	left int
 	rng  uint64
 }
@@ -486,7 +457,7 @@ func (m *mixer) schedule() {
 	if r%100 < 20 {
 		d = Time(1024 + r%3072)
 	}
-	m.e.AfterHandler(d+d%2, m, 0)
+	m.self.After(d+d%2, m, 0)
 }
 
 func (m *mixer) OnEvent(uint64) {

@@ -7,13 +7,14 @@
 // one Engine — or, in laned mode, by a World of engines that provably fires
 // the same canonical schedule on several OS threads (see lanes.go).
 //
-// Two scheduling paths exist. At/After take ordinary closures and are the
-// convenient API for cold code. AtHandler/AfterHandler take a long-lived
-// Handler plus a uint64 argument and never allocate: the event record is
-// stored inline in the engine's queue slab, so models that keep pooled
-// per-request records (memsys) or per-actor state machines (gpu warps) can
-// schedule millions of events with zero garbage. Both paths share one
-// canonical ordering, so mixing them cannot perturb the schedule.
+// Every event is scheduled through an Actor (At/After/Send/SendAfter in
+// lanes.go) as a long-lived Handler plus a uint64 argument. Scheduling never
+// allocates: the (Handler, arg) record is stored inline in the engine's
+// queue slab, so models that keep pooled per-request records (memsys) or
+// per-actor state machines (gpu warps) can schedule millions of events with
+// zero garbage. Code without an actor of its own — setup code, the
+// migration epoch, CPU co-traffic — schedules through the World's root
+// actor.
 //
 // The queue is a monotone calendar (queue.go): the clock never goes
 // backwards — scheduling into the past panics — so events sit in per-cycle
@@ -21,10 +22,7 @@
 // beyond it.
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Time is a point in simulated time, in GPU core cycles.
 type Time int64
@@ -36,26 +34,22 @@ const Forever Time = 1<<62 - 1
 // maxTime bounds drains that have no deadline.
 const maxTime Time = math.MaxInt64
 
-// Event is a callback scheduled to fire at a fixed simulation time.
-type Event func()
-
-// Handler is the allocation-free event callback: OnEvent receives the
-// argument given at scheduling time. A single long-lived Handler typically
-// multiplexes several event kinds by encoding a step code (and optional
-// payload) into arg.
+// Handler is the event callback: OnEvent receives the argument given at
+// scheduling time. A single long-lived Handler typically multiplexes
+// several event kinds by encoding a step code (and optional payload) into
+// arg.
 type Handler interface {
 	OnEvent(arg uint64)
 }
 
-// scheduled is one queued event. Exactly one of fn and h is set. Records
-// live inline in the engine's queue slab — scheduling never boxes them into
-// an interface{} and never heap-allocates per event.
+// scheduled is one queued event. Records live inline in the engine's queue
+// slab — scheduling never boxes them into an interface{} and never
+// heap-allocates per event.
 type scheduled struct {
 	at  Time
-	src ActorID // scheduling actor (0 = the root context)
+	src ActorID // scheduling actor
 	seq uint64  // per-source insertion order; breaks ties deterministically
-	dst *Actor  // actor whose lane fires the event (nil = root context)
-	fn  Event
+	dst *Actor  // actor whose lane fires the event
 	h   Handler
 	arg uint64
 }
@@ -79,16 +73,14 @@ func (s *scheduled) before(o *scheduled) bool {
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // In a World, each lane is one Engine; a standalone Engine behaves exactly
-// like a one-lane World without barriers.
+// like a one-lane World without barriers (see WorldOf).
 type Engine struct {
 	now   Time
-	seq   uint64 // root-context insertion order (actor-less events)
-	q     queue  // pending events in canonical order (queue.go)
+	q     queue // pending events in canonical order (queue.go)
 	fired uint64
 
 	world *World      // nil until the engine joins (or lazily creates) a World
 	lane  int         // index of this engine within world.lanes
-	cur   *Actor      // actor whose event is currently firing (nil = root)
 	out   []scheduled // cross-lane mailbox: sends buffered during a window
 }
 
@@ -113,60 +105,11 @@ func (e *Engine) peekTime() (t Time, ok bool) {
 	return e.q.peek(), true
 }
 
-// schedule validates t, stamps the record with the scheduling context (the
-// currently firing actor, or the root context), and enqueues it.
-func (e *Engine) schedule(it scheduled) {
-	if it.at < e.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", it.at, e.now))
-	}
-	if a := e.cur; a != nil {
-		// Rescheduling from inside an actor's event stays on the actor's
-		// lane and uses its private sequence counter, so the canonical key
-		// does not depend on which lane ran it.
-		it.src = a.id
-		it.seq = a.nextSeq()
-		it.dst = a
-	} else {
-		e.seq++
-		it.seq = e.seq
-	}
-	e.q.push(it)
-}
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a modelling bug, never a recoverable condition.
-func (e *Engine) At(t Time, fn Event) {
-	e.schedule(scheduled{at: t, fn: fn})
-}
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn Event) { e.At(e.now+d, fn) }
-
-// AtHandler schedules h.OnEvent(arg) at absolute time t without allocating:
-// the record is stored inline in the engine's queue. It shares the
-// canonical order with At, so the two paths interleave deterministically.
-func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {
-	e.schedule(scheduled{at: t, h: h, arg: arg})
-}
-
-// AfterHandler schedules h.OnEvent(arg) d cycles from now (see AtHandler).
-func (e *Engine) AfterHandler(d Time, h Handler, arg uint64) {
-	e.AtHandler(e.now+d, h, arg)
-}
-
-// fire executes one popped event with the clock at its timestamp and the
-// scheduling context set to its destination actor.
+// fire executes one popped event with the clock at its timestamp.
 func (e *Engine) fire(it *scheduled) {
 	e.now = it.at
 	e.fired++
-	prev := e.cur
-	e.cur = it.dst
-	if it.h != nil {
-		it.h.OnEvent(it.arg)
-	} else {
-		it.fn()
-	}
-	e.cur = prev
+	it.h.OnEvent(it.arg)
 }
 
 // Step fires the single earliest event, advancing the clock to its time.

@@ -7,10 +7,20 @@ import (
 	"testing/quick"
 )
 
+// handlerFunc adapts a closure to Handler for tests.
+type handlerFunc func(uint64)
+
+func (f handlerFunc) OnEvent(arg uint64) { f(arg) }
+
+// recorder appends each event's arg to out.
+type recorder struct{ out *[]int }
+
+func (r recorder) OnEvent(arg uint64) { *r.out = append(*r.out, int(arg)) }
+
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
 	ran := false
-	e.At(0, func() { ran = true })
+	WorldOf(&e).Root().At(0, handlerFunc(func(uint64) { ran = true }), 0)
 	e.Run()
 	if !ran {
 		t.Fatal("event at t=0 did not run")
@@ -19,13 +29,13 @@ func TestZeroValueReady(t *testing.T) {
 
 func TestOrdering(t *testing.T) {
 	e := New()
-	var got []Time
+	root := WorldOf(e).Root()
+	var got []int
 	for _, at := range []Time{30, 10, 20, 10, 5} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
+		root.At(at, recorder{&got}, uint64(at))
 	}
 	e.Run()
-	want := []Time{5, 10, 10, 20, 30}
+	want := []int{5, 10, 10, 20, 30}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
 	}
@@ -38,10 +48,10 @@ func TestOrdering(t *testing.T) {
 
 func TestTieBreakInsertionOrder(t *testing.T) {
 	e := New()
+	root := WorldOf(e).Root()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(42, func() { got = append(got, i) })
+		root.At(42, recorder{&got}, uint64(i))
 	}
 	e.Run()
 	for i, v := range got {
@@ -53,13 +63,14 @@ func TestTieBreakInsertionOrder(t *testing.T) {
 
 func TestAfterAdvancesClock(t *testing.T) {
 	e := New()
-	e.At(100, func() {
-		e.After(5, func() {
+	root := WorldOf(e).Root()
+	root.At(100, handlerFunc(func(uint64) {
+		root.After(5, handlerFunc(func(uint64) {
 			if e.Now() != 105 {
 				t.Errorf("Now() = %d inside nested event, want 105", e.Now())
 			}
-		})
-	})
+		}), 0)
+	}), 0)
 	end := e.Run()
 	if end != 105 {
 		t.Fatalf("Run() = %d, want 105", end)
@@ -68,22 +79,25 @@ func TestAfterAdvancesClock(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func() {
+	root := WorldOf(e).Root()
+	root.At(10, handlerFunc(func(uint64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		root.At(5, nopHandler{}, 0)
+	}), 0)
 	e.Run()
 }
 
 func TestRunUntil(t *testing.T) {
 	e := New()
+	root := WorldOf(e).Root()
 	fired := 0
+	count := handlerFunc(func(uint64) { fired++ })
 	for _, at := range []Time{1, 2, 3, 10, 20} {
-		e.At(at, func() { fired++ })
+		root.At(at, count, 0)
 	}
 	remaining := e.RunUntil(5)
 	if fired != 3 {
@@ -108,8 +122,9 @@ func TestRunUntil(t *testing.T) {
 
 func TestFiredCount(t *testing.T) {
 	e := New()
+	root := WorldOf(e).Root()
 	for i := 0; i < 7; i++ {
-		e.At(Time(i), func() {})
+		root.At(Time(i), nopHandler{}, 0)
 	}
 	e.Run()
 	if e.Fired() != 7 {
@@ -125,13 +140,13 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 			return true
 		}
 		e := New()
-		var fired []Time
+		root := WorldOf(e).Root()
+		var fired []int
 		for _, u := range times {
-			at := Time(u)
-			e.At(at, func() { fired = append(fired, at) })
+			root.At(Time(u), recorder{&fired}, uint64(u))
 		}
 		end := e.Run()
-		if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
+		if !sort.IntsAreSorted(fired) {
 			return false
 		}
 		max := Time(0)
@@ -148,13 +163,14 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 }
 
 // Property: cascading events (each schedules a random follow-up) never
-// violate clock monotonicity.
+// violate clock monotonicity. arg is the remaining cascade depth.
 func TestPropertyCascade(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := New()
+	root := WorldOf(e).Root()
 	last := Time(-1)
-	var spawn func(depth int)
-	spawn = func(depth int) {
+	var spawn handlerFunc
+	spawn = func(depth uint64) {
 		if e.Now() < last {
 			t.Fatalf("clock went backwards: %d after %d", e.Now(), last)
 		}
@@ -164,29 +180,11 @@ func TestPropertyCascade(t *testing.T) {
 		}
 		n := rng.Intn(3)
 		for i := 0; i < n; i++ {
-			e.After(Time(rng.Intn(50)), func() { spawn(depth - 1) })
+			root.After(Time(rng.Intn(50)), spawn, depth-1)
 		}
 	}
 	for i := 0; i < 20; i++ {
-		e.At(Time(rng.Intn(100)), func() { spawn(6) })
+		root.At(Time(rng.Intn(100)), spawn, 6)
 	}
 	e.Run()
-}
-
-func BenchmarkEngine(b *testing.B) {
-	e := New()
-	rng := rand.New(rand.NewSource(7))
-	count := 0
-	var reschedule func()
-	reschedule = func() {
-		count++
-		if count < b.N {
-			e.After(Time(rng.Intn(100)+1), reschedule)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.At(0, reschedule)
-	e.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -5,10 +5,14 @@ import (
 
 	"hetsim/internal/gpu"
 	"hetsim/internal/sim"
+	"hetsim/internal/vm"
 )
 
 // Recorder wraps a memory system, recording every access that passes
-// through. It implements gpu.Memory and is transparent timing-wise.
+// through. It implements gpu.Memory by forwarding each call unchanged —
+// same requester actor, translation cache and completion — so a recorded
+// run schedules exactly the events of the unrecorded run and produces the
+// same result.
 type Recorder struct {
 	Mem gpu.Memory
 	W   *Writer
@@ -17,12 +21,12 @@ type Recorder struct {
 	Err error
 }
 
-// Access implements gpu.Memory.
-func (r *Recorder) Access(va uint64, write bool, done func()) {
+// AccessH implements gpu.Memory.
+func (r *Recorder) AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCache, h sim.Handler, arg uint64) {
 	if r.Err == nil {
 		r.Err = r.W.Write(Event{VA: va, Write: write})
 	}
-	r.Mem.Access(va, write, done)
+	r.Mem.AccessH(src, va, write, tc, h, arg)
 }
 
 // ReplayConfig shapes how a flat trace is re-executed: events are dealt

@@ -10,6 +10,7 @@ import (
 	"hetsim/internal/cache"
 	"hetsim/internal/gpu"
 	"hetsim/internal/sim"
+	"hetsim/internal/vm"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -127,24 +128,34 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// countMem completes every access one cycle later and logs it.
 type countMem struct {
-	eng    *sim.Engine
 	events []Event
 }
 
-func (m *countMem) Access(va uint64, write bool, done func()) {
+func (m *countMem) AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCache, h sim.Handler, arg uint64) {
 	m.events = append(m.events, Event{VA: va, Write: write})
-	m.eng.After(1, done)
+	src.After(1, h, arg)
 }
+
+// doneCounter counts completions.
+type doneCounter struct{ n int }
+
+func (d *doneCounter) OnEvent(uint64) { d.n++ }
 
 func TestRecorderTapsAccesses(t *testing.T) {
 	eng := sim.New()
-	inner := &countMem{eng: eng}
+	root := sim.WorldOf(eng).Root()
+	inner := &countMem{}
 	var buf bytes.Buffer
 	rec := &Recorder{Mem: inner, W: NewWriter(&buf)}
-	rec.Access(128, false, func() {})
-	rec.Access(256, true, func() {})
+	var done doneCounter
+	rec.AccessH(root, 128, false, nil, &done, 0)
+	rec.AccessH(root, 256, true, nil, &done, 0)
 	eng.Run()
+	if done.n != 2 {
+		t.Fatalf("%d completions forwarded, want 2", done.n)
+	}
 	rec.W.Flush()
 	if rec.Err != nil {
 		t.Fatal(rec.Err)
@@ -165,10 +176,12 @@ func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 func TestRecorderDegradesOnError(t *testing.T) {
 	eng := sim.New()
-	inner := &countMem{eng: eng}
+	root := sim.WorldOf(eng).Root()
+	inner := &countMem{}
 	rec := &Recorder{Mem: inner, W: NewWriter(failWriter{})}
-	rec.Access(0, false, func() {})
-	rec.Access(128, false, func() {})
+	var done doneCounter
+	rec.AccessH(root, 0, false, nil, &done, 0)
+	rec.AccessH(root, 128, false, nil, &done, 0)
 	eng.Run()
 	// Small writes sit in the bufio buffer; the error surfaces at Flush at
 	// the latest.
@@ -234,11 +247,13 @@ func TestReplayConfigValidate(t *testing.T) {
 // same number of accesses into memory.
 func TestRecordThenReplay(t *testing.T) {
 	eng := sim.New()
-	inner := &countMem{eng: eng}
+	root := sim.WorldOf(eng).Root()
+	inner := &countMem{}
 	var buf bytes.Buffer
 	rec := &Recorder{Mem: inner, W: NewWriter(&buf)}
+	var done doneCounter
 	for i := 0; i < 50; i++ {
-		rec.Access(uint64(i)*128, i%3 == 0, func() {})
+		rec.AccessH(root, uint64(i)*128, i%3 == 0, nil, &done, 0)
 	}
 	eng.Run()
 	rec.W.Flush()
@@ -257,7 +272,7 @@ func TestRecordThenReplay(t *testing.T) {
 	}
 
 	eng2 := sim.New()
-	replayMem := &countMem{eng: eng2}
+	replayMem := &countMem{}
 	g := gpu.New(eng2, replayMem, gpu.Config{
 		SMs: 1, WarpsPerSM: 4,
 		L1:        cacheCfg(),

@@ -8,6 +8,7 @@ import (
 	"hetsim/internal/core"
 	"hetsim/internal/gpu"
 	"hetsim/internal/gpurt"
+	"hetsim/internal/sim"
 	"hetsim/internal/vm"
 )
 
@@ -294,7 +295,10 @@ func TestPatternStrings(t *testing.T) {
 // GPU model with a fake flat memory.
 type flatMem struct{ n int }
 
-func (m *flatMem) Access(va uint64, write bool, done func()) { m.n++; done() }
+func (m *flatMem) AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCache, h sim.Handler, arg uint64) {
+	m.n++
+	src.After(0, h, arg)
+}
 
 func TestWorkloadDrivesGPU(t *testing.T) {
 	rt := testRuntime()
