@@ -1,12 +1,12 @@
 # hetsim build and verification targets.
 #
-# `make check` is the tier-1 verification gate: build + vet + full test
-# suite + race-detector pass over the experiment harness (the only part
-# of the tree that runs simulations concurrently).
+# `make check` is the tier-1 verification gate: build + gofmt + vet + full
+# test suite + race-detector pass over the experiment harness (the only
+# part of the tree that runs simulations concurrently).
 
 GO ?= go
 
-.PHONY: all build test race vet check bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
+.PHONY: all build fmt test race vet check bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
 
 all: build
 
@@ -15,6 +15,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fail when any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # Race-check the packages that exercise concurrency: the laned event
 # engine and the lane determinism suite (parallel in-run lanes with
@@ -29,7 +33,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race bench-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke
+check: build fmt vet test race bench-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke
 
 # hetbench smoke test: every benchmark workload at -quick scale, including
 # the check that each workload's default-seed output digest still matches
@@ -45,6 +49,9 @@ bench-smoke:
 BENCH_SHA := $(shell git rev-parse --short HEAD)
 bench:
 	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkLanedThroughput' -run - -benchmem ./internal/sim/ && \
+	  $(GO) test -bench 'BenchmarkMSHRAllocateFill' -run - -benchmem ./internal/cache/ && \
+	  $(GO) test -bench 'BenchmarkSpaceFirstTouch' -run - -benchmem ./internal/vm/ && \
+	  $(GO) test -bench 'BenchmarkPrograms' -run - -benchmem ./internal/workloads/ && \
 	  $(GO) test -bench 'BenchmarkMigrationEpoch' -run - -benchmem ./internal/migrate/ && \
 	  $(GO) test -bench 'BenchmarkTuneSearch' -run - -benchmem -benchtime 1x ./internal/tune/ && \
 	  $(GO) test -bench 'BenchmarkSimulatorThroughput' -run - -benchmem . && \

@@ -19,18 +19,23 @@ import (
 // interconnect hop to CPU-attached memory (§3.2.1).
 //
 // The file is built for the simulator's hot path: entries live in a flat
-// slot array whose waiter slices are recycled across fills, and waiters are
-// long-lived FillWaiter values (typically pooled access records), so
-// steady-state Allocate/Fill cycles perform no heap allocations.
+// slot array whose waiter slices are recycled across fills, pending lines
+// are found through a fixed-size open-addressed index instead of a Go map,
+// and waiters are long-lived FillWaiter values (typically pooled access
+// records), so steady-state Allocate/Fill cycles perform no heap
+// allocations.
 type MSHR struct {
 	capacity int
-	// index maps a pending line to its slot in [0, used).
-	index map[uint64]int32
-	// slots[:used] are live entries. Freed slots keep their waiter slice
-	// backing arrays, so re-allocation appends into recycled storage.
-	slots   []mshrEntry
-	used    int
-	scratch []FillWaiter // reused waiter snapshot during Fill
+	// index maps a pending line to its slot in [0, used): a linear-probing
+	// hash table of power-of-two size >= 2*capacity, so it is at most half
+	// full and probe runs stay short.
+	index lineIndex
+	// slots[:used] are live entries. A freed slot takes the waiter array
+	// of the previous Fill (walked), so waiter arrays circulate between
+	// slots and re-allocation appends into recycled storage.
+	slots  []mshrEntry
+	used   int
+	walked []FillWaiter
 	// stalled[stallHead:] is the FIFO of requests waiting for an entry.
 	// Waking advances stallHead instead of shifting the queue; the slice
 	// is compacted when it drains, or on growth once half of it is dead.
@@ -86,7 +91,7 @@ func NewMSHR(capacity int) *MSHR {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: MSHR capacity %d, must be positive", capacity))
 	}
-	return &MSHR{capacity: capacity, index: make(map[uint64]int32, capacity)}
+	return &MSHR{capacity: capacity, index: newLineIndex(capacity)}
 }
 
 // Capacity returns the entry count.
@@ -129,7 +134,8 @@ func (o Outcome) String() string {
 // completion time when Fill is called for the line. On Full, w is NOT
 // registered; the caller should use Stall.
 func (m *MSHR) Allocate(line uint64, w FillWaiter) Outcome {
-	if i, ok := m.index[line]; ok {
+	if b, ok := m.index.find(line); ok {
+		i := m.index.buckets[b].slot()
 		m.slots[i].waiters = append(m.slots[i].waiters, w)
 		m.stats.Merged++
 		return Merged
@@ -144,7 +150,7 @@ func (m *MSHR) Allocate(line uint64, w FillWaiter) Outcome {
 	e := &m.slots[m.used]
 	e.line = line
 	e.waiters = append(e.waiters[:0], w)
-	m.index[line] = int32(m.used)
+	m.index.insert(line, m.used)
 	m.used++
 	m.stats.Primary++
 	if m.used > m.stats.PeakUsed {
@@ -165,32 +171,33 @@ func (m *MSHR) Stall(line uint64, retry Retrier) {
 	m.stalled = append(m.stalled, stalledReq{line: line, retry: retry})
 }
 
-// StallDepth reports how many requests are queued waiting for an entry.
-func (m *MSHR) StallDepth() int { return m.Stalled() }
-
 // Fill completes the outstanding fill for line at time t: all merged
 // waiters are notified in registration order, the entry frees, and one
 // stalled request (if any) is retried. Waiter callbacks may re-enter
 // Allocate (a retried access, a scheduled follow-up), but not Fill itself.
 func (m *MSHR) Fill(line uint64, t sim.Time) {
-	i, ok := m.index[line]
+	b, ok := m.index.find(line)
 	if !ok {
 		panic(fmt.Sprintf("cache: Fill for line %#x with no MSHR entry", line))
 	}
 	// Free the entry before notifying, matching the semantics waiters
 	// observe: a re-entrant Allocate for this line opens a fresh fill.
-	// Waiters are snapshotted into scratch so the slot's recycled backing
-	// array cannot be clobbered by such a re-entrant Allocate mid-walk.
-	delete(m.index, line)
+	// The waiter slice leaves the slot file to be walked, and the freed
+	// slot takes the previous walk's backing array instead, so such a
+	// re-entrant Allocate cannot clobber the walk.
+	i := m.index.buckets[b].slot()
 	m.used--
 	w := m.slots[i].waiters
-	m.scratch = append(m.scratch[:0], w...)
-	if int(i) != m.used {
+	if i != m.used {
+		// Swap-delete: the last live entry moves into the freed slot.
 		m.slots[i] = m.slots[m.used]
-		m.index[m.slots[i].line] = i
+		mb, _ := m.index.find(m.slots[i].line)
+		m.index.buckets[mb].ref = int32(i) + 1
 	}
-	m.slots[m.used] = mshrEntry{waiters: w[:0]}
-	for _, fw := range m.scratch {
+	m.index.remove(b)
+	m.slots[m.used] = mshrEntry{waiters: m.walked[:0]}
+	m.walked = w
+	for _, fw := range w {
 		fw.OnFill(t)
 	}
 	// Wake stalled requests in FIFO order while entries are free. Waking
@@ -212,4 +219,71 @@ func (m *MSHR) Fill(line uint64, t sim.Time) {
 	if m.stallHead == len(m.stalled) {
 		m.stalled, m.stallHead = m.stalled[:0], 0
 	}
+}
+
+// lineIndex is an open-addressed hash table from line address to MSHR
+// slot: linear probing over a power-of-two bucket array, with
+// backward-shift deletion so removals leave no tombstones and a lookup
+// stops at the first empty bucket.
+type lineIndex struct {
+	buckets []lineBucket
+	mask    int  // len(buckets) - 1
+	shift   uint // 64 - log2(len(buckets)), for Fibonacci hashing
+}
+
+type lineBucket struct {
+	line uint64
+	ref  int32 // slot + 1; 0 marks an empty bucket
+}
+
+func (b lineBucket) slot() int { return int(b.ref) - 1 }
+
+func newLineIndex(capacity int) lineIndex {
+	n, shift := 1, uint(64)
+	for n < 2*capacity {
+		n <<= 1
+		shift--
+	}
+	return lineIndex{buckets: make([]lineBucket, n), mask: n - 1, shift: shift}
+}
+
+// home is line's preferred bucket. Pending lines are often consecutive, so
+// a multiplicative (Fibonacci) hash spreads them; its top bits pick the
+// bucket.
+func (x *lineIndex) home(line uint64) int {
+	return int((line * 0x9e3779b97f4a7c15) >> x.shift)
+}
+
+// find returns the bucket holding line, or ok=false.
+func (x *lineIndex) find(line uint64) (b int, ok bool) {
+	for b = x.home(line); x.buckets[b].ref != 0; b = (b + 1) & x.mask {
+		if x.buckets[b].line == line {
+			return b, true
+		}
+	}
+	return 0, false
+}
+
+// insert adds line, which must be absent, pointing at slot.
+func (x *lineIndex) insert(line uint64, slot int) {
+	b := x.home(line)
+	for x.buckets[b].ref != 0 {
+		b = (b + 1) & x.mask
+	}
+	x.buckets[b] = lineBucket{line: line, ref: int32(slot) + 1}
+}
+
+// remove empties bucket b, shifting later members of its probe run back
+// so that every remaining line stays reachable from its home bucket.
+func (x *lineIndex) remove(b int) {
+	for j := (b + 1) & x.mask; x.buckets[j].ref != 0; j = (j + 1) & x.mask {
+		// The entry at j may fill the hole at b only if its home is not
+		// cyclically within (b, j]: otherwise a lookup would stop at the
+		// hole before reaching it.
+		if (j-x.home(x.buckets[j].line))&x.mask >= (j-b)&x.mask {
+			x.buckets[b] = x.buckets[j]
+			b = j
+		}
+	}
+	x.buckets[b] = lineBucket{}
 }

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,15 +62,15 @@ func TestMSHRStallRetryOnFill(t *testing.T) {
 	}
 	m.Stall(2, realloc)
 	m.Stall(3, realloc)
-	if m.StallDepth() != 2 {
-		t.Fatalf("StallDepth = %d, want 2", m.StallDepth())
+	if m.Stalled() != 2 {
+		t.Fatalf("Stalled = %d, want 2", m.Stalled())
 	}
 	m.Fill(1, 50)
 	if retried != 1 {
 		t.Fatalf("retried %d requests after one Fill, want exactly 1", retried)
 	}
-	if m.StallDepth() != 1 {
-		t.Fatalf("StallDepth = %d after one Fill, want 1", m.StallDepth())
+	if m.Stalled() != 1 {
+		t.Fatalf("Stalled = %d after one Fill, want 1", m.Stalled())
 	}
 	if m.Used() != 1 {
 		t.Fatalf("Used = %d after retry re-allocated, want 1", m.Used())
@@ -91,8 +94,8 @@ func TestMSHRStallNoStarvation(t *testing.T) {
 	if retried != 3 {
 		t.Fatalf("retried %d requests after the last Fill, want all 3", retried)
 	}
-	if m.StallDepth() != 0 {
-		t.Fatalf("StallDepth = %d after the last Fill, want 0 (no stranded requests)", m.StallDepth())
+	if m.Stalled() != 0 {
+		t.Fatalf("Stalled = %d after the last Fill, want 0 (no stranded requests)", m.Stalled())
 	}
 }
 
@@ -235,7 +238,7 @@ func TestMSHRSteadyStateAllocFree(t *testing.T) {
 
 // TestMSHRStallQueueUnderBackpressure: with the file permanently full and
 // the stall queue never draining, woken requests still come out in FIFO
-// order, StallDepth tracks the queue, and the queue's storage stays bounded
+// order, Stalled tracks the queue, and the queue's storage stays bounded
 // and allocation-free — woken slots are reclaimed without waiting for the
 // queue to empty.
 func TestMSHRStallQueueUnderBackpressure(t *testing.T) {
@@ -266,8 +269,8 @@ func TestMSHRStallQueueUnderBackpressure(t *testing.T) {
 	if bad != 0 {
 		t.Fatalf("%d requests woke out of FIFO order", bad)
 	}
-	if m.StallDepth() != 8 || m.Stalled() != 8 {
-		t.Fatalf("StallDepth = %d, Stalled = %d, want 8", m.StallDepth(), m.Stalled())
+	if m.Stalled() != 8 {
+		t.Fatalf("Stalled = %d, want 8", m.Stalled())
 	}
 	if c := cap(m.stalled); c > 32 {
 		t.Fatalf("stall queue capacity grew to %d for a depth of 8", c)
@@ -292,4 +295,217 @@ func (r *fifoRetry) Retry() {
 	}
 	*r.next++
 	r.m.Allocate(r.line, r.w)
+}
+
+// refMSHR is a map-based model of the MSHR file's contract, for
+// differential testing: pending lines with their waiters in registration
+// order, and a FIFO of stalled requests woken while entries are free.
+type refMSHR struct {
+	capacity int
+	pending  map[uint64][]int // line -> waiter IDs
+	stalled  []*diffRetry
+	stats    MSHRStats
+	log      *[]string
+}
+
+func (r *refMSHR) allocate(line uint64, id int) Outcome {
+	if ws, ok := r.pending[line]; ok {
+		r.pending[line] = append(ws, id)
+		r.stats.Merged++
+		return Merged
+	}
+	if len(r.pending) >= r.capacity {
+		r.stats.FullStall++
+		return Full
+	}
+	r.pending[line] = []int{id}
+	r.stats.Primary++
+	r.stats.PeakUsed = max(r.stats.PeakUsed, len(r.pending))
+	return Allocated
+}
+
+func (r *refMSHR) fill(line uint64, t sim.Time) {
+	ws := r.pending[line]
+	delete(r.pending, line)
+	for _, id := range ws {
+		*r.log = append(*r.log, fmt.Sprintf("fill %d @%d", id, t))
+	}
+	for len(r.stalled) > 0 && len(r.pending) < r.capacity {
+		q := r.stalled[0]
+		r.stalled = r.stalled[1:]
+		*r.log = append(*r.log, fmt.Sprintf("retry %d", q.id))
+		if !q.hit && r.allocate(q.line, q.id) == Full {
+			r.stalled = append(r.stalled, q)
+		}
+	}
+}
+
+// diffRetry is a stalled request. On wake it either completes without an
+// entry (hit: it found its line in the L2) or re-allocates, re-stalling on
+// a full file, as memsys does.
+type diffRetry struct {
+	m    *MSHR
+	line uint64
+	id   int
+	hit  bool
+	log  *[]string
+}
+
+func (q *diffRetry) Retry() {
+	*q.log = append(*q.log, fmt.Sprintf("retry %d", q.id))
+	if !q.hit && q.m.Allocate(q.line, logWaiter{q.id, q.log}) == Full {
+		q.m.Stall(q.line, q)
+	}
+}
+
+type logWaiter struct {
+	id  int
+	log *[]string
+}
+
+func (w logWaiter) OnFill(t sim.Time) { *w.log = append(*w.log, fmt.Sprintf("fill %d @%d", w.id, t)) }
+
+// collidingLines returns lines whose home buckets crowd the end of x's
+// table and its start, so probe runs wrap around and deletions shift
+// entries back across the wrap, plus a few lines with scattered homes.
+func collidingLines(x *lineIndex, perHome int) []uint64 {
+	n := len(x.buckets)
+	want := map[int]int{}
+	for _, h := range []int{n - 1, n - 2, 0} {
+		want[h] += perHome // n-2 is 0 in a two-bucket table
+	}
+	var lines []uint64
+	for line := uint64(0); len(lines) < 3*perHome; line++ {
+		if h := x.home(line); want[h] > 0 {
+			want[h]--
+			lines = append(lines, line)
+		}
+	}
+	for i := uint64(0); i < 4; i++ {
+		lines = append(lines, 1<<40+i*7919)
+	}
+	return lines
+}
+
+// TestMSHRMatchesReferenceModel drives the MSHR file and a map-based model
+// with the same random Allocate/Stall/Fill sequences over lines that
+// collide in the open-addressed index, and checks after every operation
+// that notifications, occupancy, the stall queue, counters and the index
+// itself agree.
+func TestMSHRMatchesReferenceModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5, 16, 128} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			var gotLog, wantLog []string
+			m := NewMSHR(capacity)
+			ref := &refMSHR{capacity: capacity, pending: map[uint64][]int{}, log: &wantLog}
+			lines := collidingLines(&m.index, max(2, capacity/2))
+			for op, id, seen := 0, 0, 0; op < 20_000; op++ {
+				if len(ref.pending) > 0 && rng.Intn(5) < 2 {
+					var live []uint64
+					for l := range ref.pending {
+						live = append(live, l)
+					}
+					slices.Sort(live)
+					line := live[rng.Intn(len(live))]
+					m.Fill(line, sim.Time(op))
+					ref.fill(line, sim.Time(op))
+				} else {
+					id++
+					line := lines[rng.Intn(len(lines))]
+					got := m.Allocate(line, logWaiter{id, &gotLog})
+					if want := ref.allocate(line, id); got != want {
+						t.Fatalf("op %d: Allocate(%d) = %v, model says %v", op, line, got, want)
+					}
+					if got == Full {
+						hit := rng.Intn(3) == 0
+						m.Stall(line, &diffRetry{m: m, line: line, id: id, hit: hit, log: &gotLog})
+						ref.stalled = append(ref.stalled, &diffRetry{line: line, id: id, hit: hit})
+					}
+				}
+				if !slices.Equal(gotLog[seen:], wantLog[seen:]) {
+					t.Fatalf("op %d: events diverged:\n got %v\nwant %v", op, gotLog[seen:], wantLog[seen:])
+				}
+				seen = len(gotLog)
+				checkAgainstModel(t, op, m, ref)
+			}
+		})
+	}
+}
+
+func checkAgainstModel(t *testing.T, op int, m *MSHR, ref *refMSHR) {
+	t.Helper()
+	if m.Used() != len(ref.pending) || m.Stalled() != len(ref.stalled) || m.Stats() != ref.stats {
+		t.Fatalf("op %d: Used %d Stalled %d Stats %+v, model has %d, %d, %+v",
+			op, m.Used(), m.Stalled(), m.Stats(), len(ref.pending), len(ref.stalled), ref.stats)
+	}
+	occupied := 0
+	for _, b := range m.index.buckets {
+		if b.ref != 0 {
+			occupied++
+		}
+	}
+	if occupied != m.Used() {
+		t.Fatalf("op %d: index holds %d lines, %d entries live", op, occupied, m.Used())
+	}
+	for line, ws := range ref.pending {
+		b, ok := m.index.find(line)
+		if !ok {
+			t.Fatalf("op %d: pending line %d missing from the index", op, line)
+		}
+		e := m.slots[m.index.buckets[b].slot()]
+		if e.line != line || len(e.waiters) != len(ws) {
+			t.Fatalf("op %d: line %d maps to an entry for line %d with %d waiters, want %d",
+				op, line, e.line, len(e.waiters), len(ws))
+		}
+	}
+}
+
+// TestMSHRCollidingSteadyStateAllocFree: Allocate/Fill cycles over lines
+// that share home buckets across the index's wrap-around, filled out of
+// allocation order, allocate nothing once warm.
+func TestMSHRCollidingSteadyStateAllocFree(t *testing.T) {
+	m := NewMSHR(8)
+	lines := collidingLines(&m.index, 2)[:8]
+	nop := FillFunc(func(sim.Time) {})
+	cycle := func() {
+		for _, l := range lines {
+			m.Allocate(l, nop)
+			m.Allocate(l, nop)
+		}
+		for i := range lines {
+			m.Fill(lines[(i*3)%len(lines)], 1)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("colliding Allocate/Fill cycle allocates %.1f objects, want 0", avg)
+	}
+	if m.Used() != 0 {
+		t.Fatalf("Used = %d after filling every line", m.Used())
+	}
+}
+
+// BenchmarkMSHRAllocateFill is one miss through a half-full 128-entry file
+// (the paper's per-slice MSHR count): Allocate a line, merge a second
+// request into it, and Fill the oldest outstanding line.
+func BenchmarkMSHRAllocateFill(b *testing.B) {
+	const entries, depth = 128, 64
+	m := NewMSHR(entries)
+	nop := FillFunc(func(sim.Time) {})
+	var ring [depth]uint64
+	for i := range ring {
+		ring[i] = uint64(i) * 3
+		m.Allocate(ring[i], nop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := i % depth
+		m.Fill(ring[slot], sim.Time(i))
+		line := uint64(depth+i) * 3
+		m.Allocate(line, nop)
+		m.Allocate(line, nop)
+		ring[slot] = line
+	}
 }

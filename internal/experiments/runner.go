@@ -405,7 +405,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		Perf:        float64(spec.TotalAccesses()) / float64(cycles) * 1000,
 		Accesses:    st.Accesses,
 		BOServed:    mem.ZoneServiceFraction(vm.ZoneBO),
-		PageCounts:  append([]uint64(nil), mem.PageCounts()...),
+		PageCounts:  mem.PageCounts(),
 		Allocations: allocs,
 		Mem:         st,
 		Place:       placer.Stats(),

@@ -44,7 +44,11 @@ type Phase struct {
 }
 
 // WarpProgram yields the phases a warp executes. Implementations are
-// single-warp state machines; NextPhase is called once per phase.
+// single-warp state machines; NextPhase is called once per phase. A
+// returned Phase.Addrs belongs to the program and stays valid only until
+// the next NextPhase call, so programs can refill one buffer per warp;
+// the warp reads it until the phase's last access completes, which is
+// always before it asks for the next phase.
 type WarpProgram interface {
 	NextPhase() (Phase, bool)
 }

@@ -64,7 +64,7 @@ func (b *BackgroundTraffic) tick() {
 	if !b.Active() {
 		return
 	}
-	hw := b.sys.zones[b.zone]
+	hw := b.sys.zoneHW(b.zone)
 	if hw != nil && len(hw.slices) > 0 {
 		sl := hw.slices[b.rng.Intn(len(hw.slices))]
 		// CPU traffic goes straight to DRAM (it has its own caches on the

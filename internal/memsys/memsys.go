@@ -156,6 +156,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memsys: no zones")
 	}
 	for _, z := range c.Zones {
+		if z.Zone >= vm.MaxZones {
+			return fmt.Errorf("memsys: zone %q has ID %d, want < %d", z.Name, z.Zone, vm.MaxZones)
+		}
 		if z.Channels <= 0 {
 			return fmt.Errorf("memsys: zone %q has %d channels", z.Name, z.Channels)
 		}
@@ -239,7 +242,8 @@ type System struct {
 	// conservative lookahead; see LaneLookahead.
 	hop   sim.Time
 	space *vm.Space
-	zones map[vm.ZoneID]*zoneHW
+	// zones is indexed by zone ID; nil marks a zone the config omits.
+	zones [vm.MaxZones]*zoneHW
 	// stats holds counters written only from the root lane (migration
 	// traffic); per-channel traffic lives in each slice's shard and is
 	// merged on read.
@@ -280,7 +284,6 @@ func New(eng *sim.Engine, space *vm.Space, cfg Config) (*System, error) {
 		os:      w.Root(),
 		hop:     cfg.L2Latency / 2,
 		space:   space,
-		zones:   make(map[vm.ZoneID]*zoneHW),
 		freeAcc: make([]*access, w.Lanes()),
 	}
 	for _, zc := range cfg.Zones {
@@ -375,7 +378,7 @@ func (s *System) ZoneServiceFraction(z vm.ZoneID) float64 {
 // ZoneEnergyNJ reports zone z's accumulated DRAM access energy in
 // nanojoules.
 func (s *System) ZoneEnergyNJ(z vm.ZoneID) float64 {
-	hw := s.zones[z]
+	hw := s.zoneHW(z)
 	if hw == nil {
 		return 0
 	}
@@ -406,6 +409,14 @@ func (s *System) SliceStats(z vm.ZoneID, channel int) (cache.Stats, cache.MSHRSt
 		cs = sl.l2.Stats()
 	}
 	return cs, sl.mshr.Stats(), sl.dram.Stats()
+}
+
+// zoneHW returns zone z's hardware, or nil when the config omits z.
+func (s *System) zoneHW(z vm.ZoneID) *zoneHW {
+	if int(z) >= len(s.zones) {
+		return nil
+	}
+	return s.zones[z]
 }
 
 // route picks the slice and channel-local address for a physical address.

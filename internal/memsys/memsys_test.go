@@ -51,6 +51,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"interleave < line", func(c *Config) { c.InterleaveBytes = 64 }},
 		{"zero mshr", func(c *Config) { c.MSHRsPerSlice = 0 }},
 		{"no zones", func(c *Config) { c.Zones = nil }},
+		{"zone ID out of range", func(c *Config) { c.Zones[1].Zone = vm.MaxZones }},
 		{"zero channels", func(c *Config) { c.Zones[0].Channels = 0 }},
 		{"bad dram", func(c *Config) { c.Zones[0].DRAM.Banks = 0 }},
 	}
@@ -377,8 +378,10 @@ func TestEnergyMetering(t *testing.T) {
 	if got := sys.TotalEnergyNJ(); got != boNJ+coNJ {
 		t.Fatalf("TotalEnergyNJ = %g, want %g", got, boNJ+coNJ)
 	}
-	if sys.ZoneEnergyNJ(vm.ZoneID(7)) != 0 {
-		t.Fatal("unknown zone energy not 0")
+	for _, z := range []vm.ZoneID{7, vm.MaxZones, 255} {
+		if sys.ZoneEnergyNJ(z) != 0 {
+			t.Fatalf("unknown zone %d energy not 0", z)
+		}
 	}
 }
 

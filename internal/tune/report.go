@@ -45,7 +45,7 @@ type Report struct {
 	OraclePerf  float64 `json:"oracle_perf"`
 	// GapRecovered is the fraction of the (oracle - default) gap the
 	// winner recovered, clamped to [0, 1]; 1 when the oracle has no edge.
-	GapRecovered float64 `json:"gap_recovered"`
+	GapRecovered float64      `json:"gap_recovered"`
 	Trace        []TraceEntry `json:"trace"`
 
 	// Sweep summarizes the search's simulation effort (runs, cache hits,

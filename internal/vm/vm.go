@@ -182,20 +182,30 @@ func (s *Space) MapPage(vpage uint64, z ZoneID) error {
 	return nil
 }
 
+// grow extends the page table to cover vpage. The length stays exact (it
+// is TableSpan); capacity grows geometrically, so ascending first touches
+// cost amortized O(1) per page instead of re-copying the table each time.
 func (s *Space) grow(vpage uint64) {
 	need := int(vpage) + 1
 	if need <= len(s.table) {
 		return
 	}
-	nt := make([]uint64, need)
-	copy(nt, s.table)
-	s.table = nt
-	nz := make([]ZoneID, need)
-	copy(nz, s.zoneOf)
-	s.zoneOf = nz
-	nm := make([]bool, need)
-	copy(nm, s.mapped)
-	s.mapped = nm
+	s.table = extend(s.table, need)
+	s.zoneOf = extend(s.zoneOf, need)
+	s.mapped = extend(s.mapped, need)
+}
+
+// extend reslices s to length n > len(s), doubling the capacity when it
+// must reallocate. Indices in [len, cap) have never been written (the
+// table never shrinks), so the zeroed backing from the last growth is
+// still intact.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		ns := make([]T, len(s), max(n, 2*cap(s)))
+		copy(ns, s)
+		s = ns
+	}
+	return s[:n]
 }
 
 // Translate maps a virtual address to its physical address. ok is false for

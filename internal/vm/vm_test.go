@@ -289,3 +289,70 @@ func TestTranslateCached(t *testing.T) {
 		t.Fatal("TranslateCached hit a never-mapped page")
 	}
 }
+
+// TestAscendingFirstTouchAmortized: 100k first touches in ascending page
+// order, committed through the deferred path in barrier-sized batches,
+// keep TableSpan and PageZone exact while the page table reallocates only
+// O(log n) times.
+func TestAscendingFirstTouchAmortized(t *testing.T) {
+	const pages, batch = 100_000, 64
+	var s *Space
+	touch := func() {
+		s = twoZone(Unlimited, Unlimited)
+		s.SetDeferred(true)
+		for p := uint64(0); p < pages; p++ {
+			if err := s.MapPage(p, ZoneID(p%2)); err != nil {
+				t.Fatal(err)
+			}
+			if p%batch == batch-1 {
+				s.FlushPending()
+				if got := s.TableSpan(); got != p+1 {
+					t.Fatalf("TableSpan = %d after flushing page %d, want %d", got, p, p+1)
+				}
+			}
+		}
+		s.FlushPending()
+	}
+	// The table's three slices double 17 times each on the way to 100k
+	// pages; NewSpace and the pending list and set add a fixed ~30.
+	// Reallocating per new page would cost 300k.
+	if allocs := testing.AllocsPerRun(1, touch); allocs > 100 {
+		t.Fatalf("%d ascending first touches allocated %.0f times, want O(log n)", pages, allocs)
+	}
+	if got := s.TableSpan(); got != pages {
+		t.Fatalf("TableSpan = %d, want %d", got, pages)
+	}
+	for p := uint64(0); p < pages; p++ {
+		if z, ok := s.PageZone(p); !ok || z != ZoneID(p%2) {
+			t.Fatalf("PageZone(%d) = %d,%v, want %d", p, z, ok, p%2)
+		}
+	}
+	if _, ok := s.PageZone(pages); ok {
+		t.Fatal("PageZone past the table span reports a mapping")
+	}
+	if _, ok := s.Translate(pages * DefaultPageSize); ok {
+		t.Fatal("Translate past the table span hit")
+	}
+}
+
+// BenchmarkSpaceFirstTouch is the page-table side of first-touch
+// placement: ascending MapPage calls committed in barrier-sized batches,
+// per page.
+func BenchmarkSpaceFirstTouch(b *testing.B) {
+	const pages, batch = 1 << 16, 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := twoZone(Unlimited, Unlimited)
+		s.SetDeferred(true)
+		for p := uint64(0); p < pages; p++ {
+			if err := s.MapPage(p, ZoneID(p%2)); err != nil {
+				b.Fatal(err)
+			}
+			if p%batch == batch-1 {
+				s.FlushPending()
+			}
+		}
+		s.FlushPending()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/page")
+}

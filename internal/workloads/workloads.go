@@ -181,11 +181,15 @@ func (s *Spec) Allocate(rt *gpurt.Runtime, hints []Hint) ([]gpurt.Allocation, er
 
 // Programs builds one WarpProgram per warp, deterministically derived from
 // the spec seed. allocs must be the result of Allocate on the same spec.
+// The programs, with their random sources inline, are allocated as one
+// slab.
 func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
 	cum := cumulativeWeights(s.Structures)
+	slab := make([]warpProgram, s.Warps)
 	progs := make([]gpu.WarpProgram, s.Warps)
-	for w := 0; w < s.Warps; w++ {
-		progs[w] = newWarpProgram(s, allocs, cum, w)
+	for w := range slab {
+		slab[w].init(s, allocs, cum, w)
+		progs[w] = &slab[w]
 	}
 	return progs
 }
@@ -206,27 +210,37 @@ func cumulativeWeights(sts []Structure) []float64 {
 }
 
 type warpProgram struct {
-	spec     *Spec
-	allocs   []gpurt.Allocation
-	cum      []float64
-	cumDrift []float64 // scratch for WeightDrift recomputation
-	rng      *rand.Rand
-	warpID   int
+	spec   *Spec
+	allocs []gpurt.Allocation
+	cum    []float64
+	// Buffers refilled every phase: addrs backs every Phase.Addrs the
+	// program returns; weights and cumDrift are WeightDrift scratch.
+	addrs    []gpu.Access
+	weights  []float64
+	cumDrift []float64
+	src      warpSource
+	rng      *rand.Rand // over src
 	phase    int
 	gens     []offsetGen // per structure
 }
 
-func newWarpProgram(s *Spec, allocs []gpurt.Allocation, cum []float64, warpID int) *warpProgram {
-	rng := rand.New(rand.NewSource(s.Seed*1_000_003 + int64(warpID)))
-	w := &warpProgram{spec: s, allocs: allocs, cum: cum, rng: rng, warpID: warpID}
+func (w *warpProgram) init(s *Spec, allocs []gpurt.Allocation, cum []float64, warpID int) {
+	w.spec, w.allocs, w.cum = s, allocs, cum
+	w.addrs = make([]gpu.Access, s.AccessesPerPhase)
+	if s.WeightDrift > 0 {
+		w.weights = make([]float64, len(s.Structures))
+		w.cumDrift = make([]float64, len(s.Structures))
+	}
+	w.src.Seed(s.Seed*1_000_003 + int64(warpID))
+	w.rng = rand.New(&w.src)
 	w.gens = make([]offsetGen, len(s.Structures))
 	for i, st := range s.Structures {
-		w.gens[i] = st.Pattern.generator(st.Size, warpID, s.Warps, rng)
+		w.gens[i] = st.Pattern.generator(st.Size, warpID, s.Warps, w.rng)
 	}
-	return w
 }
 
-// NextPhase implements gpu.WarpProgram.
+// NextPhase implements gpu.WarpProgram. The returned Addrs alias the
+// program's phase buffer, which the next call overwrites.
 func (w *warpProgram) NextPhase() (gpu.Phase, bool) {
 	if w.phase >= w.spec.PhasesPerWarp {
 		return gpu.Phase{}, false
@@ -235,7 +249,7 @@ func (w *warpProgram) NextPhase() (gpu.Phase, bool) {
 	if w.spec.WeightDrift > 0 {
 		w.updateDriftedWeights()
 	}
-	addrs := make([]gpu.Access, w.spec.AccessesPerPhase)
+	addrs := w.addrs
 	for i := range addrs {
 		si := w.pickStructure()
 		st := &w.spec.Structures[si]
@@ -270,16 +284,13 @@ func (w *warpProgram) updateDriftedWeights() {
 	n := len(w.spec.Structures)
 	progress := float64(w.phase-1) / float64(maxInt(w.spec.PhasesPerWarp-1, 1))
 	d := w.spec.WeightDrift * progress
-	weights := make([]float64, n)
+	weights := w.weights
 	total := 0.0
 	for i := range weights {
 		cur := w.spec.Structures[i].Weight
 		next := w.spec.Structures[(i+1)%n].Weight
 		weights[i] = (1-d)*cur + d*next
 		total += weights[i]
-	}
-	if w.cumDrift == nil {
-		w.cumDrift = make([]float64, n)
 	}
 	c := 0.0
 	for i, wt := range weights {

@@ -343,3 +343,48 @@ func TestDescribe(t *testing.T) {
 		t.Errorf("DescribeStructures = %v", lines)
 	}
 }
+
+// TestNextPhaseAllocFree: a program refills the same phase buffers every
+// phase, so NextPhase allocates nothing. This holds for every registered
+// workload but nbody, whose gather model coalesces through gpu.Coalesce
+// and allocates per warp instruction.
+func TestNextPhaseAllocFree(t *testing.T) {
+	for _, name := range AllNames() {
+		if name == "nbody" {
+			continue
+		}
+		s := MustBuild(name, Train())
+		s.PhasesPerWarp = 1000 // enough phases for the measured runs
+		allocs, err := s.Allocate(testRuntime(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.Programs(allocs)[1]
+		avg := testing.AllocsPerRun(200, func() {
+			if _, ok := p.NextPhase(); !ok {
+				t.Fatalf("%s: program ended early", name)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s: NextPhase allocates %.2f objects per phase, want 0", name, avg)
+		}
+	}
+}
+
+var progsSink []gpu.WarpProgram
+
+// BenchmarkPrograms builds the 480 warp programs of a bandwidth-bound
+// (bwShape) spec: per-warp source seeding and generator set-up, paid by
+// every simulation before its first event.
+func BenchmarkPrograms(b *testing.B) {
+	s := BFS(Train())
+	allocs, err := s.Allocate(testRuntime(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		progsSink = s.Programs(allocs)
+	}
+}
