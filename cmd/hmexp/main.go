@@ -468,10 +468,8 @@ func main() {
 func validateFlags(topo string, lanes int, migSpec, migPol, probeSpec string,
 	tune bool, budget int, strategy string, budgetSet, strategySet bool) []error {
 	var errs []error
-	if topo != "" {
-		if _, err := heteromem.TopologyPreset(topo); err != nil {
-			errs = append(errs, err)
-		}
+	if _, err := heteromem.TopologyPreset(topo); err != nil {
+		errs = append(errs, err)
 	}
 	if lanes < 1 {
 		errs = append(errs, fmt.Errorf("-lanes must be >= 1 (got %d)", lanes))

@@ -17,6 +17,7 @@ import (
 
 	"hetsim"
 	"hetsim/internal/metrics"
+	"hetsim/internal/workloads"
 )
 
 func main() {
@@ -28,17 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	ds := heteromem.TrainDataset()
-	if *dataset != "train" {
-		found := false
-		for _, v := range heteromem.DatasetVariants() {
-			if v.Name == *dataset {
-				ds, found = v, true
-			}
-		}
-		if !found {
-			fatal(fmt.Errorf("unknown dataset %q", *dataset))
-		}
+	ds, err := workloads.DatasetByName(*dataset)
+	if err != nil {
+		fatal(err)
 	}
 
 	res, err := heteromem.Profile(*workload, ds, *shrink)

@@ -230,10 +230,8 @@ func validateFlags(workers, jobWorkers, queueCap int, drain time.Duration, topo 
 	if drain < 0 {
 		errs = append(errs, fmt.Errorf("-drain must be >= 0, got %s", drain))
 	}
-	if topo != "" {
-		if _, err := topology.Preset(topo); err != nil {
-			errs = append(errs, fmt.Errorf("-topology: %w", err))
-		}
+	if _, err := topology.Preset(topo); err != nil {
+		errs = append(errs, fmt.Errorf("-topology: %w", err))
 	}
 	if _, err := migrate.ParseSpec(migSpec); err != nil {
 		errs = append(errs, fmt.Errorf("-migrate: %w", err))

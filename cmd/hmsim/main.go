@@ -19,8 +19,7 @@
 // depths on a fixed simulated-time grid. The series is dumped to the
 // spec's out= path (format from the extension, or format=), or summarized
 // on one line without it; the printed result is identical with the probe
-// on or off. -probe rides the live simulation loop and is rejected with
-// -trace or -replay.
+// on or off.
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 
 	"hetsim"
 	"hetsim/internal/experiments"
-	"hetsim/internal/memsys"
 	"hetsim/internal/prof"
 	"hetsim/internal/trace"
 	"hetsim/internal/workloads"
@@ -60,7 +58,7 @@ func main() {
 		probeSp  = flag.String("probe", "", "attach a flight recorder: off | on | interval=N,samples=N,out=PATH,format=json|csv")
 	)
 	flag.Parse()
-	if errs := validateFlags(*policy, *dataset, *topo, *lanes, *migSpec, *migPol, *probeSp, *tracePth, *replay); len(errs) > 0 {
+	if errs := validateFlags(*policy, *dataset, *topo, *lanes, *migSpec, *migPol, *probeSp, *replay); len(errs) > 0 {
 		for _, err := range errs {
 			fmt.Fprintln(os.Stderr, "hmsim:", err)
 		}
@@ -68,11 +66,8 @@ func main() {
 	}
 	migCfg, _ := migrationConfig(*migSpec, *migPol)
 	probeCfg, _ := heteromem.ParseProbeSpec(*probeSp) // validated above
-	mem := memsys.Table1Config()
-	if *topo != "" {
-		t, _ := heteromem.TopologyPreset(*topo)
-		mem = t.MemsysConfig()
-	}
+	top, _ := heteromem.TopologyPreset(*topo)
+	mem := top.MemsysConfig()
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fatal(err)
@@ -93,7 +88,7 @@ func main() {
 		return
 	}
 
-	ds, err := datasetByName(*dataset)
+	ds, err := workloads.DatasetByName(*dataset)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,13 +108,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// All simulations (the run itself plus any oracle/annotated training
-	// pass) dispatch through one sweep executor, so repeated profiles hit
-	// the result cache and the stats line below covers everything.
+	var events []trace.Event
+	if *replay != "" {
+		if events, err = readTrace(*replay); err != nil {
+			fatal(err)
+		}
+	}
+	// All workload simulations (the run itself plus any oracle/annotated
+	// training pass) dispatch through one sweep executor, so repeated
+	// profiles hit the result cache and the stats line below covers
+	// everything. Replays are never cached.
 	ex := experiments.NewExecutor(0)
 	switch rc.Policy {
 	case heteromem.Oracle:
-		pr, err := ex.ProfileOn(*workload, ds, *shrink, mem)
+		// The oracle's first pass profiles the stream being placed: the
+		// workload, or for a replay the trace itself.
+		var pr heteromem.Result
+		if *replay != "" {
+			pr, err = experiments.RunTrace(events, heteromem.RunConfig{Policy: heteromem.Local, Mem: mem}, replayShape)
+		} else {
+			pr, err = ex.ProfileOn(*workload, ds, *shrink, mem)
+		}
 		if err != nil {
 			fatal(err)
 		}
@@ -143,7 +152,7 @@ func main() {
 	var res heteromem.Result
 	switch {
 	case *replay != "":
-		res, err = replayTrace(*replay, rc)
+		res, err = experiments.RunTrace(events, rc, replayShape)
 	case *tracePth != "":
 		res, err = recordTrace(*tracePth, rc)
 	default:
@@ -196,18 +205,18 @@ func main() {
 // invocation reports all of its problems — each error naming the valid
 // options — before exiting 2, matching hmexp and hmserved. Run-time
 // failures (missing files, unknown workloads) still exit 1.
-func validateFlags(policy, dataset, topo string, lanes int, migSpec, migPol, probeSpec, tracePth, replay string) []error {
+func validateFlags(policy, dataset, topo string, lanes int, migSpec, migPol, probeSpec, replay string) []error {
 	var errs []error
-	if _, err := policyByName(policy); err != nil {
+	if pk, err := policyByName(policy); err != nil {
+		errs = append(errs, err)
+	} else if pk == heteromem.Annotated && replay != "" {
+		errs = append(errs, fmt.Errorf("-policy annotated needs allocations to hint; a -replay trace has none"))
+	}
+	if _, err := workloads.DatasetByName(dataset); err != nil {
 		errs = append(errs, err)
 	}
-	if _, err := datasetByName(dataset); err != nil {
+	if _, err := heteromem.TopologyPreset(topo); err != nil {
 		errs = append(errs, err)
-	}
-	if topo != "" {
-		if _, err := heteromem.TopologyPreset(topo); err != nil {
-			errs = append(errs, err)
-		}
 	}
 	if lanes < 1 {
 		errs = append(errs, fmt.Errorf("-lanes must be >= 1 (got %d)", lanes))
@@ -215,10 +224,8 @@ func validateFlags(policy, dataset, topo string, lanes int, migSpec, migPol, pro
 	if _, err := migrationConfig(migSpec, migPol); err != nil {
 		errs = append(errs, err)
 	}
-	if cfg, err := heteromem.ParseProbeSpec(probeSpec); err != nil {
+	if _, err := heteromem.ParseProbeSpec(probeSpec); err != nil {
 		errs = append(errs, fmt.Errorf("-probe: %w", err))
-	} else if cfg != nil && (tracePth != "" || replay != "") {
-		errs = append(errs, fmt.Errorf("-probe rides the live simulation loop and cannot be combined with -trace or -replay"))
 	}
 	return errs
 }
@@ -286,24 +293,23 @@ func recordTrace(path string, rc heteromem.RunConfig) (heteromem.Result, error) 
 	return res, nil
 }
 
-func replayTrace(path string, rc heteromem.RunConfig) (heteromem.Result, error) {
+// replayShape is how -replay re-executes a trace, in the run and in the
+// oracle's profiling pass alike, so the profile's page counts describe the
+// stream being placed.
+var replayShape = trace.ReplayConfig{Warps: 256, AccessesPerPhase: 8, MLP: 8}
+
+func readTrace(path string) ([]trace.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return heteromem.Result{}, err
+		return nil, err
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	events, err := heteromem.ReadTrace(f)
 	if err != nil {
-		return heteromem.Result{}, err
-	}
-	events, err := trace.ReadAll(r)
-	if err != nil {
-		return heteromem.Result{}, err
+		return nil, err
 	}
 	fmt.Printf("replaying %d events from %s\n", len(events), path)
-	return experiments.RunTrace(events, rc, trace.ReplayConfig{
-		Warps: 256, AccessesPerPhase: 8, MLP: 8,
-	})
+	return events, nil
 }
 
 func capOrDefault(c float64) float64 {
@@ -330,20 +336,6 @@ func policyByName(name string) (heteromem.PolicyKind, error) {
 	default:
 		return 0, fmt.Errorf("unknown policy %q (have local interleave bw-aware ratio oracle annotated)", name)
 	}
-}
-
-func datasetByName(name string) (heteromem.Dataset, error) {
-	if name == "train" || name == "" {
-		return heteromem.TrainDataset(), nil
-	}
-	names := []string{"train"}
-	for _, v := range heteromem.DatasetVariants() {
-		if v.Name == name {
-			return v, nil
-		}
-		names = append(names, v.Name)
-	}
-	return heteromem.Dataset{}, fmt.Errorf("unknown dataset %q (have %s)", name, strings.Join(names, " "))
 }
 
 func describeWorkload(name string) string {

@@ -198,7 +198,8 @@ type Topology = topology.Topology
 func TopologyNames() []string { return topology.Names() }
 
 // TopologyPreset returns a built-in topology by name; select one for a
-// figure reproduction via Options.Topology.
+// figure reproduction via Options.Topology. The empty name is "k40-ddr4",
+// the paper's Table 1 machine.
 func TopologyPreset(name string) (Topology, error) { return topology.Preset(name) }
 
 // MigrationConfig tunes the dynamic page-migration engine (the paper's
@@ -306,7 +307,10 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 }
 
 // ReplayTrace re-executes a recorded access stream under a placement
-// policy (annotated placement excepted: traces carry no allocations).
+// policy. The replay is assembled like any run, so it honours rc's
+// topology and pool capacities (Mem, BOCapacityFrac), Lanes, Migration,
+// EagerPlacement and an attached probe; annotated placement is still
+// excepted, as traces carry no allocations.
 func ReplayTrace(events []TraceEvent, rc RunConfig, replay ReplayConfig) (Result, error) {
 	return experiments.RunTrace(events, rc, replay)
 }

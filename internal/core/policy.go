@@ -106,19 +106,14 @@ type Ratio struct {
 	Rand      *rand.Rand
 }
 
-// NewRatio returns an xC-yB policy over the standard two zones with a
-// deterministic seed. percentCO must be in [0,100].
-func NewRatio(percentCO int, seed int64) *Ratio {
-	return NewRatioZones(percentCO, seed, vm.ZoneBO, vm.ZoneCO)
-}
-
-// NewRatioZones is NewRatio over an explicit zone pair: bo receives the
-// (100-percentCO)% share and co the rest. In an N-pool topology the caller
-// picks the fastest and slowest pools (the x:y split is inherently
-// two-valued; BW-AWARE is the K-pool generalization).
+// NewRatioZones returns an xC-yB policy with a deterministic seed over a
+// zone pair: bo receives the (100-percentCO)% share and co the rest.
+// percentCO must be in [0,100]. In an N-pool topology the caller picks the
+// fastest and slowest pools (the x:y split is inherently two-valued;
+// BW-AWARE is the K-pool generalization).
 func NewRatioZones(percentCO int, seed int64, bo, co vm.ZoneID) *Ratio {
 	if percentCO < 0 || percentCO > 100 {
-		panic(fmt.Sprintf("core: NewRatio(%d): percent outside [0,100]", percentCO))
+		panic(fmt.Sprintf("core: NewRatioZones(%d): percent outside [0,100]", percentCO))
 	}
 	return &Ratio{PercentCO: percentCO, BO: bo, CO: co, Rand: rand.New(rand.NewSource(seed))}
 }
@@ -192,7 +187,7 @@ func (p *BWAware) Share(z vm.ZoneID) float64 { return p.sbit.Share(z) }
 
 // Oracle replays a precomputed per-page assignment built from perfect
 // knowledge of page access frequency (§4.2's two-phase simulation). Build
-// assignments with BuildOracleAssignment.
+// assignments with BuildOracleAssignmentZones.
 type Oracle struct {
 	Assignment []vm.ZoneID
 	// Default is used for pages beyond the assignment (should not happen
@@ -211,26 +206,16 @@ func (o Oracle) Place(req Request) vm.ZoneID {
 	return o.Default
 }
 
-// BuildOracleAssignment implements the paper's oracle placement: "allocate
-// the hottest pages possible into the bandwidth-optimized memory until the
-// target bandwidth ratio is satisfied, or the capacity of this memory is
-// exhausted" (§4.2). counts[vpage] is the profiled DRAM access count.
-// targetBOFrac is the bandwidth-service target (SBIT.Share(ZoneBO)), and
-// capBOPages bounds how many pages fit in BO (vm.Unlimited for none).
-func BuildOracleAssignment(counts []uint64, targetBOFrac float64, capBOPages int) []vm.ZoneID {
-	return BuildOracleAssignmentZones(counts,
-		[]vm.ZoneID{vm.ZoneBO, vm.ZoneCO},
-		[]float64{targetBOFrac, 1 - targetBOFrac},
-		[]int{capBOPages, vm.Unlimited})
-}
-
-// BuildOracleAssignmentZones generalizes the oracle to K pools: zones lists
-// the pools in fill order (fastest first), shares their bandwidth-service
-// targets (SBIT.Share per zone, summing to ~1), and caps their page
-// capacities (vm.Unlimited for none). Pages are sorted hottest first and
-// poured into the current pool until its bandwidth target or capacity is
-// met, then the next pool, with everything left assigned to the last pool.
-// For two zones this reproduces BuildOracleAssignment exactly.
+// BuildOracleAssignmentZones implements the paper's oracle placement:
+// "allocate the hottest pages possible into the bandwidth-optimized memory
+// until the target bandwidth ratio is satisfied, or the capacity of this
+// memory is exhausted" (§4.2), generalized to K pools. counts[vpage] is the
+// profiled DRAM access count; zones lists the pools in fill order (fastest
+// first), shares their bandwidth-service targets (SBIT.Share per zone,
+// summing to ~1), and caps their page capacities (vm.Unlimited for none).
+// Pages are sorted hottest first and poured into the current pool until
+// its bandwidth target or capacity is met, then the next pool, with
+// everything left assigned to the last pool.
 func BuildOracleAssignmentZones(counts []uint64, zones []vm.ZoneID, shares []float64, caps []int) []vm.ZoneID {
 	if len(zones) == 0 || len(zones) != len(shares) || len(zones) != len(caps) {
 		panic(fmt.Sprintf("core: BuildOracleAssignmentZones: %d zones, %d shares, %d caps",
@@ -285,16 +270,10 @@ type Hinted struct {
 	BO, CO   vm.ZoneID
 }
 
-// NewHinted wraps fallback (typically a BWAware) with hint handling over
-// the standard two zones.
-func NewHinted(fallback Policy) *Hinted {
-	return NewHintedZones(fallback, vm.ZoneBO, vm.ZoneCO)
-}
-
-// NewHintedZones is NewHinted with explicit hint targets: HintBO pins to
-// bo, HintCO to co. In an N-pool topology the caller passes the fastest
-// and slowest pools (hints name the extremes; everything between is the
-// fallback policy's business).
+// NewHintedZones wraps fallback (typically a BWAware) with hint handling:
+// HintBO pins to bo, HintCO to co. In an N-pool topology the caller passes
+// the fastest and slowest pools (hints name the extremes; everything
+// between is the fallback policy's business).
 func NewHintedZones(fallback Policy, bo, co vm.ZoneID) *Hinted {
 	return &Hinted{Fallback: fallback, BO: bo, CO: co}
 }

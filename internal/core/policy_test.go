@@ -120,8 +120,8 @@ func TestInterleaveInvalid(t *testing.T) {
 }
 
 func TestRatioExtremes(t *testing.T) {
-	allBO := NewRatio(0, 1)
-	allCO := NewRatio(100, 1)
+	allBO := NewRatioZones(0, 1, vm.ZoneBO, vm.ZoneCO)
+	allCO := NewRatioZones(100, 1, vm.ZoneBO, vm.ZoneCO)
 	for i := 0; i < 50; i++ {
 		if allBO.Place(Request{}) != vm.ZoneBO {
 			t.Fatal("0C-100B placed a page in CO")
@@ -130,13 +130,13 @@ func TestRatioExtremes(t *testing.T) {
 			t.Fatal("100C-0B placed a page in BO")
 		}
 	}
-	if got := NewRatio(30, 1).Name(); got != "30C-70B" {
+	if got := NewRatioZones(30, 1, vm.ZoneBO, vm.ZoneCO).Name(); got != "30C-70B" {
 		t.Fatalf("Name = %q, want 30C-70B", got)
 	}
 }
 
 func TestRatioConverges(t *testing.T) {
-	p := NewRatio(30, 42)
+	p := NewRatioZones(30, 42, vm.ZoneBO, vm.ZoneCO)
 	co := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -153,10 +153,10 @@ func TestRatioConverges(t *testing.T) {
 func TestRatioInvalidPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewRatio(101) did not panic")
+			t.Fatal("NewRatioZones(101) did not panic")
 		}
 	}()
-	NewRatio(101, 1)
+	NewRatioZones(101, 1, vm.ZoneBO, vm.ZoneCO)
 }
 
 func TestBWAwareConvergesToBandwidthRatio(t *testing.T) {
@@ -194,11 +194,18 @@ func TestBWAwareThreeZones(t *testing.T) {
 	}
 }
 
+// twoZoneOracle builds the oracle over the paper's BO/CO pair: targetBO
+// is BO's bandwidth-service share and capBO its page capacity.
+func twoZoneOracle(counts []uint64, targetBO float64, capBO int) []vm.ZoneID {
+	return BuildOracleAssignmentZones(counts, []vm.ZoneID{vm.ZoneBO, vm.ZoneCO},
+		[]float64{targetBO, 1 - targetBO}, []int{capBO, vm.Unlimited})
+}
+
 func TestOraclePlacesHottestInBO(t *testing.T) {
 	counts := []uint64{5, 100, 1, 50, 0}
 	// Target: 70% of 156 accesses = 109.2 -> pages 1 (100) then 3 (50)
 	// reach 150 >= 109 and stop.
-	assign := BuildOracleAssignment(counts, 0.7, vm.Unlimited)
+	assign := twoZoneOracle(counts, 0.7, vm.Unlimited)
 	wantBO := map[int]bool{1: true, 3: true}
 	for i, z := range assign {
 		if wantBO[i] && z != vm.ZoneBO {
@@ -212,7 +219,7 @@ func TestOraclePlacesHottestInBO(t *testing.T) {
 
 func TestOracleCapacityConstraint(t *testing.T) {
 	counts := []uint64{10, 9, 8, 7, 6}
-	assign := BuildOracleAssignment(counts, 1.0, 2)
+	assign := twoZoneOracle(counts, 1.0, 2)
 	bo := 0
 	for _, z := range assign {
 		if z == vm.ZoneBO {
@@ -238,7 +245,7 @@ func TestOraclePolicyLookup(t *testing.T) {
 }
 
 func TestHintedPolicy(t *testing.T) {
-	h := NewHinted(Local{Zone: vm.ZoneBO})
+	h := NewHintedZones(Local{Zone: vm.ZoneBO}, vm.ZoneBO, vm.ZoneCO)
 	if h.Place(Request{Hint: HintCO}) != vm.ZoneCO {
 		t.Fatal("HintCO ignored")
 	}
@@ -271,7 +278,7 @@ func TestPropertyOracleGreedy(t *testing.T) {
 			counts[i] = uint64(r)
 		}
 		target := float64(frac%101) / 100
-		assign := BuildOracleAssignment(counts, target, vm.Unlimited)
+		assign := twoZoneOracle(counts, target, vm.Unlimited)
 		minBO := uint64(math.MaxUint64)
 		maxCO := uint64(0)
 		haveBO := false

@@ -103,14 +103,11 @@ func (o Options) dataset() workloads.Dataset {
 }
 
 // mem resolves the Topology selection to the base memory configuration.
-// The empty selection returns memsys.Table1Config(), whose canonical cache
-// keys coincide with the zero-Mem RunConfig default, so default figures
-// keep hitting the same cache entries as before. Figures must Clone()
-// before mutating the result (sweep knobs scale zone bandwidths in place).
+// The empty selection is k40-ddr4, whose config equals
+// memsys.Table1Config(), so its canonical cache keys coincide with the
+// zero-Mem RunConfig default. Figures must Clone() before mutating the
+// result (sweep knobs scale zone bandwidths in place).
 func (o Options) mem() (memsys.Config, error) {
-	if o.Topology == "" {
-		return memsys.Table1Config(), nil
-	}
 	t, err := topology.Preset(o.Topology)
 	if err != nil {
 		return memsys.Config{}, err

@@ -8,6 +8,7 @@ import (
 
 	"hetsim/internal/migrate"
 	"hetsim/internal/topology"
+	"hetsim/internal/trace"
 )
 
 // encodeResult renders a Result to its canonical wire bytes (the same JSON
@@ -59,6 +60,35 @@ func TestLaneDeterminism(t *testing.T) {
 					t.Errorf("%s/%s: lanes=%d result diverged from lanes=1 (%d vs %d bytes)",
 						preset, wl, lanes, len(got), len(want))
 				}
+			}
+		}
+	}
+}
+
+// TestLaneDeterminismReplay is the replay row of the lane suite: one
+// recorded bfs trace, replayed under BW-AWARE on every preset, must give
+// byte-identical Results at 1, 2, 4 and 8 lanes. Replays run through the
+// same assembly as Run, so they size every pool of the topology.
+func TestLaneDeterminismReplay(t *testing.T) {
+	events := recordEvents(t, RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 16})
+	replay := trace.ReplayConfig{Warps: 64, AccessesPerPhase: 8, MLP: 8}
+	for _, preset := range []string{"k40-ddr4", "gh200", "cxl-expansion"} {
+		top, err := topology.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, lanes := range []int{1, 2, 4, 8} {
+			res, err := RunTrace(events, RunConfig{Policy: BWAwarePolicy, Mem: top.MemsysConfig(), Lanes: lanes}, replay)
+			if err != nil {
+				t.Fatalf("%s lanes=%d: %v", preset, lanes, err)
+			}
+			got := encodeResult(t, res)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s: replay at lanes=%d diverged from lanes=1 (%d vs %d bytes)",
+					preset, lanes, len(got), len(want))
 			}
 		}
 	}

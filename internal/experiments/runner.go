@@ -136,6 +136,59 @@ type RunConfig struct {
 	// span it never changes the Result: probed and unprobed runs are
 	// byte-identical, the series leaves out-of-band through the probe.
 	probe *obs.Probe
+
+	// replay, when set (via RunTrace), replaces the workload generator
+	// with a recorded access stream. Such configs are never cached.
+	replay *traceReplay
+}
+
+// traceReplay is a recorded access stream and the shape it is re-executed
+// in; see RunTrace.
+type traceReplay struct {
+	events []trace.Event
+	cfg    trace.ReplayConfig
+}
+
+// resolved returns rc with every default Run applies filled in: the
+// paper's Table 1 memory system and GPU, the TLB and page size folded into
+// the GPU config, 4 kB pages, seed 42, Shrink 1, one lane, an
+// out-of-range BOCapacityFrac as 0 (unconstrained), and the counter
+// classifier for an empty Migration.Policy. Run, the canonical cache key
+// and LaneFallbackReason all read a config through it, so each default
+// lives here once and an explicit default simulates — and hashes — like
+// the implicit one.
+func (rc RunConfig) resolved() RunConfig {
+	if len(rc.Mem.Zones) == 0 {
+		rc.Mem = memsys.Table1Config()
+	}
+	if rc.GPU.SMs == 0 {
+		rc.GPU = gpu.Table1Config()
+	}
+	if rc.TLB != nil {
+		rc.GPU.TLB = rc.TLB
+	}
+	if rc.PageSize == 0 {
+		rc.PageSize = vm.DefaultPageSize
+	}
+	rc.GPU.PageSize = rc.PageSize
+	if rc.BOCapacityFrac <= 0 || rc.BOCapacityFrac >= 1e9 {
+		rc.BOCapacityFrac = 0
+	}
+	if rc.Migration != nil && rc.Migration.Policy == "" {
+		m := *rc.Migration
+		m.Policy = migrate.PolicyCounter
+		rc.Migration = &m
+	}
+	if rc.Shrink < 1 {
+		rc.Shrink = 1
+	}
+	if rc.Seed == 0 {
+		rc.Seed = 42
+	}
+	if rc.Lanes < 1 {
+		rc.Lanes = 1
+	}
+	return rc
 }
 
 // WithProbe returns a copy of rc with the flight recorder attached. The
@@ -203,87 +256,113 @@ func LaneFallbackReason(rc RunConfig) string {
 	case rc.traceWriter != nil:
 		return "trace-recording"
 	}
-	memCfg := rc.Mem
-	if len(memCfg.Zones) == 0 {
-		memCfg = memsys.Table1Config()
-	}
-	if memsys.LaneLookahead(memCfg) < 1 {
+	if memsys.LaneLookahead(rc.resolved().Mem) < 1 {
 		return "lookahead<1"
 	}
 	return ""
+}
+
+// source is where a run's access stream comes from: a workload generator
+// (Run) or a recorded trace (RunTrace). It is the only part of a run the
+// two assemble differently. footprint sizes the zones, accesses is the
+// numerator of Result.Perf, and load allocates the stream's memory through
+// rt and returns its warp programs plus the allocations Result reports.
+type source struct {
+	name      string
+	footprint uint64
+	accesses  uint64
+	load      func(rt *gpurt.Runtime) ([]gpu.WarpProgram, []gpurt.Allocation, error)
+}
+
+// sourceOf opens rc's access stream; rc must be resolved.
+func sourceOf(rc RunConfig) (source, error) {
+	if r := rc.replay; r != nil {
+		// A flat trace is one anonymous allocation spanning its address
+		// range, so gpurt.Fault places every page the stream touches.
+		var maxVA uint64
+		for _, e := range r.events {
+			maxVA = max(maxVA, e.VA)
+		}
+		footprint := (maxVA/rc.PageSize + 1) * rc.PageSize
+		return source{
+			name:      "trace",
+			footprint: footprint,
+			accesses:  uint64(len(r.events)),
+			load: func(rt *gpurt.Runtime) ([]gpu.WarpProgram, []gpurt.Allocation, error) {
+				if _, err := rt.Malloc("trace", footprint, core.HintNone); err != nil {
+					return nil, nil, err
+				}
+				progs, err := trace.Programs(r.events, r.cfg)
+				return progs, nil, err
+			},
+		}, nil
+	}
+	spec, err := workloads.Build(rc.Workload, rc.Dataset)
+	if err != nil {
+		return source{}, err
+	}
+	spec.Shrink(rc.Shrink)
+	return source{
+		name:      spec.Name,
+		footprint: spec.Footprint(),
+		accesses:  spec.TotalAccesses(),
+		load: func(rt *gpurt.Runtime) ([]gpu.WarpProgram, []gpurt.Allocation, error) {
+			var hints []core.Hint
+			if rc.Policy == HintedPolicy {
+				if len(rc.Hints) != len(spec.Structures) {
+					return nil, nil, fmt.Errorf("experiments: %d hints for %d structures", len(rc.Hints), len(spec.Structures))
+				}
+				hints = rc.Hints
+			}
+			allocs, err := spec.Allocate(rt, hints)
+			if err != nil {
+				return nil, nil, err
+			}
+			return spec.Programs(allocs), allocs, nil
+		},
+	}, nil
 }
 
 // runTraced is Run with a telemetry scope: after the simulation completes,
 // the engine/memory/GPU phase counters that already exist for the paper's
 // metrics are snapshotted onto sp as attributes. The hot event loop is
 // untouched — no sampling, no per-event work — so a nil span (telemetry
-// off) is exactly Run, and the Result is bit-identical either way.
+// off) is exactly Run, and the Result is bit-identical either way. It is
+// the only place a simulation is assembled: workload runs and trace
+// replays differ only in their source.
 func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
-	spec, err := workloads.Build(rc.Workload, rc.Dataset)
+	rc = rc.resolved()
+	src, err := sourceOf(rc)
 	if err != nil {
 		return Result{}, err
 	}
-	if rc.Shrink > 1 {
-		spec.Shrink(rc.Shrink)
-	}
-
-	memCfg := rc.Mem
-	if len(memCfg.Zones) == 0 {
-		memCfg = memsys.Table1Config()
-	}
-	gpuCfg := rc.GPU
-	if gpuCfg.SMs == 0 {
-		gpuCfg = gpu.Table1Config()
-	}
-	if rc.TLB != nil {
-		gpuCfg.TLB = rc.TLB
-	}
-	sbit := SBITFor(memCfg)
-
-	pageSize := rc.PageSize
-	if pageSize == 0 {
-		pageSize = vm.DefaultPageSize
-	}
-	gpuCfg.PageSize = pageSize
+	sbit := SBITFor(rc.Mem)
 
 	// Size the zones. The GPU-attached pool (zone 0) may be capped at a
 	// fraction of the footprint (the paper's capacity studies); any pool
 	// may additionally declare an absolute capacity in the memory config
 	// (topology presets do). The tighter bound wins.
-	footPages := vm.PagesFor(spec.Footprint(), pageSize)
 	boPages := vm.Unlimited
-	if rc.BOCapacityFrac > 0 && rc.BOCapacityFrac < 1e9 {
-		boPages = int(rc.BOCapacityFrac*float64(footPages) + 0.5)
-		if boPages < 1 {
-			boPages = 1
-		}
+	if rc.BOCapacityFrac > 0 {
+		footPages := vm.PagesFor(src.footprint, rc.PageSize)
+		boPages = max(int(rc.BOCapacityFrac*float64(footPages)+0.5), 1)
 	}
 	maxZone := 0
-	for _, z := range memCfg.Zones {
-		if int(z.Zone) > maxZone {
-			maxZone = int(z.Zone)
-		}
+	for _, z := range rc.Mem.Zones {
+		maxZone = max(maxZone, int(z.Zone))
 	}
 	zcfgs := make([]vm.ZoneConfig, maxZone+1)
 	for i := range zcfgs {
 		zcfgs[i] = vm.ZoneConfig{Name: fmt.Sprintf("zone%d", i), CapacityPages: vm.Unlimited}
 	}
-	for _, z := range memCfg.Zones {
+	for _, z := range rc.Mem.Zones {
 		zcfgs[z.Zone].Name = z.Name
-		if cp := capacityPages(z.CapacityBytes, pageSize); cp < zcfgs[z.Zone].CapacityPages {
-			zcfgs[z.Zone].CapacityPages = cp
-		}
+		zcfgs[z.Zone].CapacityPages = min(zcfgs[z.Zone].CapacityPages, capacityPages(z.CapacityBytes, rc.PageSize))
 	}
-	if boPages < zcfgs[vm.ZoneBO].CapacityPages {
-		zcfgs[vm.ZoneBO].CapacityPages = boPages
-	}
-	space := vm.NewSpace(pageSize, zcfgs)
+	zcfgs[vm.ZoneBO].CapacityPages = min(zcfgs[vm.ZoneBO].CapacityPages, boPages)
+	space := vm.NewSpace(rc.PageSize, zcfgs)
 
-	seed := rc.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	policy, err := buildPolicy(rc, sbit, seed)
+	policy, err := buildPolicy(rc, sbit, space)
 	if err != nil {
 		return Result{}, err
 	}
@@ -294,15 +373,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	} else {
 		rt = gpurt.NewFirstTouch(space, placer)
 	}
-
-	var hints []core.Hint
-	if rc.Policy == HintedPolicy {
-		if len(rc.Hints) != len(spec.Structures) {
-			return Result{}, fmt.Errorf("experiments: %d hints for %d structures", len(rc.Hints), len(spec.Structures))
-		}
-		hints = rc.Hints
-	}
-	allocs, err := spec.Allocate(rt, hints)
+	progs, allocs, err := src.load(rt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -316,29 +387,25 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	// run, stamp the span, and let the sweep executor count it
 	// (SweepStats.LaneFallbacks).
 	lanes := rc.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	lookahead := memsys.LaneLookahead(memCfg)
 	if reason := LaneFallbackReason(rc); reason != "" {
 		if lanes > 1 {
 			slog.Warn("experiments: run falls back to one event lane",
 				"reason", reason, "requested_lanes", lanes,
-				"workload", spec.Name, "policy", policyLabel(rc))
+				"workload", src.name, "policy", policyLabel(rc))
 			if sp != nil {
 				sp.SetAttr("sim.lane_fallback", reason)
 			}
 		}
 		lanes = 1
 	}
-	world := sim.NewWorld(lanes, lookahead)
+	world := sim.NewWorld(lanes, memsys.LaneLookahead(rc.Mem))
 	eng := world.Engine()
 	// Page-table commits are deferred to window barriers so SM lanes can
 	// translate lock-free (eager Malloc-time mappings above committed
 	// directly — deferral starts here, before any simulated fault).
 	space.SetDeferred(true)
 	world.OnWindow(space.FlushPending)
-	mem, err := memsys.New(eng, space, memCfg)
+	mem, err := memsys.New(eng, space, rc.Mem)
 	if err != nil {
 		return Result{}, err
 	}
@@ -349,9 +416,9 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	if rc.traceWriter != nil {
 		gpuMem = &trace.Recorder{Mem: mem, W: rc.traceWriter}
 	}
-	g := gpu.New(eng, gpuMem, gpuCfg)
+	g := gpu.New(eng, gpuMem, rc.GPU)
 	if rc.CPUTrafficGBps > 0 {
-		bg := memsys.NewBackgroundTraffic(mem, vm.ZoneCO, rc.CPUTrafficGBps, seed)
+		bg := memsys.NewBackgroundTraffic(mem, vm.ZoneCO, rc.CPUTrafficGBps, rc.Seed)
 		bg.Active = func() bool { return g.Outstanding() > 0 }
 		bg.Start()
 	}
@@ -369,7 +436,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		// samples observe flushed page-table state at each barrier.
 		rc.probe.Attach(world, mem, mig, g)
 	}
-	g.Launch(spec.Programs(allocs))
+	g.Launch(progs)
 	cycles := g.Run()
 	if cycles == 0 {
 		cycles = 1
@@ -381,7 +448,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		migStats = mig.Stats()
 	}
 	if sp != nil {
-		sp.SetAttr("workload", spec.Name)
+		sp.SetAttr("workload", src.name)
 		sp.SetAttr("policy", policyLabel(rc))
 		sp.SetAttr("sim.lanes", lanes)
 		if mig != nil {
@@ -399,10 +466,10 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	return Result{
 		Migration:   migStats,
 		EnergyNJ:    mem.TotalEnergyNJ(),
-		Workload:    spec.Name,
+		Workload:    src.name,
 		Policy:      policyLabel(rc),
 		Cycles:      cycles,
-		Perf:        float64(spec.TotalAccesses()) / float64(cycles) * 1000,
+		Perf:        float64(src.accesses) / float64(cycles) * 1000,
 		Accesses:    st.Accesses,
 		BOServed:    mem.ZoneServiceFraction(vm.ZoneBO),
 		PageCounts:  mem.PageCounts(),
@@ -410,7 +477,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		Mem:         st,
 		Place:       placer.Stats(),
 		GPUStats:    g.Stats(),
-		Footprint:   spec.Footprint(),
+		Footprint:   src.footprint,
 	}, nil
 }
 
@@ -464,7 +531,11 @@ func policyLabel(rc RunConfig) string {
 	return rc.Policy.String()
 }
 
-func buildPolicy(rc RunConfig, sbit core.SBIT, seed int64) (core.Policy, error) {
+// buildPolicy constructs rc's placement policy (rc must be resolved). The
+// oracle fills pools fastest-first, each to its bandwidth share and at most
+// to the capacity space was sized with, so its assignment respects both the
+// footprint-fraction cap on zone 0 and any absolute pool capacities.
+func buildPolicy(rc RunConfig, sbit core.SBIT, space *vm.Space) (core.Policy, error) {
 	byBW := sbit.ZonesByBandwidth()
 	fast, slow := byBW[0], byBW[len(byBW)-1]
 	switch rc.Policy {
@@ -475,40 +546,25 @@ func buildPolicy(rc RunConfig, sbit core.SBIT, seed int64) (core.Policy, error) 
 	case InterleavePolicy:
 		return core.NewInterleave(len(sbit.ZoneInfos)), nil
 	case BWAwarePolicy:
-		return core.NewBWAware(sbit, seed), nil
+		return core.NewBWAware(sbit, rc.Seed), nil
 	case RatioPolicy:
 		// The x:y split is inherently two-valued; in an N-pool topology it
 		// splits between the fastest and slowest pools.
-		return core.NewRatioZones(rc.PercentCO, seed, fast, slow), nil
+		return core.NewRatioZones(rc.PercentCO, rc.Seed, fast, slow), nil
 	case OraclePolicy:
 		if rc.ProfileCounts == nil {
 			return nil, fmt.Errorf("experiments: OraclePolicy requires ProfileCounts")
-		}
-		// Fill pools fastest-first, each to its bandwidth share, honoring
-		// both the footprint-fraction cap on zone 0 and any absolute pool
-		// capacities the topology declares.
-		pageSize := rc.PageSize
-		if pageSize == 0 {
-			pageSize = vm.DefaultPageSize
 		}
 		shares := make([]float64, len(byBW))
 		caps := make([]int, len(byBW))
 		for i, z := range byBW {
 			shares[i] = sbit.Share(z)
-			caps[i] = vm.Unlimited
-			if info, ok := sbit.Info(z); ok {
-				caps[i] = capacityPages(info.CapacityBytes, pageSize)
-			}
-			if z == vm.ZoneBO {
-				if c := oracleCap(rc); c < caps[i] {
-					caps[i] = c
-				}
-			}
+			caps[i] = space.ZoneCapacity(z)
 		}
 		assign := core.BuildOracleAssignmentZones(rc.ProfileCounts, byBW, shares, caps)
 		return core.Oracle{Assignment: assign, Default: slow}, nil
 	case HintedPolicy:
-		return core.NewHintedZones(core.NewBWAware(sbit, seed), fast, slow), nil
+		return core.NewHintedZones(core.NewBWAware(sbit, rc.Seed), fast, slow), nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown policy %v", rc.Policy)
 	}
@@ -520,33 +576,7 @@ func capacityPages(capBytes, pageSize uint64) int {
 	if capBytes == 0 {
 		return vm.Unlimited
 	}
-	cp := int(capBytes / pageSize)
-	if cp < 1 {
-		cp = 1
-	}
-	return cp
-}
-
-// oracleCap mirrors Run's zone-0 sizing so the oracle assignment respects
-// the same footprint-fraction capacity the allocator will see.
-func oracleCap(rc RunConfig) int {
-	if rc.BOCapacityFrac <= 0 || rc.BOCapacityFrac >= 1e9 {
-		return vm.Unlimited
-	}
-	spec, err := workloads.Build(rc.Workload, rc.Dataset)
-	if err != nil {
-		return vm.Unlimited
-	}
-	pageSize := rc.PageSize
-	if pageSize == 0 {
-		pageSize = vm.DefaultPageSize
-	}
-	footPages := vm.PagesFor(spec.Footprint(), pageSize)
-	cap := int(rc.BOCapacityFrac*float64(footPages) + 0.5)
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
+	return max(int(capBytes/pageSize), 1)
 }
 
 // Profile runs the workload once, unconstrained under LOCAL placement, and

@@ -14,7 +14,6 @@ import (
 	"hetsim/internal/migrate"
 	"hetsim/internal/obs"
 	"hetsim/internal/telemetry"
-	"hetsim/internal/vm"
 	"hetsim/internal/workloads"
 )
 
@@ -265,7 +264,7 @@ func (e *Executor) Stats() metrics.SweepStats {
 // profileConfig is the canonical profiling RunConfig; figures build their
 // profile stages from it so their cache keys coincide with Profile's.
 // (Passing memsys.Table1Config() yields the same canonical key as the
-// historical zero-Mem form — canonicalKey applies Run's defaulting.)
+// zero-Mem form — canonicalKey reads the config through resolved.)
 func profileConfig(workload string, ds workloads.Dataset, shrink int, mem memsys.Config) RunConfig {
 	return RunConfig{
 		Workload: workload,
@@ -286,11 +285,12 @@ func RunAll(cfgs []RunConfig, workers int) ([]Result, metrics.SweepStats, error)
 }
 
 // canonicalRC is the cache identity of a RunConfig: every field Run reads,
-// with Run's own defaulting rules applied, and fields the selected policy
-// ignores zeroed. Two RunConfigs with equal canonicalRC drive Run through
-// an identical simulation. RunConfig.Lanes is deliberately absent: laned
-// runs produce byte-identical Results (the lane determinism suite asserts
-// it), so a result computed at any lane count satisfies every lane count.
+// after RunConfig.resolved applies Run's defaults, and fields the selected
+// policy ignores zeroed. Two RunConfigs with equal canonicalRC drive Run
+// through an identical simulation. RunConfig.Lanes is deliberately absent:
+// laned runs produce byte-identical Results (the lane determinism suite
+// asserts it), so a result computed at any lane count satisfies every lane
+// count.
 type canonicalRC struct {
 	Workload string
 	Dataset  workloads.Dataset
@@ -302,7 +302,7 @@ type canonicalRC struct {
 
 	BOCapacityFrac float64
 	Mem            memsys.Config
-	GPU            gpu.Config // with TLB and PageSize folded in, as Run does
+	GPU            gpu.Config // with TLB and PageSize folded in, as resolved does
 	PageSize       uint64
 
 	CPUTrafficGBps float64
@@ -313,14 +313,16 @@ type canonicalRC struct {
 }
 
 // canonicalKey hashes the canonical form of rc. ok is false for configs
-// that must not be cached (runs recording a trace or carrying a flight
-// recorder, whose side effect is the point). Probe configuration is
-// therefore never part of a cache key: a probed run bypasses every cache
-// tier instead of polluting the identity of its unprobed twin.
+// that must not be cached (runs recording or replaying a trace, or
+// carrying a flight recorder, whose side effect is the point). Probe
+// configuration is therefore never part of a cache key: a probed run
+// bypasses every cache tier instead of polluting the identity of its
+// unprobed twin.
 func canonicalKey(rc RunConfig) (string, bool) {
-	if rc.traceWriter != nil || rc.probe != nil {
+	if rc.traceWriter != nil || rc.probe != nil || rc.replay != nil {
 		return "", false
 	}
+	rc = rc.resolved() // explicit and implicit defaults share a key
 	c := canonicalRC{
 		Workload:       rc.Workload,
 		Dataset:        rc.Dataset,
@@ -345,38 +347,6 @@ func canonicalKey(rc RunConfig) (string, bool) {
 		c.Hints = rc.Hints
 	case OraclePolicy:
 		c.ProfileCounts = rc.ProfileCounts
-	}
-	// Mirror Run's defaulting so explicit and implicit defaults coincide.
-	if len(c.Mem.Zones) == 0 {
-		c.Mem = memsys.Table1Config()
-	}
-	if c.GPU.SMs == 0 {
-		c.GPU = gpu.Table1Config()
-	}
-	if rc.TLB != nil {
-		c.GPU.TLB = rc.TLB
-	}
-	if c.PageSize == 0 {
-		c.PageSize = vm.DefaultPageSize
-	}
-	c.GPU.PageSize = c.PageSize
-	if c.BOCapacityFrac <= 0 || c.BOCapacityFrac >= 1e9 {
-		c.BOCapacityFrac = 0 // unconstrained either way
-	}
-	if c.Migration != nil {
-		// Mirror the migration engine's defaulting: an empty Policy selects
-		// the counter classifier, so both spellings must share a key.
-		m := *c.Migration
-		if m.Policy == "" {
-			m.Policy = migrate.PolicyCounter
-		}
-		c.Migration = &m
-	}
-	if c.Shrink < 1 {
-		c.Shrink = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	b, err := json.Marshal(c)
 	if err != nil {

@@ -145,3 +145,57 @@ func TestRecordTraceMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// recordEvents records rc's post-L1 access stream and decodes it.
+func recordEvents(t *testing.T, rc RunConfig) []trace.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, _, err := RecordTrace(rc, &buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// TestRunTraceOracleHonoursCapacity: the trace oracle plans against the
+// capacity the replay's zones are sized with, so at 10% BO capacity every
+// page it assigns to BO fits and no placement falls back.
+func TestRunTraceOracleHonoursCapacity(t *testing.T) {
+	replay := trace.ReplayConfig{Warps: 64, AccessesPerPhase: 8, MLP: 8}
+	for _, wl := range []string{"hotspot", "bfs", "xsbench", "sgemm"} {
+		events := recordEvents(t, RunConfig{Workload: wl, Policy: LocalPolicy, Shrink: 16})
+		prof, err := RunTrace(events, RunConfig{Policy: LocalPolicy}, replay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orc, err := RunTrace(events, RunConfig{Policy: OraclePolicy, ProfileCounts: prof.PageCounts, BOCapacityFrac: 0.1}, replay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if orc.Place.Fallbacks != 0 {
+			t.Errorf("%s: trace oracle at 10%% capacity had %d placement fallbacks, want 0", wl, orc.Place.Fallbacks)
+		}
+	}
+}
+
+// TestRunTraceMigration: a replay honours RunConfig.Migration — the
+// engine runs its epochs over the replayed stream.
+func TestRunTraceMigration(t *testing.T) {
+	events := recordEvents(t, RunConfig{Workload: "lbm", Policy: LocalPolicy, Shrink: 2})
+	mig := migrate.DefaultConfig()
+	res, err := RunTrace(events, RunConfig{Policy: BWAwarePolicy, BOCapacityFrac: 0.1, Migration: &mig},
+		trace.ReplayConfig{Warps: 64, AccessesPerPhase: 8, MLP: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Migration.Epochs == 0 {
+		t.Errorf("migration replay ran no epochs (%d cycles)", res.Cycles)
+	}
+}

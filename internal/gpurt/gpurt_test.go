@@ -65,7 +65,7 @@ func TestMallocPlacesAllPages(t *testing.T) {
 }
 
 func TestMallocHintsHonored(t *testing.T) {
-	r := newRuntime(vm.Unlimited, vm.Unlimited, core.NewHinted(core.NewBWAware(core.Table1SBIT(), 1)))
+	r := newRuntime(vm.Unlimited, vm.Unlimited, core.NewHintedZones(core.NewBWAware(core.Table1SBIT(), 1), vm.ZoneBO, vm.ZoneCO))
 	a, _ := r.Malloc("pinned-co", 4*vm.DefaultPageSize, core.HintCO)
 	for p := uint64(0); p < 4; p++ {
 		z, ok := r.Space().PageZone(a.Base/vm.DefaultPageSize + p)
@@ -226,7 +226,7 @@ func TestMempolicyRuntimeMatchesHintedPolicy(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			placer := core.NewPlacer(space, core.NewHinted(core.NewBWAware(core.Table1SBIT(), 7)), core.Table1SBIT())
+			placer := core.NewPlacer(space, core.NewHintedZones(core.NewBWAware(core.Table1SBIT(), 7), vm.ZoneBO, vm.ZoneCO), core.Table1SBIT())
 			rt = NewFirstTouch(space, placer)
 		}
 		rt.Malloc("a", 8*vm.DefaultPageSize, core.HintBO)

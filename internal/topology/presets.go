@@ -123,8 +123,12 @@ func Names() []string {
 
 // Preset returns the named topology, or an error listing the available
 // presets when the name is unknown (CLIs surface this at startup with
-// exit status 2).
+// exit status 2). The empty name selects "k40-ddr4", the paper's Table 1
+// machine, so an unset -topology needs no special case.
 func Preset(name string) (Topology, error) {
+	if name == "" {
+		name = "k40-ddr4"
+	}
 	mk, ok := presets[name]
 	if !ok {
 		return Topology{}, fmt.Errorf("unknown topology %q (available: %v)", name, Names())

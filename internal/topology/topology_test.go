@@ -53,6 +53,22 @@ func TestPresetUnknown(t *testing.T) {
 	}
 }
 
+// The empty name is the default machine, not a preset of its own.
+func TestPresetEmptyIsK40(t *testing.T) {
+	got, err := Preset("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, K40DDR4()) {
+		t.Errorf("Preset(\"\") = %q, want k40-ddr4", got.Name)
+	}
+	for _, name := range Names() {
+		if name == "" {
+			t.Error("Names lists the empty name")
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	valid := func() Topology { return K40DDR4() }
 	cases := []struct {

@@ -4,7 +4,10 @@
 // a workload. This supports the classic simulator workflows the original
 // GPGPU-Sim study relied on: capture once, re-run many placement policies
 // against an identical stream, or ship a trace instead of a workload
-// generator.
+// generator. Programs turns a trace into warp programs; experiments.RunTrace
+// runs them through the same assembly as a workload run, so a replay sees
+// the full memory system of its config (topology, pool capacities, lanes,
+// migration, probes).
 //
 // The on-disk format is a magic header followed by one varint per event:
 // zig-zag encoded virtual-address delta shifted left one bit, with the low

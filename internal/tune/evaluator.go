@@ -25,7 +25,7 @@ type Evaluator struct {
 }
 
 func newEvaluator(p Problem, o Options, sp *telemetry.Span) (*Evaluator, error) {
-	ds, err := datasetByName(p.Dataset)
+	ds, err := workloads.DatasetByName(p.Dataset)
 	if err != nil {
 		return nil, err
 	}

@@ -75,12 +75,10 @@ func (p Problem) Normalize() (Problem, error) {
 	if _, err := workloads.Build(p.Workload, workloads.Train()); err != nil {
 		return p, err
 	}
-	if p.Topology != "" {
-		if _, err := topology.Preset(p.Topology); err != nil {
-			return p, err
-		}
+	if _, err := topology.Preset(p.Topology); err != nil {
+		return p, err
 	}
-	if _, err := datasetByName(p.Dataset); err != nil {
+	if _, err := workloads.DatasetByName(p.Dataset); err != nil {
 		return p, err
 	}
 	if p.CapacityFrac < 0 || p.CapacityFrac > 1 {
@@ -89,27 +87,9 @@ func (p Problem) Normalize() (Problem, error) {
 	return p, nil
 }
 
-// datasetByName resolves a dataset name to its parameters.
-func datasetByName(name string) (workloads.Dataset, error) {
-	if name == "" || name == workloads.Train().Name {
-		return workloads.Train(), nil
-	}
-	names := []string{workloads.Train().Name}
-	for _, v := range workloads.Variants() {
-		if v.Name == name {
-			return v, nil
-		}
-		names = append(names, v.Name)
-	}
-	return workloads.Dataset{}, fmt.Errorf("tune: unknown dataset %q (have %s)", name, strings.Join(names, " "))
-}
-
 // mem resolves the problem's topology selection (Normalize has validated
 // it).
 func (p Problem) mem() memsys.Config {
-	if p.Topology == "" {
-		return memsys.Table1Config()
-	}
 	t, _ := topology.Preset(p.Topology)
 	return t.MemsysConfig()
 }

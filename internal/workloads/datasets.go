@@ -1,6 +1,10 @@
 package workloads
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+)
 
 // Dataset parameterizes a workload run: the paper's Figure 11 trains
 // annotations on one input set and evaluates on others whose sizes and
@@ -29,6 +33,23 @@ func Variants() []Dataset {
 		{Name: "large", SizeScale: 1.5, SkewScale: 0.9, WeightShift: 0.15, Seed: 3},
 		{Name: "shifted", SizeScale: 1.0, SkewScale: 0.75, WeightShift: 0.30, Seed: 4},
 	}
+}
+
+// DatasetByName resolves a dataset name: "train" (or "") is Train, any
+// other name one of Variants. The error for an unknown name lists the
+// valid ones.
+func DatasetByName(name string) (Dataset, error) {
+	if name == "" || name == Train().Name {
+		return Train(), nil
+	}
+	names := []string{Train().Name}
+	for _, v := range Variants() {
+		if v.Name == name {
+			return v, nil
+		}
+		names = append(names, v.Name)
+	}
+	return Dataset{}, fmt.Errorf("workloads: unknown dataset %q (have %s)", name, strings.Join(names, " "))
 }
 
 func (d Dataset) sizeScale() float64 {

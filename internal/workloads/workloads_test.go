@@ -388,3 +388,20 @@ func BenchmarkPrograms(b *testing.B) {
 		progsSink = s.Programs(allocs)
 	}
 }
+
+func TestDatasetByName(t *testing.T) {
+	for _, name := range []string{"", "train"} {
+		if ds, err := DatasetByName(name); err != nil || ds != Train() {
+			t.Errorf("DatasetByName(%q) = %+v, %v; want Train()", name, ds, err)
+		}
+	}
+	for _, v := range Variants() {
+		if ds, err := DatasetByName(v.Name); err != nil || ds != v {
+			t.Errorf("DatasetByName(%q) = %+v, %v; want %+v", v.Name, ds, err, v)
+		}
+	}
+	_, err := DatasetByName("huge")
+	if err == nil || !strings.Contains(err.Error(), "have train small large shifted") {
+		t.Errorf("unknown dataset error does not list the options: %v", err)
+	}
+}

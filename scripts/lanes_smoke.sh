@@ -2,6 +2,7 @@
 # Lane smoke test: the parallel event-lane mode on real binaries.
 #
 #   - hmsim output (JSON report) is byte-identical at -lanes 1 and -lanes 8,
+#     for a workload run and for a trace replay,
 #   - hmexp figure CSVs are byte-identical at -lanes 1 and -lanes 8,
 #   - hmsim, hmexp, and hmserved all reject -lanes 0 (and a non-integer
 #     value) with exit status 2.
@@ -39,6 +40,15 @@ echo "== hmsim: single run, lanes 1 vs 8"
 "$tmp/hmsim" -workload bfs -policy bw-aware -shrink 16 -json -lanes 8 >"$tmp/run8.json"
 cmp "$tmp/run1.json" "$tmp/run8.json" || {
     echo "lanes_smoke.sh: hmsim output differs between -lanes 1 and -lanes 8" >&2
+    exit 1
+}
+
+echo "== hmsim: trace replay, lanes 1 vs 8"
+"$tmp/hmsim" -workload bfs -shrink 16 -trace "$tmp/bfs.trc" >/dev/null
+"$tmp/hmsim" -replay "$tmp/bfs.trc" -json -lanes 1 >"$tmp/replay1.json"
+"$tmp/hmsim" -replay "$tmp/bfs.trc" -json -lanes 8 >"$tmp/replay8.json"
+cmp "$tmp/replay1.json" "$tmp/replay8.json" || {
+    echo "lanes_smoke.sh: hmsim replay differs between -lanes 1 and -lanes 8" >&2
     exit 1
 }
 

@@ -5,6 +5,8 @@
 #
 #   - a run's -json output is byte-identical with the probe on vs off, and
 #     with -probe riding a multi-lane run — observing never perturbs;
+#   - -probe rides trace recording and replay too: a probed -trace exits 0
+#     and a probed -replay's -json equals the unprobed replay's;
 #   - hmsim -probe dumps a series that hmtrace counters validates (CSV and
 #     JSON), and a probed migration run records mig.* columns;
 #   - hmexp -probe dumps one labeled series per simulation and merges the
@@ -74,6 +76,12 @@ diff "$tmp/run-plain.json" "$tmp/run-probed.json"
 # shellcheck disable=SC2086
 "$tmp/hmsim" $RUN -json -lanes 4 -probe interval=1000 >"$tmp/run-laned.json" 2>/dev/null
 diff "$tmp/run-plain.json" "$tmp/run-laned.json"
+
+echo "== probed trace record and replay: exit 0, replay -json byte-identical =="
+"$tmp/hmsim" -probe on -trace "$tmp/x.trc" -workload bfs -shrink 16 >/dev/null 2>&1
+"$tmp/hmsim" -replay "$tmp/x.trc" -json >"$tmp/replay-plain.json"
+"$tmp/hmsim" -replay "$tmp/x.trc" -json -probe on >"$tmp/replay-probed.json" 2>/dev/null
+diff "$tmp/replay-plain.json" "$tmp/replay-probed.json"
 
 echo "== probed migration run dumps validatable CSV and JSON series =="
 # shellcheck disable=SC2086
@@ -152,7 +160,6 @@ fi
 
 echo "== invalid -probe specs and combinations rejected with exit 2 =="
 for cmd in "$tmp/hmsim -probe samples=1 -workload bfs" \
-    "$tmp/hmsim -probe on -trace $tmp/x.trc -workload bfs" \
     "$tmp/hmexp -probe format=xml fig3" \
     "$tmp/hmexp -probe on -server $url fig3"; do
     set +e
@@ -166,4 +173,4 @@ for cmd in "$tmp/hmsim -probe samples=1 -workload bfs" \
     fi
 done
 
-echo "probe smoke OK: byte-identity probed vs plain, series validated, live /progress stream, figdyn deterministic, bad specs rejected"
+echo "probe smoke OK: byte-identity probed vs plain (runs and replays), series validated, live /progress stream, figdyn deterministic, bad specs rejected"

@@ -8,6 +8,8 @@
 #     differ from the Table 1 ones,
 #   - an hmserved daemon serves ?topology= figures byte-identical to the
 #     corresponding local renders,
+#   - a trace recorded with hmsim -trace replays (-replay -json) on every
+#     preset, including the N-pool ones,
 #   - hmexp, hmsim, and hmserved all reject an unknown topology with exit
 #     status 2 and name the available presets,
 #   - the cross-topology study (figtopo) renders.
@@ -106,6 +108,15 @@ echo "== hmsim runs on a non-default preset =="
 "$tmp/hmsim" -workload bfs -policy bw-aware -topology gh200 -shrink 16 \
     | grep -q "pages per pool"
 
+echo "== a recorded trace replays on every preset =="
+"$tmp/hmsim" -workload bfs -shrink 16 -trace "$tmp/bfs.trc" >/dev/null
+for p in $PRESETS; do
+    "$tmp/hmsim" -replay "$tmp/bfs.trc" -topology "$p" -json >"$tmp/replay-$p.json" || {
+        echo "topology_smoke.sh: replay on $p failed" >&2
+        exit 1
+    }
+done
+
 echo "== unknown topology rejected with exit 2 =="
 for cmd in "$tmp/hmexp -topology hbm9000 $FIG" \
     "$tmp/hmsim -topology hbm9000 -workload bfs" \
@@ -125,4 +136,4 @@ for cmd in "$tmp/hmexp -topology hbm9000 $FIG" \
     }
 done
 
-echo "topology smoke OK: presets $PRESETS validated locally and via hmserved"
+echo "topology smoke OK: presets $PRESETS validated locally, via hmserved, and by trace replay"
