@@ -22,13 +22,15 @@ fmt:
 
 # Race-check the packages that exercise concurrency: the laned event
 # engine and the lane determinism suite (parallel in-run lanes with
-# cross-lane mailbox traffic), the worker-pool sweep executor, every
-# figure sweep dispatched through it, the daemon's job queue / two-tier
-# cache, the cluster coordinator's dispatch and heartbeat paths, the
-# autotuner's multi-worker searches, and the telemetry recorder fed by all
-# of them in parallel.
+# cross-lane mailbox traffic), the memory system and migration engine
+# (the channel slices of one lane share a page-count shard, and the
+# page-state table is read on every lane's access path), the worker-pool
+# sweep executor, every figure sweep dispatched through it, the daemon's
+# job queue / two-tier cache, the cluster coordinator's dispatch and
+# heartbeat paths, the autotuner's multi-worker searches, and the
+# telemetry recorder fed by all of them in parallel.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/
+	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/
 
 vet:
 	$(GO) vet ./...

@@ -204,9 +204,9 @@ func (s Stats) AvgLatency() float64 {
 }
 
 // sliceStats is one channel slice's private counter shard. Each slice is
-// written only from its own event lane; Stats()/PageCounts() merge shards
-// in configuration order, so the merged totals are bit-identical for any
-// lane count (including one).
+// written only from its own event lane; Stats() merges shards in
+// configuration order, so the merged totals are bit-identical for any lane
+// count (including one).
 type sliceStats struct {
 	ZoneStats
 	TotalLatency sim.Time
@@ -219,10 +219,9 @@ type slice struct {
 	dram *dram.Channel
 	act  *sim.Actor // back-end lane actor: all slice state mutates on its lane
 	st   sliceStats
-	// pageCounts[vpage] counts accesses this slice served from DRAM (post
-	// L1+L2 filtering at miss granularity) — the paper's page hotness
-	// metric, sharded per channel.
-	pageCounts []uint64
+	// pageCounts is the page-count shard of the slice's event lane (see
+	// System.pageCounts), shared with the lane's other slices.
+	pageCounts *[]uint64
 }
 
 type zoneHW struct {
@@ -254,6 +253,11 @@ type System struct {
 	// need no locking; records cycle between the pool and the event queues
 	// / MSHR waiter lists.
 	freeAcc []*access
+	// pageCounts[lane][vpage] counts the accesses the lane's channel slices
+	// served from DRAM (post L1+L2 filtering at miss granularity) — the
+	// paper's page hotness metric. Each shard is written only from its own
+	// lane; PageCountsInto sums them.
+	pageCounts [][]uint64
 
 	// FaultHandler, when set, is invoked on access to an unmapped page
 	// (first-touch placement). It runs on the root lane via the fault
@@ -261,11 +265,14 @@ type System struct {
 	// error; a nil handler makes unmapped accesses panic (eager mode).
 	FaultHandler func(vpage uint64) error
 
-	// locks holds per-vpage migration locks (see LockPage); wb is the
-	// bounded asynchronous write-back buffer for demotions (see
-	// ConfigureWriteBack). Both exist only in migration runs, which are
-	// single-laned.
-	locks map[uint64]sim.Time
+	// pages is the page-state table, indexed by virtual page: each page's
+	// migration-lock deadline and write-back flag (see PageState). It grows
+	// like the vm page table, but only when a migration locks or enqueues a
+	// page, so a run without migration keeps it empty and pays one length
+	// check per access. wb is the bounded asynchronous write-back buffer for
+	// demotions (see ConfigureWriteBack). Both change only in migration
+	// runs, which are single-laned.
+	pages []pageEntry
 	wb    *writeBackBuf
 }
 
@@ -278,21 +285,24 @@ func New(eng *sim.Engine, space *vm.Space, cfg Config) (*System, error) {
 	}
 	w := sim.WorldOf(eng)
 	s := &System{
-		cfg:     cfg,
-		eng:     eng,
-		world:   w,
-		os:      w.Root(),
-		hop:     cfg.L2Latency / 2,
-		space:   space,
-		freeAcc: make([]*access, w.Lanes()),
+		cfg:        cfg,
+		eng:        eng,
+		world:      w,
+		os:         w.Root(),
+		hop:        cfg.L2Latency / 2,
+		space:      space,
+		freeAcc:    make([]*access, w.Lanes()),
+		pageCounts: make([][]uint64, w.Lanes()),
 	}
 	for _, zc := range cfg.Zones {
 		hw := &zoneHW{cfg: zc}
 		for i := 0; i < zc.Channels; i++ {
+			act := w.NewActor()
 			sl := &slice{
-				mshr: cache.NewMSHR(cfg.MSHRsPerSlice),
-				dram: dram.NewChannel(zc.DRAM),
-				act:  w.NewActor(),
+				mshr:       cache.NewMSHR(cfg.MSHRsPerSlice),
+				dram:       dram.NewChannel(zc.DRAM),
+				act:        act,
+				pageCounts: &s.pageCounts[act.Lane()],
 			}
 			if !cfg.DisableL2 {
 				sl.l2 = cache.New(cache.Config{
@@ -343,26 +353,30 @@ func (s *System) Stats() Stats {
 }
 
 // PageCounts returns the per-virtual-page DRAM access counts accumulated
-// so far, merged across the per-channel shards into a fresh slice that the
-// caller owns (migration engines diff successive snapshots).
-func (s *System) PageCounts() []uint64 {
+// so far in a fresh slice that the caller owns.
+func (s *System) PageCounts() []uint64 { return s.PageCountsInto(nil) }
+
+// PageCountsInto writes the per-virtual-page DRAM access counts accumulated
+// so far — the per-lane shards summed — into dst, reusing its storage when
+// it is large enough, and returns the result. Migration epochs read their
+// counts through it without allocating. Call it between runs or from a
+// root-lane event of a one-lane run, not from concurrent lane events.
+func (s *System) PageCountsInto(dst []uint64) []uint64 {
 	n := 0
-	for _, zc := range s.cfg.Zones {
-		for _, sl := range s.zones[zc.Zone].slices {
-			if len(sl.pageCounts) > n {
-				n = len(sl.pageCounts)
-			}
+	for _, c := range s.pageCounts {
+		n = max(n, len(c))
+	}
+	if dst == nil || cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	clear(dst[copy(dst, s.pageCounts[0]):])
+	for _, c := range s.pageCounts[1:] {
+		for i, v := range c {
+			dst[i] += v
 		}
 	}
-	out := make([]uint64, n)
-	for _, zc := range s.cfg.Zones {
-		for _, sl := range s.zones[zc.Zone].slices {
-			for i, c := range sl.pageCounts {
-				out[i] += c
-			}
-		}
-	}
-	return out
+	return dst
 }
 
 // ZoneServiceFraction reports the fraction of post-L1 accesses served by
@@ -601,14 +615,14 @@ func (s *System) begin(a *access, tc *vm.TransCache) {
 	now := src.Now()
 	vpage := s.space.PageOf(a.va)
 	a.vpage = vpage
-	if d := s.lockDelay(vpage, now); d > 0 {
-		src.After(d, a, stepRetryLock)
+	switch st, until := s.state(vpage, now); st {
+	case PagePendingMigration:
+		src.After(until-now, a, stepRetryLock)
 		return
-	}
-	if s.wb != nil && s.wb.pending[vpage] {
-		// Pending write-back: the page is already remapped and readable at
-		// its new address, so the access proceeds — only count it. wb is
-		// non-nil only in migration runs, which are single-laned.
+	case PagePendingWriteBack:
+		// The page is already remapped and readable at its new address, so
+		// the access proceeds — only count it. Only migration runs, which
+		// are single-laned, reach this state.
 		s.stats.WriteBackAccesses++
 	}
 	pa, ok := s.space.TranslateCached(tc, a.va)
@@ -666,28 +680,25 @@ func (s *System) sliceAccess(a *access) {
 }
 
 func (sl *slice) countPage(vpage uint64) {
-	if vpage >= uint64(len(sl.pageCounts)) {
-		if vpage < uint64(cap(sl.pageCounts)) {
-			// Indices beyond len have never been written, so the zeroed
-			// backing from the last growth is still intact.
-			sl.pageCounts = sl.pageCounts[:vpage+1]
-		} else {
-			// Grow geometrically: monotonically increasing first touches
-			// would otherwise re-copy the slice on every new page (O(n²)).
-			n := 2 * uint64(cap(sl.pageCounts))
-			if n < vpage+1 {
-				n = vpage + 1
-			}
-			np := make([]uint64, vpage+1, n)
-			copy(np, sl.pageCounts)
-			sl.pageCounts = np
-		}
+	c := sl.pageCounts
+	if vpage >= uint64(len(*c)) {
+		*c = grow(*c, vpage)
 	}
-	sl.pageCounts[vpage]++
+	(*c)[vpage]++
 }
 
 func (sl *slice) uncountPage(vpage uint64) {
-	if vpage < uint64(len(sl.pageCounts)) && sl.pageCounts[vpage] > 0 {
-		sl.pageCounts[vpage]--
+	if c := *sl.pageCounts; vpage < uint64(len(c)) && c[vpage] > 0 {
+		c[vpage]--
 	}
+}
+
+// grow extends s with zero entries to cover index i. Capacity grows
+// geometrically, so ascending indices (first touches, say) cost amortized
+// O(1) each instead of a copy of the slice every time.
+func grow[T any](s []T, i uint64) []T {
+	if i < uint64(len(s)) {
+		return s
+	}
+	return append(s, make([]T, i+1-uint64(len(s)))...)
 }

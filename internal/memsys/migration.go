@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"slices"
+
 	"hetsim/internal/sim"
 	"hetsim/internal/vm"
 )
@@ -29,11 +31,18 @@ import (
 //	PageValid             — accesses proceed normally;
 //	PagePendingMigration  — a blocking move holds the page lock; accesses
 //	                        are deferred until the lock expires, then
-//	                        re-translated (LockPage / lockDelay);
+//	                        re-translated;
 //	PagePendingWriteBack  — the page has been remapped and is readable at
 //	                        its new address while the old copy drains
 //	                        through the write-back buffer; accesses do not
 //	                        stall but are counted (WriteBackAccesses).
+//
+// Each page's state lives in one row of the System's page-state table
+// (pageEntry), and only three transitions write it: LockPage sets the lock
+// deadline (→ PagePendingMigration until the clock reaches it, then back to
+// PageValid with no further write), EnqueueWriteBack raises the write-back
+// flag (→ PagePendingWriteBack) and the drain of the page's entry clears it.
+// A lock outranks a pending write-back.
 
 // PageState classifies a virtual page's migration status; see the state
 // table above.
@@ -45,17 +54,37 @@ const (
 	PagePendingWriteBack
 )
 
-// PageState reports vpage's current migration state at engine time now.
+// pageEntry is one virtual page's row of the page-state table.
+type pageEntry struct {
+	// lockUntil is the latest migration-lock deadline: the page is
+	// PagePendingMigration while the clock is below it.
+	lockUntil sim.Time
+	// writeBack is set while the page's old copy is queued or draining in
+	// the write-back buffer (PagePendingWriteBack).
+	writeBack bool
+}
+
+// state reads vpage's row of the page-state table at time now, returning
+// the page's state and, for PagePendingMigration, its lock deadline. A page
+// beyond the table — every page of a run without migration — is PageValid
+// after one length check.
+func (s *System) state(vpage uint64, now sim.Time) (PageState, sim.Time) {
+	if vpage >= uint64(len(s.pages)) {
+		return PageValid, 0
+	}
+	switch e := &s.pages[vpage]; {
+	case e.lockUntil > now:
+		return PagePendingMigration, e.lockUntil
+	case e.writeBack:
+		return PagePendingWriteBack, 0
+	}
+	return PageValid, 0
+}
+
+// PageState reports vpage's migration state at the engine's current time.
 func (s *System) PageState(vpage uint64) PageState {
-	if s.locks != nil {
-		if until, ok := s.locks[vpage]; ok && until > s.eng.Now() {
-			return PagePendingMigration
-		}
-	}
-	if s.wb != nil && s.wb.pending[vpage] {
-		return PagePendingWriteBack
-	}
-	return PageValid
+	st, _ := s.state(vpage, s.eng.Now())
+	return st
 }
 
 // InvalidatePage removes every cache line of the physical page starting at
@@ -118,12 +147,12 @@ type wbEntry struct {
 
 // writeBackBuf is the bounded asynchronous write-back buffer: queued
 // demotions drain head-first at DRAM speed while the application keeps
-// running (à la a GPU page manager's write_back_buffer).
+// running (à la a GPU page manager's write_back_buffer). The queue drains
+// in place, so once it has held cap entries it never allocates again.
 type writeBackBuf struct {
 	sys      *System
 	cap      int
 	queue    []wbEntry
-	pending  map[uint64]bool // vpage -> PagePendingWriteBack
 	draining bool
 }
 
@@ -135,7 +164,7 @@ func (s *System) ConfigureWriteBack(pages int) {
 		s.wb = nil
 		return
 	}
-	s.wb = &writeBackBuf{sys: s, cap: pages, pending: make(map[uint64]bool)}
+	s.wb = &writeBackBuf{sys: s, cap: pages}
 }
 
 // EnqueueWriteBack queues one demoted page for asynchronous draining and
@@ -148,7 +177,8 @@ func (s *System) EnqueueWriteBack(vpage, oldPA, newPA, pageSize uint64) bool {
 		return false
 	}
 	s.wb.queue = append(s.wb.queue, wbEntry{vpage, oldPA, newPA, pageSize})
-	s.wb.pending[vpage] = true
+	s.pages = grow(s.pages, vpage)
+	s.pages[vpage].writeBack = true
 	s.stats.WriteBacksQueued++
 	if !s.wb.draining {
 		s.wb.draining = true
@@ -177,39 +207,22 @@ func (s *System) drainWriteBack() {
 // OnEvent implements sim.Handler: the head entry's copy has completed, so
 // the page leaves PagePendingWriteBack and the next entry starts draining.
 func (b *writeBackBuf) OnEvent(uint64) {
-	b.sys.stats.WriteBacksDrained++
-	delete(b.pending, b.queue[0].vpage)
-	b.queue = b.queue[1:]
-	b.sys.drainWriteBack()
+	s := b.sys
+	s.stats.WriteBacksDrained++
+	s.pages[b.queue[0].vpage].writeBack = false
+	b.queue = slices.Delete(b.queue, 0, 1)
+	s.drainWriteBack()
 }
 
 // LockPage blocks accesses to vpage until t; accesses arriving earlier are
 // deferred to t before entering the memory system (PagePendingMigration).
+// An earlier deadline never shortens a lock still held; once a lock has
+// expired, any later deadline takes effect.
 func (s *System) LockPage(vpage uint64, until sim.Time) {
-	if s.locks == nil {
-		s.locks = make(map[uint64]sim.Time)
+	s.pages = grow(s.pages, vpage)
+	if e := &s.pages[vpage]; until > e.lockUntil {
+		e.lockUntil = until
 	}
-	if cur, ok := s.locks[vpage]; !ok || until > cur {
-		s.locks[vpage] = until
-	}
-}
-
-// lockDelay reports how long an access at time now to vpage must wait,
-// pruning expired locks. Locks exist only in migration runs, which are
-// single-laned; laned runs see a nil map and return immediately.
-func (s *System) lockDelay(vpage uint64, now sim.Time) sim.Time {
-	if s.locks == nil {
-		return 0
-	}
-	until, ok := s.locks[vpage]
-	if !ok {
-		return 0
-	}
-	if until <= now {
-		delete(s.locks, vpage)
-		return 0
-	}
-	return until - now
 }
 
 // Space exposes the address space the system translates through (the

@@ -7,30 +7,65 @@ import (
 	"hetsim/internal/vm"
 )
 
-// lockDelay must prune expired locks so the map does not grow for the
-// lifetime of a run: after the deadline passes, the next query deletes the
-// entry and later LockPage calls start fresh.
+// Expired locks need no pruning: a page's row in the page-state table
+// keeps its last deadline, and the state is read against the clock. An
+// expired lock must read PageValid, a later lock must not be shadowed by
+// the stale deadline, and PageState must report all three states.
 func TestLockDelayPrunesExpired(t *testing.T) {
-	_, space, sys := buildSystem(t, Table1Config(), 4, 4)
+	eng, space, sys := buildSystem(t, Table1Config(), 4, 4)
 	space.MapPage(0, vm.ZoneBO)
+	space.MapPage(1, vm.ZoneBO)
 
-	if d := sys.lockDelay(0, 0); d != 0 {
-		t.Fatalf("delay on unlocked page = %d, want 0", d)
+	if st := sys.PageState(0); st != PageValid {
+		t.Fatalf("unlocked page state = %v, want PageValid", st)
 	}
 	sys.LockPage(0, 100)
-	if d := sys.lockDelay(0, 40); d != 60 {
-		t.Fatalf("delay at t=40 = %d, want 60", d)
+	if st, until := sys.state(0, 40); st != PagePendingMigration || until != 100 {
+		t.Fatalf("state at t=40 = %v until %d, want PagePendingMigration until 100", st, until)
 	}
-	if d := sys.lockDelay(0, 150); d != 0 {
-		t.Fatalf("delay past deadline = %d, want 0", d)
+	if st, _ := sys.state(0, 100); st != PageValid {
+		t.Fatalf("state at the deadline = %v, want PageValid", st)
 	}
-	if _, ok := sys.locks[0]; ok {
-		t.Fatal("expired lock not pruned from the map")
+	eng.RunUntil(150)
+	if st := sys.PageState(0); st != PageValid {
+		t.Fatalf("expired lock reads %v, want PageValid", st)
 	}
-	// A later, earlier-deadline lock must not be shadowed by stale state.
+	// A later lock after expiry takes effect, even with a deadline below
+	// one the page held before.
+	sys.LockPage(0, 120) // already past: no effect
+	if st := sys.PageState(0); st != PageValid {
+		t.Fatalf("lock with a past deadline reads %v, want PageValid", st)
+	}
 	sys.LockPage(0, 200)
-	if d := sys.lockDelay(0, 199); d != 1 {
-		t.Fatalf("delay under fresh lock = %d, want 1", d)
+	if st, until := sys.state(0, 199); st != PagePendingMigration || until != 200 {
+		t.Fatalf("relocked state at t=199 = %v until %d, want PagePendingMigration until 200", st, until)
+	}
+
+	// Write-back: page 1 drains through the buffer; a lock outranks the
+	// pending write-back, which reads again once the lock expires.
+	sys.ConfigureWriteBack(1)
+	oldPA, newPA, err := space.Remap(1, vm.ZoneCO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.EnqueueWriteBack(1, oldPA, newPA, vm.DefaultPageSize) {
+		t.Fatal("buffer rejected an entry")
+	}
+	if st := sys.PageState(1); st != PagePendingWriteBack {
+		t.Fatalf("queued page state = %v, want PagePendingWriteBack", st)
+	}
+	sys.LockPage(1, eng.Now()+1)
+	if st := sys.PageState(1); st != PagePendingMigration {
+		t.Fatalf("locked queued page state = %v, want PagePendingMigration", st)
+	}
+	if st, _ := sys.state(1, eng.Now()+1); st != PagePendingWriteBack {
+		t.Fatalf("queued page after its lock = %v, want PagePendingWriteBack", st)
+	}
+	eng.Run()
+	for vp := uint64(0); vp < 2; vp++ {
+		if st := sys.PageState(vp); st != PageValid {
+			t.Fatalf("page %d after the run = %v, want PageValid", vp, st)
+		}
 	}
 }
 

@@ -9,8 +9,13 @@
 // that plans page moves along the bandwidth order of the pools (fastest
 // first, from the SBIT): hot pages are promoted one hop up the order and
 // cold pages demoted one hop down it, so on a three-tier topology like
-// cxl-expansion a page climbs CXL → DDR4 → GDDR5 across epochs. Two
-// classifiers ship with the package:
+// cxl-expansion a page climbs CXL → DDR4 → GDDR5 across epochs. An epoch
+// scans the page table once, grouping the pages that may move by pool;
+// each tier pair then draws its hottest promotion candidates and coldest
+// victims from binary heaps in the strict total order (heat, page number),
+// popping only as many as it moves. A pass therefore costs O(span + k log n)
+// for k moves out of n candidates, reuses its buffers from epoch to epoch,
+// and allocates nothing once warm. Two classifiers ship with the package:
 //
 //   - "counter" — the epoch-diff access-counter policy: pages whose
 //     this-epoch count clears MinHeat are promotion candidates, demotion
@@ -142,7 +147,7 @@ func (c Config) hysteresis() float64 {
 // Validate reports configuration errors. Out-of-range values are rejected
 // here, loudly, rather than clamped at use: a negative cooldown or a zero
 // MinHeat is a configuration mistake, not a request for the nearest legal
-// behavior.
+// behavior. The float checks are written so that NaN fails them too.
 func (c Config) Validate() error {
 	switch {
 	case !KnownPolicy(c.Policy):
@@ -155,7 +160,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("migrate: LockCycles %d negative", c.LockCycles)
 	case c.MinHeat == 0:
 		return fmt.Errorf("migrate: MinHeat must be positive (zero would migrate every touched page)")
-	case c.HysteresisFactor < 0:
+	case !(c.HysteresisFactor >= 0):
 		return fmt.Errorf("migrate: HysteresisFactor %g negative", c.HysteresisFactor)
 	case c.CooldownEpochs < 0:
 		return fmt.Errorf("migrate: CooldownEpochs %d negative", c.CooldownEpochs)
@@ -164,9 +169,9 @@ func (c Config) Validate() error {
 	}
 	if c.Policy == PolicyEWMA {
 		switch {
-		case c.EWMAAlpha <= 0 || c.EWMAAlpha > 1:
+		case !(c.EWMAAlpha > 0 && c.EWMAAlpha <= 1):
 			return fmt.Errorf("migrate: EWMAAlpha %g must be in (0, 1]", c.EWMAAlpha)
-		case c.LowWatermark <= 0 || c.LowWatermark > c.HighWatermark || c.HighWatermark > 1:
+		case !(c.LowWatermark > 0 && c.LowWatermark <= c.HighWatermark && c.HighWatermark <= 1):
 			return fmt.Errorf("migrate: watermarks low=%g high=%g must satisfy 0 < low <= high <= 1",
 				c.LowWatermark, c.HighWatermark)
 		}
@@ -195,16 +200,26 @@ type Engine struct {
 	root   *sim.Actor // epochs run on the world's root actor
 	mem    *memsys.System
 	space  *vm.Space
-	order  []vm.ZoneID // pools by descending bandwidth (SBIT order)
-	rank   map[vm.ZoneID]int
+	order  []vm.ZoneID      // pools by descending bandwidth (SBIT order)
+	rank   [vm.MaxZones]int // a pool's index in order; -1 if absent
 	policy Policy
 	// Active reports whether the application is still running; the engine
 	// stops rescheduling when it returns false so the simulation can
 	// drain. Defaults to "always active" until set.
 	Active func() bool
 
-	last      []uint64
-	lastMoved map[uint64]int // vpage -> epoch index of last move
+	// last holds the cumulative page counts at the previous epoch; delta
+	// is the buffer each epoch reads the counts into and differences in
+	// place.
+	last, delta []uint64
+	// lastMoved[vpage] is the epoch of the page's last move. Epochs count
+	// from 1, so 0 means never moved.
+	lastMoved []int
+	// view is the epoch's View; pools and hot/cold are its reused
+	// candidate buffers (see View.pool).
+	view      View
+	pools     [vm.MaxZones][]uint64
+	hot, cold heatHeap
 	stats     Stats
 }
 
@@ -216,11 +231,13 @@ func New(eng *sim.Engine, mem *memsys.System, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		root:      sim.WorldOf(eng).Root(),
-		mem:       mem,
-		lastMoved: make(map[uint64]int),
-		Active:    func() bool { return true },
+		cfg:    cfg,
+		root:   sim.WorldOf(eng).Root(),
+		mem:    mem,
+		Active: func() bool { return true },
+	}
+	for z := range e.rank {
+		e.rank[z] = -1
 	}
 	switch cfg.Policy {
 	case "", PolicyCounter:
@@ -231,7 +248,6 @@ func New(eng *sim.Engine, mem *memsys.System, cfg Config) (*Engine, error) {
 	if mem != nil {
 		e.space = mem.Space()
 		e.order = bandwidthOrder(mem.Config())
-		e.rank = make(map[vm.ZoneID]int, len(e.order))
 		for i, z := range e.order {
 			e.rank[z] = i
 		}
@@ -279,16 +295,23 @@ func (e *Engine) epoch() {
 		return
 	}
 	e.stats.Epochs++
-	counts := e.mem.PageCounts()
-	delta := make([]uint64, len(counts))
-	for i, c := range counts {
-		d := c
-		if i < len(e.last) {
-			d -= e.last[i]
-		}
-		delta[i] = d
+	// Counts only grow, and so does their table: read the totals into the
+	// delta buffer, then difference them in place while last takes them.
+	delta := e.mem.PageCountsInto(e.delta)
+	if n := len(delta); n > len(e.last) {
+		e.last = append(e.last, make([]uint64, n-len(e.last))...)
 	}
-	v := &View{
+	for i, c := range delta {
+		delta[i], e.last[i] = c-e.last[i], c
+	}
+	e.delta = delta
+	e.pass(delta)
+	e.root.After(e.cfg.EpochCycles, epochTick{e}, 0)
+}
+
+// pass hands one epoch's activity to the policy through the reused View.
+func (e *Engine) pass(delta []uint64) {
+	e.view = View{
 		Delta:  delta,
 		Order:  e.order,
 		Space:  e.space,
@@ -296,15 +319,17 @@ func (e *Engine) epoch() {
 		eng:    e,
 		budget: e.cfg.PagesPerEpoch,
 	}
-	e.policy.Epoch(v)
-	e.last = counts
-	e.root.After(e.cfg.EpochCycles, epochTick{e}, 0)
+	e.policy.Epoch(&e.view)
 }
 
-// eligible reports whether a page may move this epoch (cooldown).
+// eligible reports whether a page may move this epoch (cooldown). A page
+// moved earlier in the current pass never is: Epochs-last is then 0.
 func (e *Engine) eligible(vpage uint64) bool {
-	last, moved := e.lastMoved[vpage]
-	return !moved || e.stats.Epochs-last > e.cfg.CooldownEpochs
+	if vpage >= uint64(len(e.lastMoved)) {
+		return true
+	}
+	last := e.lastMoved[vpage]
+	return last == 0 || e.stats.Epochs-last > e.cfg.CooldownEpochs
 }
 
 // move migrates one page, modelling invalidation, copy traffic, and the
@@ -317,6 +342,9 @@ func (e *Engine) move(vpage uint64, from, to vm.ZoneID) bool {
 	oldPA, newPA, err := e.space.Remap(vpage, to)
 	if err != nil || oldPA == newPA {
 		return false
+	}
+	if n := int(vpage) + 1; n > len(e.lastMoved) {
+		e.lastMoved = append(e.lastMoved, make([]int, n-len(e.lastMoved))...)
 	}
 	e.lastMoved[vpage] = e.stats.Epochs
 	e.mem.InvalidatePage(oldPA, ps)

@@ -1,10 +1,6 @@
 package migrate
 
-import (
-	"sort"
-
-	"hetsim/internal/vm"
-)
+import "hetsim/internal/vm"
 
 // Policy classifies the epoch's page activity and plans moves through a
 // View. Implementations must be deterministic: the simulator's output is
@@ -32,6 +28,10 @@ type View struct {
 
 	eng    *Engine
 	budget int
+	// scanned marks the engine's pools as filled for this pass; rescan
+	// asks for a fresh scan once the pending mappings the last scan could
+	// not see have been committed (see pool).
+	scanned, rescan bool
 }
 
 // Remaining reports how many more pages may move this epoch.
@@ -60,10 +60,10 @@ func (v *View) DeltaOf(vpage uint64) uint64 {
 // Rank returns z's position in the bandwidth order (0 = fastest), or -1
 // for an unknown zone.
 func (v *View) Rank(z vm.ZoneID) int {
-	if r, ok := v.eng.rank[z]; ok {
-		return r
+	if int(z) >= len(v.eng.rank) {
+		return -1
 	}
-	return -1
+	return v.eng.rank[z]
 }
 
 // Eligible reports whether vpage may move this epoch: pages migrated
@@ -99,29 +99,104 @@ func (v *View) Move(vpage uint64, to vm.ZoneID) bool {
 // victim (the hysteresis guard) — the Stats.Skipped counter.
 func (v *View) Skip() { v.eng.stats.Skipped++ }
 
+// pool returns the pages of pool z that were mapped and eligible when the
+// page table was last scanned, in ascending page order. One scan serves the
+// whole pass: a page moved since is on cooldown, and callers re-check
+// Eligible, so the stale entries drop out. The scan cannot see mappings
+// still pending a window barrier; the first Remap of the pass commits them
+// (vm.Space.Remap flushes), and the next call then rescans, as a fresh
+// per-pair scan would.
+func (v *View) pool(z vm.ZoneID) []uint64 {
+	if !v.scanned || v.rescan && v.Space.PendingMappings() == 0 {
+		v.scan()
+	}
+	return v.eng.pools[z]
+}
+
+// scan groups every mapped, eligible page below Span by pool.
+func (v *View) scan() {
+	pools := &v.eng.pools
+	for z := range pools {
+		pools[z] = pools[z][:0]
+	}
+	for vp, span := uint64(0), v.Span(); vp < span; vp++ {
+		if z, ok := v.Space.PageZone(vp); ok && v.Eligible(vp) {
+			pools[z] = append(pools[z], vp)
+		}
+	}
+	v.scanned, v.rescan = true, v.Space.PendingMappings() > 0
+}
+
+// pageHeat is one candidate page and the heat it is ranked by.
 type pageHeat struct {
 	vpage uint64
 	heat  uint64
 }
 
-// sortHot orders hottest-first; sortCold coldest-first. Both break heat
-// ties by page number so the plan is deterministic.
-func sortHot(ps []pageHeat) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].heat != ps[j].heat {
-			return ps[i].heat > ps[j].heat
-		}
-		return ps[i].vpage < ps[j].vpage
-	})
+// heatHeap is a binary heap of candidate pages in the strict total order
+// on (heat, vpage): hottest first when hot is set, coldest first otherwise,
+// and the lower page number first among equal heats either way. Building
+// it is O(n) and each pop O(log n), so taking the first k of n candidates
+// costs O(n + k log n) and yields exactly the first k of the sorted list.
+type heatHeap struct {
+	ps  []pageHeat
+	hot bool
 }
 
-func sortCold(ps []pageHeat) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].heat != ps[j].heat {
-			return ps[i].heat < ps[j].heat
+// reset empties the heap, keeping its storage, and sets its direction.
+// Push the candidates, then call init.
+func (h *heatHeap) reset(hot bool) {
+	h.ps = h.ps[:0]
+	h.hot = hot
+}
+
+func (h *heatHeap) push(vpage, heat uint64) { h.ps = append(h.ps, pageHeat{vpage, heat}) }
+
+// init establishes the heap order over the pushed candidates.
+func (h *heatHeap) init() {
+	for i := len(h.ps)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *heatHeap) len() int { return len(h.ps) }
+
+// peek returns the first candidate; pop removes and returns it.
+func (h *heatHeap) peek() pageHeat { return h.ps[0] }
+
+func (h *heatHeap) pop() pageHeat {
+	top := h.ps[0]
+	n := len(h.ps) - 1
+	h.ps[0] = h.ps[n]
+	h.ps = h.ps[:n]
+	h.down(0)
+	return top
+}
+
+// before is the heap order.
+func (h *heatHeap) before(a, b pageHeat) bool {
+	if a.heat != b.heat {
+		return (a.heat > b.heat) == h.hot
+	}
+	return a.vpage < b.vpage
+}
+
+func (h *heatHeap) down(i int) {
+	ps := h.ps
+	for {
+		c := 2*i + 1
+		if c >= len(ps) {
+			return
 		}
-		return ps[i].vpage < ps[j].vpage
-	})
+		if r := c + 1; r < len(ps) && h.before(ps[r], ps[c]) {
+			c = r
+		}
+		if !h.before(ps[c], ps[i]) {
+			return
+		}
+		ps[i], ps[c] = ps[c], ps[i]
+		i = c
+	}
 }
 
 // counterPolicy is the epoch-diff access-counter classifier, the K-pool
@@ -136,48 +211,45 @@ type counterPolicy struct{}
 func (counterPolicy) Name() string { return PolicyCounter }
 
 func (p counterPolicy) Epoch(v *View) {
+	hot, cold := &v.eng.hot, &v.eng.cold
 	for pi := 0; pi+1 < len(v.Order) && v.Remaining() > 0; pi++ {
 		upper, lower := v.Order[pi], v.Order[pi+1]
-		var hot, cold []pageHeat
-		for vp, span := uint64(0), v.Span(); vp < span; vp++ {
-			z, ok := v.Space.PageZone(vp)
-			if !ok || !v.Eligible(vp) {
-				continue
-			}
-			switch z {
-			case lower:
-				if d := v.DeltaOf(vp); d >= v.Cfg.MinHeat {
-					hot = append(hot, pageHeat{vp, d})
-				}
-			case upper:
-				cold = append(cold, pageHeat{vp, v.DeltaOf(vp)})
+		hot.reset(true)
+		for _, vp := range v.pool(lower) {
+			if d := v.DeltaOf(vp); d >= v.Cfg.MinHeat && v.Eligible(vp) {
+				hot.push(vp, d)
 			}
 		}
-		sortHot(hot)
-		sortCold(cold)
+		hot.init()
+		cold.reset(false)
+		for _, vp := range v.pool(upper) {
+			if v.Eligible(vp) {
+				cold.push(vp, v.DeltaOf(vp))
+			}
+		}
+		cold.init()
 		exchange(v, hot, cold, upper, lower)
 	}
 }
 
 // exchange promotes hot pages into upper within budget, demoting upper's
-// coldest pages to lower when it is full. cold is sorted coldest-first and
-// hot hottest-first, so the first failed dominance check ends the pair's
-// pass — no later pair can dominate either. Without the hysteresis guard
+// coldest pages to lower when it is full. cold pops coldest-first and hot
+// hottest-first, so the first failed dominance check ends the pair's pass
+// — no later pair can dominate either. Without the hysteresis guard
 // equal-heat pages would swap back and forth every epoch.
-func exchange(v *View, hot, cold []pageHeat, upper, lower vm.ZoneID) {
-	ci := 0
-	for _, h := range hot {
+func exchange(v *View, hot, cold *heatHeap, upper, lower vm.ZoneID) {
+	for hot.len() > 0 {
+		h := hot.pop()
 		if v.Remaining() <= 0 {
 			return
 		}
 		if v.Space.ZoneFree(upper) < 1 {
-			if ci >= len(cold) ||
-				float64(h.heat) < v.Cfg.hysteresis()*float64(cold[ci].heat)+float64(v.Cfg.MinHeat) {
+			if cold.len() == 0 ||
+				float64(h.heat) < v.Cfg.hysteresis()*float64(cold.peek().heat)+float64(v.Cfg.MinHeat) {
 				v.Skip()
 				return
 			}
-			v.Move(cold[ci].vpage, lower)
-			ci++
+			v.Move(cold.pop().vpage, lower)
 			if v.Remaining() <= 0 {
 				return
 			}
@@ -204,9 +276,7 @@ func (p *ewmaPolicy) Epoch(v *View) {
 	// Decay history and fold in this epoch's counts. The table spans every
 	// mapped page, so idle pages carry (decaying) heat entries too.
 	if span := v.Span(); span > uint64(len(p.heat)) {
-		grown := make([]float64, span)
-		copy(grown, p.heat)
-		p.heat = grown
+		p.heat = append(p.heat, make([]float64, span-uint64(len(p.heat)))...)
 	}
 	a := v.Cfg.EWMAAlpha
 	for vp := range p.heat {
@@ -217,18 +287,19 @@ func (p *ewmaPolicy) Epoch(v *View) {
 	p.promote(v)
 }
 
-// residents collects the eligible pages of zone z with their smoothed
-// heat, coldest first.
-func (p *ewmaPolicy) residents(v *View, z vm.ZoneID) []pageHeat {
-	var out []pageHeat
-	for vp := uint64(0); vp < uint64(len(p.heat)); vp++ {
-		if pz, ok := v.Space.PageZone(vp); ok && pz == z && v.Eligible(vp) {
-			// Quantize for ordering; ties break by page number.
-			out = append(out, pageHeat{vp, uint64(p.heat[vp] * 1024)})
+// rank loads h with the eligible pages of zone z, keyed by their quantized
+// smoothed heat (ties break by page number); hot keeps only pages whose
+// heat clears MinHeat and orders them hottest first, else every page
+// coldest first. Pages beyond the heat table, which a mid-pass flush can
+// map (see View.pool), have no heat until the next epoch and are left out.
+func (p *ewmaPolicy) rank(v *View, h *heatHeap, z vm.ZoneID, hot bool) {
+	h.reset(hot)
+	for _, vp := range v.pool(z) {
+		if vp < uint64(len(p.heat)) && v.Eligible(vp) && (!hot || p.heat[vp] >= float64(v.Cfg.MinHeat)) {
+			h.push(vp, uint64(p.heat[vp]*1024))
 		}
 	}
-	sortCold(out)
-	return out
+	h.init()
 }
 
 // drainWatermarks demotes the coldest pages of over-full pools one hop
@@ -244,11 +315,10 @@ func (p *ewmaPolicy) drainWatermarks(v *View) {
 			continue
 		}
 		lowMark := int(v.Cfg.LowWatermark * float64(cap))
-		for _, c := range p.residents(v, z) {
-			if v.Space.ZoneUsed(z) <= lowMark || v.Remaining() <= 0 {
-				break
-			}
-			v.Move(c.vpage, below)
+		cold := &v.eng.cold
+		p.rank(v, cold, z, false)
+		for cold.len() > 0 && v.Space.ZoneUsed(z) > lowMark && v.Remaining() > 0 {
+			v.Move(cold.pop().vpage, below)
 		}
 	}
 }
@@ -258,18 +328,13 @@ func (p *ewmaPolicy) drainWatermarks(v *View) {
 // pool's coldest page under the hysteresis guard.
 func (p *ewmaPolicy) promote(v *View) {
 	minHeat := float64(v.Cfg.MinHeat)
+	hot, cold := &v.eng.hot, &v.eng.cold
 	for pi := 0; pi+1 < len(v.Order) && v.Remaining() > 0; pi++ {
 		upper, lower := v.Order[pi], v.Order[pi+1]
-		var hot []pageHeat
-		for vp := uint64(0); vp < uint64(len(p.heat)); vp++ {
-			if z, ok := v.Space.PageZone(vp); ok && z == lower && v.Eligible(vp) && p.heat[vp] >= minHeat {
-				hot = append(hot, pageHeat{vp, uint64(p.heat[vp] * 1024)})
-			}
-		}
-		sortHot(hot)
-		cold := p.residents(v, upper)
-		ci := 0
-		for _, h := range hot {
+		p.rank(v, hot, lower, true)
+		p.rank(v, cold, upper, false)
+		for hot.len() > 0 {
+			h := hot.pop()
 			if v.Remaining() <= 0 {
 				return
 			}
@@ -278,15 +343,14 @@ func (p *ewmaPolicy) promote(v *View) {
 				continue
 			}
 			// Full (or at the watermark): swap with the coldest page,
-			// hysteresis-guarded. Both lists are sorted, so the first
+			// hysteresis-guarded. Both heaps pop in order, so the first
 			// failed dominance check ends the pair's pass.
-			if ci >= len(cold) ||
-				float64(h.heat) < v.Cfg.hysteresis()*float64(cold[ci].heat)+minHeat*1024 {
+			if cold.len() == 0 ||
+				float64(h.heat) < v.Cfg.hysteresis()*float64(cold.peek().heat)+minHeat*1024 {
 				v.Skip()
 				break
 			}
-			v.Move(cold[ci].vpage, lower)
-			ci++
+			v.Move(cold.pop().vpage, lower)
 			if v.Remaining() <= 0 {
 				return
 			}

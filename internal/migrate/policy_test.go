@@ -226,3 +226,117 @@ func TestCooldownBlocksImmediateRemove(t *testing.T) {
 		t.Fatalf("Promotions = %d during cooldown, want 1", got)
 	}
 }
+
+// nopHandler is a completion handler that ignores the completion.
+type nopHandler struct{}
+
+func (nopHandler) OnEvent(uint64) {}
+
+// TestEpochSteadyStateAllocFree: once its buffers are warm, an epoch
+// allocates nothing — neither passes that keep moving pages (remaps,
+// locks, write-back drains) nor the engine's own epoch, which also reads
+// the page counts and differences them.
+func TestEpochSteadyStateAllocFree(t *testing.T) {
+	const pages = 4096
+	_, _, probe := buildTiered(t, nil)
+	fastest := bandwidthOrder(probe.Config())[0]
+	for _, policy := range PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			// A fastest pool holding a quarter of the pages, with odd and
+			// even pages hot by turns, keeps pages moving every pass (ewma
+			// without history, so its heat follows the turns).
+			m, eng, _ := epochFixture(t, policy, pages, map[vm.ZoneID]int{fastest: pages / 4})
+			m.cfg.EWMAAlpha = 1
+			var turns [2][]uint64
+			for i := range turns {
+				turns[i] = make([]uint64, pages)
+				for vp := i; vp < pages; vp += 2 {
+					turns[i][vp] = 100
+				}
+			}
+			moving := func() {
+				m.stats.Epochs++
+				m.pass(turns[m.stats.Epochs%2])
+				eng.RunUntil(eng.Now() + m.cfg.EpochCycles) // drain write-backs
+			}
+			for i := 0; i < 32; i++ {
+				moving()
+			}
+			before := m.Stats()
+			if n := testing.AllocsPerRun(20, moving); n != 0 {
+				t.Errorf("moving pass allocates %v times, want 0", n)
+			}
+			if after := m.Stats(); after.Promotions+after.Demotions == before.Promotions+before.Demotions {
+				t.Errorf("measured passes moved no page (%+v)", after)
+			}
+
+			// The engine's epochs over real page counts.
+			for vp := uint64(0); vp < pages; vp++ {
+				m.mem.AccessH(nil, vp*vm.DefaultPageSize, false, nil, nopHandler{}, 0)
+			}
+			m.Start()
+			epoch := func() { eng.RunUntil(eng.Now() + m.cfg.EpochCycles) }
+			for i := 0; i < 4; i++ {
+				epoch()
+			}
+			if n := testing.AllocsPerRun(20, epoch); n != 0 {
+				t.Errorf("engine epoch allocates %v times, want 0", n)
+			}
+		})
+	}
+}
+
+// Under deferred mapping (laned runs, and every experiments run), a page
+// mapped on first touch waits for a window barrier before it enters the
+// page table, and the first Remap of an epoch commits it early. The
+// epoch's one page-table scan runs before that Remap, so a later tier pair
+// must rescan to see the page, exactly as a per-pair scan did. Here the
+// fastest pair's promotion commits a pending page in the full middle pool;
+// it is then that pool's coldest resident (lowest page number among equal
+// heats), so it is the victim the slow tier's second hot page displaces.
+func TestEpochSeesMappingsCommittedMidPass(t *testing.T) {
+	_, _, probe := buildTiered(t, nil)
+	order := bandwidthOrder(probe.Config())
+	eng, space, sys := buildTiered(t, map[vm.ZoneID]int{order[1]: 3})
+	cfg := DefaultConfig()
+	cfg.EpochCycles = 1000
+	cfg.MinHeat = 2
+	m, err := New(eng, sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hotMid, pending, hotSlowA, coldMid, hotSlowB = 0, 1, 2, 3, 4
+	for _, p := range []struct {
+		vp   uint64
+		tier int
+	}{{hotMid, 1}, {hotSlowA, 2}, {coldMid, 1}, {hotSlowB, 2}} {
+		if err := space.MapPage(p.vp, order[p.tier]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	space.SetDeferred(true)
+	if err := space.MapPage(pending, order[1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, vp := range []uint64{hotMid, hotSlowA, hotSlowB} {
+		for i := uint64(0); i < 8; i++ {
+			sys.AccessH(nil, vp*vm.DefaultPageSize+i*128, false, nil, nopHandler{}, 0)
+		}
+	}
+	epochs := 0
+	m.Active = func() bool { epochs++; return epochs <= 1 }
+	m.Start()
+	eng.Run()
+
+	want := map[uint64]vm.ZoneID{
+		hotMid: order[0], pending: order[2], hotSlowA: order[1], coldMid: order[1], hotSlowB: order[1],
+	}
+	for vp, z := range want {
+		if got, ok := space.PageZone(vp); !ok || got != z {
+			t.Errorf("page %d in zone %d (mapped %v), want %d", vp, got, ok, z)
+		}
+	}
+	if st := m.Stats(); st.Promotions != 3 || st.Demotions != 1 {
+		t.Errorf("stats %+v, want 3 promotions and 1 demotion", st)
+	}
+}

@@ -1,7 +1,9 @@
 package migrate
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -16,9 +18,10 @@ import (
 //	"k=v,k=v,..." — DefaultConfig with overrides
 //
 // with keys policy, epoch, pages, lock, minheat, hyst, cooldown, alpha,
-// high, low, wb. Config.Spec renders the canonical form back (every key,
-// sorted), so equal configurations always produce equal strings — the
-// serve layer folds it into figure cache keys.
+// high, low, wb. An empty policy value selects the default counter policy;
+// float values must be finite. Config.Spec renders the canonical form back
+// (every key, sorted), so equal configurations always produce equal
+// strings — the serve layer folds it into figure cache keys.
 
 // ParseSpec parses a migration spec string. It returns (nil, nil) when the
 // spec disables migration, and a validated Config otherwise.
@@ -45,7 +48,7 @@ func ParseSpec(s string) (*Config, error) {
 		var err error
 		switch k {
 		case "policy":
-			cfg.Policy = val
+			cfg.Policy = cmp.Or(val, PolicyCounter)
 		case "epoch":
 			err = specInt(val, func(n int64) { cfg.EpochCycles = sim.Time(n) })
 		case "pages":
@@ -53,7 +56,7 @@ func ParseSpec(s string) (*Config, error) {
 		case "lock":
 			err = specInt(val, func(n int64) { cfg.LockCycles = sim.Time(n) })
 		case "minheat":
-			err = specInt(val, func(n int64) { cfg.MinHeat = uint64(n) })
+			cfg.MinHeat, err = strconv.ParseUint(val, 10, 64)
 		case "hyst":
 			err = specFloat(val, func(f float64) { cfg.HysteresisFactor = f })
 		case "cooldown":
@@ -92,6 +95,9 @@ func specFloat(s string, set func(float64)) error {
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return err
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("%q is not a finite number", s)
 	}
 	set(f)
 	return nil

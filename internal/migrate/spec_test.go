@@ -59,6 +59,10 @@ func TestParseSpecErrors(t *testing.T) {
 		"policy=ewma,alpha=1.5":        "EWMAAlpha",
 		"policy=ewma,low=0.9,high=0.5": "watermarks",
 		"policy=ewma,low=0":            "watermarks",
+		"minheat=-1":                   "bad value",
+		"hyst=NaN":                     "finite",
+		"policy=ewma,alpha=nan":        "finite",
+		"high=+Inf":                    "finite",
 	}
 	for spec, want := range cases {
 		_, err := ParseSpec(spec)
@@ -96,6 +100,10 @@ func TestSpecRoundTrip(t *testing.T) {
 	if blank.Spec() != DefaultConfig().Spec() {
 		t.Errorf("empty policy renders %q, counter renders %q — must match",
 			blank.Spec(), DefaultConfig().Spec())
+	}
+	// An empty policy value parses to the policy Spec renders for it.
+	if c, err := ParseSpec("policy="); err != nil || c.Policy != PolicyCounter {
+		t.Errorf(`ParseSpec("policy=") = %+v, %v; want the counter policy`, c, err)
 	}
 }
 
@@ -137,4 +145,33 @@ func TestValidateStrict(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("zero hysteresis rejected: %v", err)
 	}
+}
+
+// FuzzParseSpec: any input may be rejected, but none may panic, and every
+// accepted spec must round-trip through its canonical rendering.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "off", "none", "false", "0", "  OFF  ", "on", "default", "true", "1",
+		"policy=ewma, epoch=1000, pages=4, alpha=0.25, high=0.8, low=0.5, wb=2",
+		"frobnicate=1", "epoch", "epoch=fast", "minheat=0", "policy=mystery",
+		"cooldown=-1", "hyst=-0.5", "wb=-1", "policy=ewma,alpha=1.5",
+		"policy=ewma,low=0.9,high=0.5", "policy=ewma,low=0",
+		DefaultConfig().Spec(), "policy=ewma,wb=0,cooldown=0",
+		"policy=", "minheat=-1", "hyst=NaN", "alpha=-Inf",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseSpec(s)
+		if err != nil || c == nil {
+			return
+		}
+		again, err := ParseSpec(c.Spec())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) rendered %q, which does not parse: %v", s, c.Spec(), err)
+		}
+		if again == nil || *again != *c {
+			t.Fatalf("ParseSpec(%q) = %+v; its spec %q parses to %+v", s, *c, c.Spec(), again)
+		}
+	})
 }

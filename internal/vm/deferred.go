@@ -67,6 +67,11 @@ func (s *Space) MappedOrPending(vpage uint64) bool {
 	return ok
 }
 
+// PendingMappings reports how many reserved mappings await the next
+// FlushPending. Remap and Unmap flush them first, so a caller that scans the
+// page table and then remaps can tell whether its scan missed pages.
+func (s *Space) PendingMappings() int { return len(s.pending) }
+
 // FlushPending commits every pending mapping to the page table in reserve
 // order. It must only run while no lane is draining a window: at a window
 // barrier, or before/after a run.
