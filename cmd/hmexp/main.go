@@ -79,6 +79,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,6 +93,7 @@ import (
 	"time"
 
 	"hetsim"
+	"hetsim/cmd/internal/cli"
 	"hetsim/internal/cluster"
 	"hetsim/internal/experiments"
 	"hetsim/internal/experiments/pool"
@@ -103,16 +105,12 @@ import (
 
 func main() {
 	var (
-		shrink    = flag.Int("shrink", 1, "divide simulated work by this factor for quick runs")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: the paper's 19)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		points    = flag.Int("points", 50, "sample points for the cdf command")
 		doPlot    = flag.Bool("plot", false, "render the cdf command as an ASCII chart")
 		parallel  = flag.Int("parallel", 1, "render this many figures concurrently")
-		workers   = flag.Int("workers", 0, "concurrent simulations per figure (0 = all CPUs)")
 		outDir    = flag.String("out", "", "also write each figure's CSV to <out>/<id>.csv")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		server    = flag.String("server", "", "fetch figures from a running hmserved daemon at this base URL instead of simulating locally")
 		srvTO     = flag.Duration("server-timeout", 10*time.Minute, "per-request timeout for -server fetches")
 		srvRetry  = flag.Int("server-retries", 2, "retries (with backoff) for transient -server failures")
@@ -120,15 +118,11 @@ func main() {
 		cVerify   = flag.Bool("cluster-verify", false, "with -cluster, also render each figure locally and fail unless byte-identical")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of this run to the file (open in Perfetto)")
 		cMetrics  = flag.String("cluster-metrics", "", "with -cluster, serve the coordinator's Prometheus /metrics on this address (e.g. :9090)")
-		topo      = flag.String("topology", "", "memory-topology preset to simulate on (empty = the paper's Table 1 system; see hetsim.TopologyNames)")
-		lanes     = flag.Int("lanes", 1, "parallel event lanes per simulation (output is byte-identical for any count)")
-		migSpec   = flag.String("migrate", "", "add a dynamic page-migration arm to figures that support one: off | on | key=value,...")
-		migPol    = flag.String("migrate-policy", "", "migration classifier: counter | ewma (overrides the -migrate spec)")
 		doTune    = flag.Bool("tune", false, "autotune placement policy + migration config per workload instead of rendering figures")
 		tuneBud   = flag.Int("tune-budget", heteromem.DefaultTuneBudget, "with -tune, max candidate evaluations per search")
 		tuneStrat = flag.String("tune-strategy", heteromem.DefaultTuneStrategy, "with -tune, search strategy: grid | halving")
 		list      = flag.Bool("list", false, "list every figure identifier with its one-line description and exit")
-		probeSpec = flag.String("probe", "", "attach a flight recorder to every simulation: off | on | interval=N,samples=N,out=PATH,format=json|csv")
+		run       = cli.Register(flag.CommandLine, cli.Shrink|cli.Workers|cli.Topology|cli.Lanes|cli.Migrate|cli.Probe|cli.Profile)
 	)
 	flag.Parse()
 	if *list {
@@ -137,49 +131,29 @@ func main() {
 		}
 		return
 	}
-	budgetSet, strategySet := false, false
+	opts, probeErr := run.Options()
+	if *workloads != "" {
+		opts.Workloads = strings.Split(*workloads, ",")
+	}
+	inv := invocation{
+		server: *server, fleet: *fleet, clusterMetrics: *cMetrics, clusterVerify: *cVerify,
+		tune: *doTune, probe: opts.Probe != nil, budget: *tuneBud, strategy: *tuneStrat,
+	}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "tune-budget":
-			budgetSet = true
+			inv.budgetSet = true
 		case "tune-strategy":
-			strategySet = true
+			inv.strategySet = true
 		}
 	})
-	if errs := validateFlags(*topo, *lanes, *migSpec, *migPol, *probeSpec,
-		*doTune, *tuneBud, *tuneStrat, budgetSet, strategySet); len(errs) > 0 {
-		for _, err := range errs {
-			fmt.Fprintln(os.Stderr, "hmexp:", err)
-		}
-		os.Exit(2)
-	}
+	cli.Check("hmexp", probeErr, opts.Validate(), validateFlags(inv))
 	args := flag.Args()
 	if len(args) == 0 && !*doTune {
 		fmt.Fprintf(os.Stderr, "usage: hmexp [flags] all | cdf | %s\n", strings.Join(heteromem.FigureIDs(), " | "))
 		os.Exit(2)
 	}
-	if *server != "" && *fleet != "" {
-		fmt.Fprintln(os.Stderr, "hmexp: -server and -cluster are mutually exclusive")
-		os.Exit(2)
-	}
-	probeCfg, _ := heteromem.ParseProbeSpec(*probeSpec) // validated above
-	if *server != "" && probeCfg != nil {
-		fmt.Fprintln(os.Stderr, "hmexp: -probe needs local simulation; probe the daemon's runs with ?probe= and GET /v1/jobs/{id}/progress instead of -server")
-		os.Exit(2)
-	}
-	if *doTune && probeCfg != nil {
-		fmt.Fprintln(os.Stderr, "hmexp: -probe applies to figure sweeps, not -tune searches")
-		os.Exit(2)
-	}
-	if *cVerify && *fleet == "" {
-		fmt.Fprintln(os.Stderr, "hmexp: -cluster-verify requires -cluster")
-		os.Exit(2)
-	}
-	if *cMetrics != "" && *fleet == "" {
-		fmt.Fprintln(os.Stderr, "hmexp: -cluster-metrics requires -cluster")
-		os.Exit(2)
-	}
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := prof.Start(run.CPUProfile, run.MemProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -235,15 +209,7 @@ func main() {
 		defer flushTrace()
 	}
 
-	opts := heteromem.Options{
-		Shrink: *shrink, Workers: *workers, Topology: *topo, Lanes: *lanes,
-		Migrate: *migSpec, MigratePolicy: *migPol,
-	}
-	if *workloads != "" {
-		opts.Workloads = strings.Split(*workloads, ",")
-	}
-	if probeCfg != nil {
-		opts.Probe = probeCfg
+	if probeCfg := opts.Probe; probeCfg != nil {
 		opts.ProbeSink = func(label string, snap heteromem.ProbeSnapshot) {
 			probeMu.Lock()
 			probeCounters = append(probeCounters, snap.Counters("probe:"+label)...)
@@ -284,6 +250,8 @@ func main() {
 		}()
 	}
 
+	client := &http.Client{Timeout: *srvTO}
+
 	// -tune replaces figure rendering with a policy-autotuning search per
 	// workload (positional args name workloads here, not figures).
 	if *doTune {
@@ -294,8 +262,7 @@ func main() {
 		if len(wls) == 0 {
 			wls = []string{"bfs"}
 		}
-		err := runTune(root, wls, opts, coord, *server,
-			&http.Client{Timeout: *srvTO}, *srvRetry, *tuneStrat, *tuneBud)
+		err := runTune(root, wls, opts, coord, *server, client, *srvRetry, *tuneStrat, *tuneBud)
 		if coord != nil {
 			fmt.Fprintln(os.Stderr, "hmexp:", coord.String())
 		}
@@ -330,93 +297,61 @@ func main() {
 		ids = append(ids, a)
 	}
 
+	// render prints one figure from its wire form, fetched from the daemon
+	// with -server or rendered locally; a local render adds its sweep line.
 	render := func(sp *telemetry.Span, id string) (string, error) {
-		var sb strings.Builder
-		if *server != "" {
-			if id == "cdf" {
+		if id == "cdf" {
+			if *server != "" {
 				return "", fmt.Errorf("the cdf command is local-only; drop -server")
 			}
-			fr, err := fetchFigure(sp, *server, id, opts, &http.Client{Timeout: *srvTO}, *srvRetry)
+			return renderCDF(opts, *doPlot, *csv, *points)
+		}
+		var (
+			fr    *serve.FigureResult
+			sweep heteromem.SweepStats
+		)
+		if *server != "" {
+			u := strings.TrimSuffix(*server, "/") + "/v1/figures/" + url.PathEscape(id)
+			if q := serve.EncodeFigureQuery(opts); q != "" {
+				u += "?" + q
+			}
+			fr = new(serve.FigureResult)
+			if err := fetch(sp, client, *srvRetry, id, http.MethodGet, u, nil, fr); err != nil {
+				return "", err
+			}
+		} else {
+			fig, err := figure(sp, id)
 			if err != nil {
 				return "", err
 			}
-			if *outDir != "" {
-				if err := os.MkdirAll(*outDir, 0o755); err != nil {
-					return "", err
-				}
-				path := filepath.Join(*outDir, id+".csv")
-				if err := os.WriteFile(path, []byte(fr.CSV), 0o644); err != nil {
-					return "", err
-				}
-			}
-			if *csv {
-				sb.WriteString(fr.CSV)
-				return sb.String(), nil
-			}
-			sb.WriteString(fr.Text)
-			for _, n := range fr.Notes {
-				fmt.Fprintln(&sb, "  note:", n)
-			}
-			if len(fr.Headline) > 0 {
-				fmt.Fprintln(&sb, "  headline:")
-				for _, k := range sortedKeys(fr.Headline) {
-					fmt.Fprintf(&sb, "    %-28s %.3f\n", k, fr.Headline[k])
-				}
-			}
-			fmt.Fprintln(&sb)
-			return sb.String(), nil
-		}
-		if id == "cdf" {
-			wls := opts.Workloads
-			if len(wls) == 0 {
-				wls = []string{"bfs"}
-			}
-			for _, wl := range wls {
-				if *doPlot {
-					pts, err := cdfPoints(wl, *shrink)
-					if err != nil {
-						return "", err
-					}
-					sb.WriteString(plot.Line(fmt.Sprintf("CDF: %s (pages hot to cold)", wl), pts, 64, 16))
-					continue
-				}
-				tb, err := experiments.PrintCDF(wl, heteromem.Options{Shrink: *shrink, Topology: *topo}, *points)
-				if err != nil {
-					return "", err
-				}
-				writeTable(&sb, tb, *csv)
-			}
-			return sb.String(), nil
-		}
-		fig, err := figure(sp, id)
-		if err != nil {
-			return "", err
+			fr, sweep = serve.NewFigureResult(fig), fig.Sweep
 		}
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				return "", err
 			}
-			path := filepath.Join(*outDir, id+".csv")
-			if err := os.WriteFile(path, []byte(fig.Table.CSV()), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(*outDir, id+".csv"), []byte(fr.CSV), 0o644); err != nil {
 				return "", err
 			}
 		}
-		writeTable(&sb, fig.Table, *csv)
-		if !*csv {
-			for _, n := range fig.Notes {
-				fmt.Fprintln(&sb, "  note:", n)
-			}
-			if len(fig.Headline) > 0 {
-				fmt.Fprintln(&sb, "  headline:")
-				for _, k := range sortedKeys(fig.Headline) {
-					fmt.Fprintf(&sb, "    %-28s %.3f\n", k, fig.Headline[k])
-				}
-			}
-			if fig.Sweep.Total() > 0 {
-				fmt.Fprintln(&sb, "  sweep:", fig.Sweep)
-			}
-			fmt.Fprintln(&sb)
+		if *csv {
+			return fr.CSV, nil
 		}
+		var sb strings.Builder
+		sb.WriteString(fr.Text)
+		for _, n := range fr.Notes {
+			fmt.Fprintln(&sb, "  note:", n)
+		}
+		if len(fr.Headline) > 0 {
+			fmt.Fprintln(&sb, "  headline:")
+			for _, k := range sortedKeys(fr.Headline) {
+				fmt.Fprintf(&sb, "    %-28s %.3f\n", k, fr.Headline[k])
+			}
+		}
+		if sweep.Total() > 0 {
+			fmt.Fprintln(&sb, "  sweep:", sweep)
+		}
+		fmt.Fprintln(&sb)
 		return sb.String(), nil
 	}
 
@@ -459,44 +394,51 @@ func main() {
 	}
 }
 
-// validateFlags checks every spec-valued flag up front so one bad
-// invocation reports all of its problems — each error naming the valid
-// options — before exiting 2, matching hmserved's startup validation.
-// budgetSet/strategySet report whether the -tune-* flags were set
-// explicitly (flag.Visit), so setting them without -tune is rejected
-// rather than silently ignored.
-func validateFlags(topo string, lanes int, migSpec, migPol, probeSpec string,
-	tune bool, budget int, strategy string, budgetSet, strategySet bool) []error {
+// invocation holds what validateFlags checks: hmexp's own flags, and
+// whether -probe attaches a recorder. budgetSet and strategySet report
+// whether the -tune-* flags were given (flag.Visit), so setting them
+// without -tune is rejected rather than silently ignored.
+type invocation struct {
+	server, fleet, clusterMetrics string
+	clusterVerify, tune, probe    bool
+	budget                        int
+	strategy                      string
+	budgetSet, strategySet        bool
+}
+
+// validateFlags checks hmexp's own flags: the -tune-* values and the
+// combinations of -server, -cluster and -probe. cli.Check reports its
+// errors together with the shared run options' before exiting 2.
+func validateFlags(in invocation) error {
 	var errs []error
-	if _, err := heteromem.TopologyPreset(topo); err != nil {
-		errs = append(errs, err)
-	}
-	if lanes < 1 {
-		errs = append(errs, fmt.Errorf("-lanes must be >= 1 (got %d)", lanes))
-	}
-	if _, err := heteromem.ParseMigrationSpec(migSpec); err != nil {
-		errs = append(errs, fmt.Errorf("-migrate: %w", err))
-	}
-	if _, err := heteromem.ParseProbeSpec(probeSpec); err != nil {
-		errs = append(errs, fmt.Errorf("-probe: %w", err))
-	}
-	if !heteromem.KnownMigrationPolicy(migPol) {
-		errs = append(errs, fmt.Errorf("-migrate-policy: unknown policy %q (have %s)",
-			migPol, strings.Join(heteromem.MigrationPolicies(), ", ")))
-	}
-	if !tune && (budgetSet || strategySet) {
+	if !in.tune && (in.budgetSet || in.strategySet) {
 		errs = append(errs, fmt.Errorf("-tune-budget and -tune-strategy require -tune"))
 	}
-	if tune {
-		if budget < 1 {
-			errs = append(errs, fmt.Errorf("-tune-budget must be >= 1 (got %d)", budget))
+	if in.tune {
+		if in.budget < 1 {
+			errs = append(errs, fmt.Errorf("-tune-budget must be >= 1 (got %d)", in.budget))
 		}
-		if !heteromem.KnownTuneStrategy(strategy) {
+		if !heteromem.KnownTuneStrategy(in.strategy) {
 			errs = append(errs, fmt.Errorf("-tune-strategy: unknown strategy %q (have %s)",
-				strategy, strings.Join(heteromem.TuneStrategies(), ", ")))
+				in.strategy, strings.Join(heteromem.TuneStrategies(), ", ")))
 		}
 	}
-	return errs
+	if in.server != "" && in.fleet != "" {
+		errs = append(errs, fmt.Errorf("-server and -cluster are mutually exclusive"))
+	}
+	if in.probe && in.server != "" {
+		errs = append(errs, fmt.Errorf("-probe needs local simulation; probe the daemon's runs with ?probe= and GET /v1/jobs/{id}/progress instead of -server"))
+	}
+	if in.probe && in.tune {
+		errs = append(errs, fmt.Errorf("-probe applies to figure sweeps, not -tune searches"))
+	}
+	if in.clusterVerify && in.fleet == "" {
+		errs = append(errs, fmt.Errorf("-cluster-verify requires -cluster"))
+	}
+	if in.clusterMetrics != "" && in.fleet == "" {
+		errs = append(errs, fmt.Errorf("-cluster-metrics requires -cluster"))
+	}
+	return errors.Join(errs...)
 }
 
 // runTune autotunes each workload's placement + migration configuration
@@ -518,12 +460,13 @@ func runTune(root *telemetry.Span, wls []string, opts heteromem.Options, coord *
 			err error
 		)
 		if server != "" {
-			var r *heteromem.TuneReport
-			r, err = fetchTune(sp, server, serve.TuneRequest{
+			var body []byte
+			body, err = json.Marshal(serve.TuneRequest{
 				Problem: prob, Strategy: strategy, Budget: budget, Workers: opts.Workers,
-			}, client, retries)
-			if r != nil {
-				rep = *r
+			})
+			if err == nil {
+				err = fetch(sp, client, retries, "tune "+wl, http.MethodPost,
+					strings.TrimSuffix(server, "/")+"/v1/tune", body, &rep)
 			}
 		} else {
 			to := heteromem.TuneOptions{
@@ -548,54 +491,51 @@ func runTune(root *telemetry.Span, wls []string, opts heteromem.Options, coord *
 	return nil
 }
 
-// fetchTune submits one tuning problem to an hmserved daemon's POST
-// /v1/tune endpoint. Retry semantics match fetchFigure: transport errors
-// and 5xx retry with backoff, 4xx (bad specs) fail immediately.
-func fetchTune(sp *telemetry.Span, base string, treq serve.TuneRequest, client *http.Client, retries int) (*heteromem.TuneReport, error) {
-	u := strings.TrimSuffix(base, "/") + "/v1/tune"
-	body, err := json.Marshal(treq)
-	if err != nil {
-		return nil, err
-	}
+// fetch sends one request (a figure GET or a tune POST with a JSON body)
+// to an hmserved daemon and decodes the JSON answer into out. The client
+// bounds each attempt (-server-timeout, covering the daemon's whole
+// simulation when the result is cold); transport errors and 5xx answers
+// are retried up to retries times with capped exponential backoff. A 4xx
+// answer (unknown figure, bad options or spec) fails at once: retrying
+// cannot change a deterministic rejection. label names the request in
+// retry notes.
+func fetch(sp *telemetry.Span, client *http.Client, retries int, label, method, url string, body []byte, out any) error {
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			delay := 500 * time.Millisecond << (attempt - 1)
-			if delay > 5*time.Second {
-				delay = 5 * time.Second
-			}
-			fmt.Fprintf(os.Stderr, "hmexp: tune %s: retrying in %s: %v\n", treq.Workload, delay, lastErr)
+			delay := min(500*time.Millisecond<<(attempt-1), 5*time.Second)
+			fmt.Fprintf(os.Stderr, "hmexp: %s: retrying in %s: %v\n", label, delay, lastErr)
 			time.Sleep(delay)
 		}
-		rep, retryable, err := postTuneOnce(sp, client, u, body)
-		if err == nil {
-			return rep, nil
-		}
-		if !retryable {
-			return nil, err
+		retryable, err := fetchOnce(sp, client, method, url, body, out)
+		if err == nil || !retryable {
+			return err
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("after %d attempts: %w", retries+1, lastErr)
+	return fmt.Errorf("after %d attempts: %w", retries+1, lastErr)
 }
 
-// postTuneOnce performs a single tune submission; retryable reports
-// whether the failure is transient.
-func postTuneOnce(sp *telemetry.Span, client *http.Client, url string, body []byte) (rep *heteromem.TuneReport, retryable bool, err error) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+// fetchOnce makes one attempt of fetch; retryable reports whether its
+// failure is transient. A live span rides along in the trace header so the
+// daemon's request log carries this run's trace ID.
+func fetchOnce(sp *telemetry.Span, client *http.Client, method, url string, body []byte, out any) (retryable bool, err error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	telemetry.InjectHeader(req.Header, sp)
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, true, err
+		return true, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, true, err
+		return true, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		err = fmt.Errorf("server: %s", resp.Status)
@@ -605,13 +545,12 @@ func postTuneOnce(sp *telemetry.Span, client *http.Client, url string, body []by
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
 			err = fmt.Errorf("server: %s (%s)", e.Error, resp.Status)
 		}
-		return nil, resp.StatusCode >= 500, err
+		return resp.StatusCode >= 500, err
 	}
-	rep = new(heteromem.TuneReport)
-	if err := json.Unmarshal(data, rep); err != nil {
-		return nil, false, fmt.Errorf("decoding tune response: %w", err)
+	if err := json.Unmarshal(data, out); err != nil {
+		return false, fmt.Errorf("decoding response: %w", err)
 	}
-	return rep, false, nil
+	return false, nil
 }
 
 // flushTrace dumps the collected telemetry spans to -trace-out; a no-op
@@ -619,102 +558,34 @@ func postTuneOnce(sp *telemetry.Span, client *http.Client, url string, body []by
 // (os.Exit) call it explicitly.
 var flushTrace = func() {}
 
-func writeTable(sb *strings.Builder, tb *heteromem.Table, csv bool) {
-	if csv {
-		sb.WriteString(tb.CSV())
-		return
+// renderCDF prints the cdf command: each selected workload's page CDF
+// (Figure 6) as a table, or as an ASCII chart with -plot.
+func renderCDF(opts heteromem.Options, doPlot, csv bool, points int) (string, error) {
+	var sb strings.Builder
+	wls := opts.Workloads
+	if len(wls) == 0 {
+		wls = []string{"bfs"}
 	}
-	sb.WriteString(tb.String())
-}
-
-// fetchFigure asks an hmserved daemon for one figure, passing the local
-// options through as query parameters. The client bounds each request
-// (-server-timeout, covering the daemon's whole simulation if the figure
-// is cold), and transient failures — transport errors, timeouts, 5xx —
-// are retried up to `retries` times with exponential backoff. 4xx
-// responses (unknown figure, bad options) fail immediately: retrying
-// cannot change a deterministic rejection.
-func fetchFigure(sp *telemetry.Span, base, id string, opts heteromem.Options, client *http.Client, retries int) (*serve.FigureResult, error) {
-	u, err := url.Parse(strings.TrimSuffix(base, "/") + "/v1/figures/" + url.PathEscape(id))
-	if err != nil {
-		return nil, fmt.Errorf("bad -server URL: %w", err)
-	}
-	q := u.Query()
-	if opts.Shrink > 1 {
-		q.Set("shrink", fmt.Sprint(opts.Shrink))
-	}
-	if len(opts.Workloads) > 0 {
-		q.Set("workloads", strings.Join(opts.Workloads, ","))
-	}
-	if opts.Workers > 0 {
-		q.Set("workers", fmt.Sprint(opts.Workers))
-	}
-	if opts.Topology != "" {
-		q.Set("topology", opts.Topology)
-	}
-	if opts.Migrate != "" {
-		q.Set("migrate", opts.Migrate)
-	}
-	if opts.MigratePolicy != "" {
-		q.Set("migrate-policy", opts.MigratePolicy)
-	}
-	u.RawQuery = q.Encode()
-
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			delay := 500 * time.Millisecond << (attempt - 1)
-			if delay > 5*time.Second {
-				delay = 5 * time.Second
+	for _, wl := range wls {
+		if doPlot {
+			pts, err := cdfPoints(wl, opts.Shrink)
+			if err != nil {
+				return "", err
 			}
-			fmt.Fprintf(os.Stderr, "hmexp: %s: retrying in %s: %v\n", id, delay, lastErr)
-			time.Sleep(delay)
+			sb.WriteString(plot.Line(fmt.Sprintf("CDF: %s (pages hot to cold)", wl), pts, 64, 16))
+			continue
 		}
-		fr, retryable, err := fetchOnce(sp, client, u.String())
-		if err == nil {
-			return fr, nil
+		tb, err := experiments.PrintCDF(wl, heteromem.Options{Shrink: opts.Shrink, Topology: opts.Topology}, points)
+		if err != nil {
+			return "", err
 		}
-		if !retryable {
-			return nil, err
+		if csv {
+			sb.WriteString(tb.CSV())
+		} else {
+			sb.WriteString(tb.String())
 		}
-		lastErr = err
 	}
-	return nil, fmt.Errorf("after %d attempts: %w", retries+1, lastErr)
-}
-
-// fetchOnce performs a single figure fetch; retryable reports whether the
-// failure is transient. A live span rides along in the trace header so the
-// daemon's request log carries this run's trace ID.
-func fetchOnce(sp *telemetry.Span, client *http.Client, url string) (fr *serve.FigureResult, retryable bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	telemetry.InjectHeader(req.Header, sp)
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, true, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, true, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("server: %s", resp.Status)
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			err = fmt.Errorf("server: %s (%s)", e.Error, resp.Status)
-		}
-		return nil, resp.StatusCode >= 500, err
-	}
-	fr = new(serve.FigureResult)
-	if err := json.Unmarshal(body, fr); err != nil {
-		return nil, false, fmt.Errorf("decoding figure response: %w", err)
-	}
-	return fr, false, nil
+	return sb.String(), nil
 }
 
 func cdfPoints(workload string, shrink int) ([][2]float64, error) {

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"hetsim"
+	"hetsim/cmd/internal/cli"
 	"hetsim/internal/metrics"
 	"hetsim/internal/workloads"
 )
@@ -25,16 +26,18 @@ func main() {
 		workload = flag.String("workload", "bfs", "workload to profile")
 		dataset  = flag.String("dataset", "train", "input dataset")
 		capacity = flag.Float64("capacity", 0.1, "BO capacity fraction used for hint derivation")
-		shrink   = flag.Int("shrink", 1, "divide simulated work for quick runs")
+		run      = cli.Register(flag.CommandLine, cli.Shrink)
 	)
 	flag.Parse()
+	opts, err := run.Options()
+	cli.Check("hmprof", err, opts.Validate())
 
 	ds, err := workloads.DatasetByName(*dataset)
 	if err != nil {
 		fatal(err)
 	}
 
-	res, err := heteromem.Profile(*workload, ds, *shrink)
+	res, err := heteromem.Profile(*workload, ds, opts.Shrink)
 	if err != nil {
 		fatal(err)
 	}
@@ -55,7 +58,7 @@ func main() {
 	}
 	fmt.Printf("  skew coefficient: %.3f\n", cdf.Skewness())
 
-	hints, err := heteromem.AnnotatedHints(*workload, ds, ds, *capacity, *shrink)
+	hints, err := heteromem.AnnotatedHints(*workload, ds, ds, *capacity, opts.Shrink)
 	if err != nil {
 		fatal(err)
 	}

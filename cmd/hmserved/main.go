@@ -19,7 +19,7 @@
 //	GET    /v1/jobs/{id}     job status + results
 //	GET    /v1/jobs/{id}/progress  NDJSON stream of a probed job's time series (?once=1 for one pass)
 //	DELETE /v1/jobs/{id}     cancel a queued job
-//	GET    /v1/figures/{id}  reproduce a paper figure (?shrink=&workloads=&workers=&topology=)
+//	GET    /v1/figures/{id}  reproduce a paper figure (?shrink=&workloads=&workers=&topology=&migrate=&migrate-policy=)
 //	POST   /v1/tune          autotune a workload's placement + migration config (internal/tune)
 //	GET    /healthz          liveness (503 while draining), build identity, uptime
 //	GET    /metrics          Prometheus text metrics
@@ -41,9 +41,11 @@
 // fallback), and coordinator metrics join the /metrics export.
 //
 // Misconfiguration — a flag repeated on the command line, a negative
-// drain, zero job workers or queue capacity — is rejected at startup with
-// exit status 2 rather than silently proceeding with the last value to
-// win.
+// drain, zero job workers or queue capacity, or a default run option that
+// a figure request would be refused for (experiments.Options.Validate:
+// an unknown -topology, a -migrate spec that does not resolve with
+// -migrate-policy) — is rejected at startup with exit status 2 rather
+// than silently proceeding with the last value to win.
 //
 // With -telemetry, the daemon records execution spans (internal/telemetry)
 // for every request: structured span logs with trace/span IDs, and span
@@ -72,11 +74,10 @@ import (
 	"syscall"
 	"time"
 
+	"hetsim/cmd/internal/cli"
 	"hetsim/internal/cluster"
-	"hetsim/internal/migrate"
 	"hetsim/internal/serve"
 	"hetsim/internal/telemetry"
-	"hetsim/internal/topology"
 )
 
 func main() {
@@ -84,31 +85,22 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		cacheDir = flag.String("cache-dir", ".hmserved-cache", "persistent result cache directory (empty disables the disk tier)")
 		cacheMax = flag.Int64("cache-max-bytes", 1<<30, "disk cache size cap in bytes (<= 0 uncapped)")
-		workers  = flag.Int("workers", 0, "concurrent simulations per job (0 = all CPUs)")
 		jobs     = flag.Int("job-workers", 2, "concurrently executing jobs")
 		queueCap = flag.Int("queue", 64, "max queued jobs before submissions get 503")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running jobs")
 		fleet    = flag.String("cluster", "", "comma-separated worker base URLs; run as coordinator over this fleet")
 		telem    = flag.Bool("telemetry", false, "record execution spans for every request (structured span logs + telemetry histograms on /metrics); header-traced requests are recorded regardless")
-		topo     = flag.String("topology", "", "default memory-topology preset for figure requests without ?topology= (empty = the paper's Table 1 system)")
-		lanes    = flag.Int("lanes", 1, "parallel event lanes per simulation (results are byte-identical for any count)")
-		migSpec  = flag.String("migrate", "", "default page-migration spec for figure requests without ?migrate= (off | on | key=value,...)")
-		migPol   = flag.String("migrate-policy", "", "default migration classifier for figure requests without ?migrate-policy= (counter | ewma)")
+		run      = cli.Register(flag.CommandLine, cli.Workers|cli.Topology|cli.Lanes|cli.Migrate)
 	)
 	if dup := duplicateFlags(os.Args[1:]); len(dup) > 0 {
 		fmt.Fprintf(os.Stderr, "hmserved: flag repeated on command line: -%s\n", strings.Join(dup, ", -"))
 		os.Exit(2)
 	}
 	flag.Parse()
+	opts, err := run.Options()
+	cli.Check("hmserved", err, opts.Validate(), validateFlags(*jobs, *queueCap, *drain))
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	if errs := validateFlags(*workers, *jobs, *queueCap, *drain, *topo, *lanes, *migSpec, *migPol); len(errs) > 0 {
-		for _, e := range errs {
-			logger.Error("invalid configuration", "err", e)
-		}
-		os.Exit(2)
-	}
-
 	rec := telemetry.NewRecorder()
 	rec.SetProc("hmserved " + *addr)
 	if *telem {
@@ -120,15 +112,15 @@ func main() {
 	cfg := serve.Config{
 		CacheDir:      *cacheDir,
 		CacheMaxBytes: *cacheMax,
-		SimWorkers:    *workers,
+		SimWorkers:    opts.Workers,
 		JobWorkers:    *jobs,
 		QueueCap:      *queueCap,
 		Logger:        logger,
 		Telemetry:     rec,
-		Topology:      *topo,
-		Lanes:         *lanes,
-		Migrate:       *migSpec,
-		MigratePolicy: *migPol,
+		Topology:      opts.Topology,
+		Lanes:         opts.Lanes,
+		Migrate:       opts.Migrate,
+		MigratePolicy: opts.MigratePolicy,
 	}
 	if *fleet != "" {
 		coord, err := cluster.New(cluster.Config{
@@ -211,16 +203,10 @@ func duplicateFlags(args []string) []string {
 	return dups
 }
 
-// validateFlags rejects values the serving layer would otherwise quietly
-// clamp or misbehave on.
-func validateFlags(workers, jobWorkers, queueCap int, drain time.Duration, topo string, lanes int, migSpec, migPol string) []error {
+// validateFlags checks the daemon's own flags; cli.Check reports its
+// errors together with the shared run options' before exiting 2.
+func validateFlags(jobWorkers, queueCap int, drain time.Duration) error {
 	var errs []error
-	if workers < 0 {
-		errs = append(errs, fmt.Errorf("-workers must be >= 0 (0 = all CPUs), got %d", workers))
-	}
-	if lanes < 1 {
-		errs = append(errs, fmt.Errorf("-lanes must be >= 1, got %d", lanes))
-	}
 	if jobWorkers <= 0 {
 		errs = append(errs, fmt.Errorf("-job-workers must be > 0, got %d", jobWorkers))
 	}
@@ -230,15 +216,5 @@ func validateFlags(workers, jobWorkers, queueCap int, drain time.Duration, topo 
 	if drain < 0 {
 		errs = append(errs, fmt.Errorf("-drain must be >= 0, got %s", drain))
 	}
-	if _, err := topology.Preset(topo); err != nil {
-		errs = append(errs, fmt.Errorf("-topology: %w", err))
-	}
-	if _, err := migrate.ParseSpec(migSpec); err != nil {
-		errs = append(errs, fmt.Errorf("-migrate: %w", err))
-	}
-	if !migrate.KnownPolicy(migPol) {
-		errs = append(errs, fmt.Errorf("-migrate-policy: unknown policy %q (have %s)",
-			migPol, strings.Join(migrate.PolicyNames(), ", ")))
-	}
-	return errs
+	return errors.Join(errs...)
 }

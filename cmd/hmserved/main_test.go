@@ -3,6 +3,8 @@ package main
 import (
 	"testing"
 	"time"
+
+	"hetsim/cmd/internal/cli"
 )
 
 func TestDuplicateFlags(t *testing.T) {
@@ -37,14 +39,16 @@ func TestDuplicateFlags(t *testing.T) {
 	}
 }
 
+// TestValidateFlags covers the daemon's own rules; the shared run options
+// are covered by cmd/internal/cli's table test.
 func TestValidateFlags(t *testing.T) {
-	if errs := validateFlags(0, 2, 64, 30*time.Second, "", 1, "", ""); len(errs) != 0 {
-		t.Errorf("default config rejected: %v", errs)
+	if err := validateFlags(2, 64, 30*time.Second); err != nil {
+		t.Errorf("default config rejected: %v", err)
 	}
-	if errs := validateFlags(-1, 0, 0, -time.Second, "no-such-topology", 0, "epoch=-1", "no-such-policy"); len(errs) != 8 {
-		t.Errorf("got %d errors, want 8: %v", len(errs), errs)
+	if errs := cli.Errors(validateFlags(0, 0, -time.Second)); len(errs) != 3 {
+		t.Errorf("got %d errors, want 3: %v", len(errs), errs)
 	}
-	if errs := validateFlags(4, 1, 1, 0, "gh200", 8, "on", "ewma"); len(errs) != 0 {
-		t.Errorf("minimal valid config rejected: %v", errs)
+	if err := validateFlags(1, 1, 0); err != nil {
+		t.Errorf("minimal valid config rejected: %v", err)
 	}
 }

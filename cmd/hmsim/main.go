@@ -23,12 +23,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"hetsim"
+	"hetsim/cmd/internal/cli"
 	"hetsim/internal/experiments"
 	"hetsim/internal/prof"
 	"hetsim/internal/trace"
@@ -41,7 +43,6 @@ func main() {
 		policy   = flag.String("policy", "bw-aware", "local | interleave | bw-aware | ratio | oracle | annotated")
 		ratio    = flag.Int("ratio", 30, "percent of pages placed in CO memory (ratio policy)")
 		capacity = flag.Float64("capacity", 0, "BO capacity as a fraction of the footprint (0 = unconstrained)")
-		shrink   = flag.Int("shrink", 1, "divide simulated work by this factor for quick runs")
 		dataset  = flag.String("dataset", "train", "input dataset: train | small | large | shifted")
 		eager    = flag.Bool("eager", false, "place pages at Malloc time instead of first touch")
 		seed     = flag.Int64("seed", 42, "placement RNG seed")
@@ -49,26 +50,15 @@ func main() {
 		replay   = flag.String("replay", "", "replay a recorded trace instead of a workload")
 		asJSON   = flag.Bool("json", false, "emit the result as JSON")
 		list     = flag.Bool("list", false, "list workloads and exit")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		topo     = flag.String("topology", "", "memory-topology preset (empty = the paper's Table 1 system; see hetsim.TopologyNames)")
-		lanes    = flag.Int("lanes", 1, "parallel event lanes for the simulation (output is byte-identical for any count)")
-		migSpec  = flag.String("migrate", "", "dynamic page migration: off | on | key=value,... (epoch, pages, lock, minheat, hyst, cooldown, policy, alpha, high, low, wb)")
-		migPol   = flag.String("migrate-policy", "", "migration classifier: counter | ewma (overrides the -migrate spec)")
-		probeSp  = flag.String("probe", "", "attach a flight recorder: off | on | interval=N,samples=N,out=PATH,format=json|csv")
+		run      = cli.Register(flag.CommandLine, cli.Shrink|cli.Topology|cli.Lanes|cli.Migrate|cli.Probe|cli.Profile)
 	)
 	flag.Parse()
-	if errs := validateFlags(*policy, *dataset, *topo, *lanes, *migSpec, *migPol, *probeSp, *replay); len(errs) > 0 {
-		for _, err := range errs {
-			fmt.Fprintln(os.Stderr, "hmsim:", err)
-		}
-		os.Exit(2)
-	}
-	migCfg, _ := migrationConfig(*migSpec, *migPol)
-	probeCfg, _ := heteromem.ParseProbeSpec(*probeSp) // validated above
-	top, _ := heteromem.TopologyPreset(*topo)
+	opts, probeErr := run.Options()
+	cli.Check("hmsim", probeErr, opts.Validate(), validateFlags(*policy, *dataset, *replay))
+	migCfg, _ := opts.Migration() // validated above
+	top, _ := heteromem.TopologyPreset(opts.Topology)
 	mem := top.MemsysConfig()
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := prof.Start(run.CPUProfile, run.MemProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,10 +88,10 @@ func main() {
 		PercentCO:      *ratio,
 		BOCapacityFrac: *capacity,
 		Mem:            mem,
-		Shrink:         *shrink,
+		Shrink:         opts.Shrink,
 		EagerPlacement: *eager,
 		Seed:           *seed,
-		Lanes:          *lanes,
+		Lanes:          opts.Lanes,
 		Migration:      migCfg,
 	}
 	rc.Policy, err = policyByName(*policy)
@@ -127,14 +117,14 @@ func main() {
 		if *replay != "" {
 			pr, err = experiments.RunTrace(events, heteromem.RunConfig{Policy: heteromem.Local, Mem: mem}, replayShape)
 		} else {
-			pr, err = ex.ProfileOn(*workload, ds, *shrink, mem)
+			pr, err = ex.ProfileOn(*workload, ds, opts.Shrink, mem)
 		}
 		if err != nil {
 			fatal(err)
 		}
 		rc.ProfileCounts = pr.PageCounts
 	case heteromem.Annotated:
-		hints, err := ex.AnnotatedHintsOn(*workload, heteromem.TrainDataset(), ds, capOrDefault(*capacity), *shrink, mem)
+		hints, err := ex.AnnotatedHintsOn(*workload, heteromem.TrainDataset(), ds, capOrDefault(*capacity), opts.Shrink, mem)
 		if err != nil {
 			fatal(err)
 		}
@@ -142,8 +132,8 @@ func main() {
 	}
 
 	var probe *heteromem.Probe
-	if probeCfg != nil {
-		if probe, err = heteromem.NewProbe(*probeCfg); err != nil {
+	if opts.Probe != nil {
+		if probe, err = heteromem.NewProbe(*opts.Probe); err != nil {
 			fatal(err)
 		}
 		rc = rc.WithProbe(probe)
@@ -162,7 +152,7 @@ func main() {
 		fatal(err)
 	}
 	if probe != nil {
-		if err := dumpProbe(probe, *probeCfg); err != nil {
+		if err := dumpProbe(probe, *opts.Probe); err != nil {
 			fatal(err)
 		}
 	}
@@ -201,11 +191,10 @@ func main() {
 	}
 }
 
-// validateFlags checks every spec-valued flag up front so one bad
-// invocation reports all of its problems — each error naming the valid
-// options — before exiting 2, matching hmexp and hmserved. Run-time
+// validateFlags checks hmsim's own flags; cli.Check reports its errors
+// together with the shared run options' before exiting 2. Run-time
 // failures (missing files, unknown workloads) still exit 1.
-func validateFlags(policy, dataset, topo string, lanes int, migSpec, migPol, probeSpec, replay string) []error {
+func validateFlags(policy, dataset, replay string) error {
 	var errs []error
 	if pk, err := policyByName(policy); err != nil {
 		errs = append(errs, err)
@@ -215,19 +204,7 @@ func validateFlags(policy, dataset, topo string, lanes int, migSpec, migPol, pro
 	if _, err := workloads.DatasetByName(dataset); err != nil {
 		errs = append(errs, err)
 	}
-	if _, err := heteromem.TopologyPreset(topo); err != nil {
-		errs = append(errs, err)
-	}
-	if lanes < 1 {
-		errs = append(errs, fmt.Errorf("-lanes must be >= 1 (got %d)", lanes))
-	}
-	if _, err := migrationConfig(migSpec, migPol); err != nil {
-		errs = append(errs, err)
-	}
-	if _, err := heteromem.ParseProbeSpec(probeSpec); err != nil {
-		errs = append(errs, fmt.Errorf("-probe: %w", err))
-	}
-	return errs
+	return errors.Join(errs...)
 }
 
 // dumpProbe exports a completed run's recorded series to the spec's out=
@@ -253,27 +230,6 @@ func dumpProbe(p *heteromem.Probe, cfg heteromem.ProbeConfig) error {
 	}
 	fmt.Fprintf(os.Stderr, "hmsim: probe: wrote %s (%s)\n", cfg.Out, snap.Summary())
 	return nil
-}
-
-// migrationConfig resolves the -migrate spec and -migrate-policy override
-// to an engine configuration (nil = migration disabled).
-func migrationConfig(spec, policy string) (*heteromem.MigrationConfig, error) {
-	cfg, err := heteromem.ParseMigrationSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	if policy == "" {
-		return cfg, nil
-	}
-	if cfg == nil {
-		def := heteromem.DefaultMigrationConfig()
-		cfg = &def
-	}
-	cfg.Policy = policy
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
 }
 
 func recordTrace(path string, rc heteromem.RunConfig) (heteromem.Result, error) {

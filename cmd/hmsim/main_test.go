@@ -4,28 +4,29 @@ import (
 	"strings"
 	"testing"
 
+	"hetsim/cmd/internal/cli"
 	"hetsim/internal/workloads"
 )
 
+// TestValidateFlags covers hmsim's own rules; the shared run options are
+// covered by cmd/internal/cli's table test.
 func TestValidateFlags(t *testing.T) {
-	if errs := validateFlags("bw-aware", "train", "", 1, "", "", "", ""); len(errs) != 0 {
-		t.Errorf("default config rejected: %v", errs)
+	if err := validateFlags("bw-aware", "train", ""); err != nil {
+		t.Errorf("default config rejected: %v", err)
 	}
-	if errs := validateFlags("oracle", "shifted", "gh200", 4, "on", "ewma", "interval=1000,samples=64", ""); len(errs) != 0 {
-		t.Errorf("valid config rejected: %v", errs)
+	if err := validateFlags("oracle", "shifted", ""); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
-	if errs := validateFlags("fifo", "huge", "vax", 0, "epoch=-1", "no-such-policy", "samples=1", ""); len(errs) != 6 {
-		// The migrate spec and policy share one resolver, so the pair counts
-		// once; every other bad flag reports its own error.
-		t.Errorf("got %d errors, want 6: %v", len(errs), errs)
+	if errs := cli.Errors(validateFlags("fifo", "huge", "")); len(errs) != 2 {
+		t.Errorf("got %d errors, want 2: %v", len(errs), errs)
 	}
-	// A replay runs through the same assembly as a workload run, so the
-	// recorder attaches to it like to any other run.
-	if errs := validateFlags("bw-aware", "train", "", 1, "", "", "on", "x.trc"); len(errs) != 0 {
-		t.Errorf("-probe with -replay rejected: %v", errs)
+	// A replay runs through the same assembly as a workload run, so any
+	// other policy (and a probe, checked with the shared options) applies.
+	if err := validateFlags("bw-aware", "train", "x.trc"); err != nil {
+		t.Errorf("-replay with bw-aware rejected: %v", err)
 	}
 	// Annotations hint allocations, which a flat trace does not carry.
-	if errs := validateFlags("annotated", "train", "", 1, "", "", "", "x.trc"); len(errs) != 1 {
+	if errs := cli.Errors(validateFlags("annotated", "train", "x.trc")); len(errs) != 1 {
 		t.Errorf("-policy annotated with -replay: got %v, want 1 error", errs)
 	}
 }

@@ -143,11 +143,6 @@ func FigureIDs() []string { return experiments.IDs() }
 // identifier ("" for unknown ids), as printed by hmexp -list.
 func DescribeFigure(id string) string { return experiments.Describe(id) }
 
-// ParseProbeSpec parses a flight-recorder spec of the form used by the
-// -probe flags: "off"/"" (nil config), "on" (defaults), or
-// "interval=N,samples=N,out=PATH,format=json|csv".
-func ParseProbeSpec(s string) (*ProbeConfig, error) { return obs.ParseSpec(s) }
-
 // NewProbe builds a flight recorder from a validated config; pass it to a
 // run with RunConfig.WithProbe. The recorder is single-use: one run, then
 // read its Snapshot.
@@ -193,10 +188,6 @@ func Table1SBIT() SBIT { return core.Table1SBIT() }
 // per-channel bandwidth, timing, capacity, and interconnect hop.
 type Topology = topology.Topology
 
-// TopologyNames lists the built-in topology presets ("k40-ddr4" — the
-// paper's Table 1 machine —, "gh200", "cxl-expansion") in sorted order.
-func TopologyNames() []string { return topology.Names() }
-
 // TopologyPreset returns a built-in topology by name; select one for a
 // figure reproduction via Options.Topology. The empty name is "k40-ddr4",
 // the paper's Table 1 machine.
@@ -212,23 +203,6 @@ type MigrationConfig = migrate.Config
 // MigrationStats counts migration-engine activity for a run
 // (Result.Migration).
 type MigrationStats = migrate.Stats
-
-// DefaultMigrationConfig returns the engine defaults: Linux-3.16-magnitude
-// costs (2 us page locks, a few GB/s of copy budget) with the counter
-// classifier and an 8-page write-back buffer.
-func DefaultMigrationConfig() MigrationConfig { return migrate.DefaultConfig() }
-
-// ParseMigrationSpec parses a -migrate spec string ("off", "on", or
-// "key=value,..." over the defaults); nil means migration disabled. See
-// migrate.ParseSpec for the key set.
-func ParseMigrationSpec(s string) (*MigrationConfig, error) { return migrate.ParseSpec(s) }
-
-// MigrationPolicies lists the built-in migration classifiers.
-func MigrationPolicies() []string { return migrate.PolicyNames() }
-
-// KnownMigrationPolicy reports whether name is a built-in migration
-// classifier ("" selects the default).
-func KnownMigrationPolicy(name string) bool { return migrate.KnownPolicy(name) }
 
 // ComputeHints is the raw GetAllocation hint computation over explicit
 // size/hotness annotations (Figure 9).

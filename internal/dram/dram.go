@@ -148,9 +148,6 @@ func (ch *Channel) Config() Config { return ch.cfg }
 // Stats returns a copy of the accumulated counters.
 func (ch *Channel) Stats() Stats { return ch.stats }
 
-// PeakBandwidth reports the configured peak bandwidth in bytes/cycle.
-func (ch *Channel) PeakBandwidth() float64 { return ch.cfg.BytesPerCycle }
-
 // BusFree reports when the data bus next becomes free (rounded up to a
 // whole cycle). Useful for tests and for back-pressure heuristics.
 func (ch *Channel) BusFree() sim.Time { return sim.Time(ch.busFree + 0.999999) }

@@ -41,11 +41,6 @@ func HBMEnergy() EnergyConfig {
 	return EnergyConfig{ActivateNJ: 0.9, ReadPJPerBit: 4, WritePJPerBit: 4}
 }
 
-// LPDDR4Energy is the mobile capacity pool.
-func LPDDR4Energy() EnergyConfig {
-	return EnergyConfig{ActivateNJ: 1.1, ReadPJPerBit: 6, WritePJPerBit: 6}
-}
-
 // HBM3Energy is a current-generation on-package stack (the GH200-class
 // GPU-attached pool): denser stacking edges it below first-generation HBM
 // per bit.
@@ -81,11 +76,3 @@ func (e EnergyConfig) accessEnergyNJ(burstBytes int, write, activated bool) floa
 
 // EnergyNJ reports the total access energy metered so far, in nanojoules.
 func (ch *Channel) EnergyNJ() float64 { return ch.energyNJ }
-
-// EnergyPerBitPJ reports the average delivered energy per bit so far.
-func (ch *Channel) EnergyPerBitPJ() float64 {
-	if ch.stats.BytesMoved == 0 {
-		return 0
-	}
-	return ch.energyNJ * 1000 / (float64(ch.stats.BytesMoved) * 8)
-}

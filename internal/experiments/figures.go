@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"hetsim/internal/core"
 	"hetsim/internal/experiments/pool"
@@ -115,24 +117,83 @@ func (o Options) mem() (memsys.Config, error) {
 	return t.MemsysConfig(), nil
 }
 
-// migration resolves the Migrate/MigratePolicy selection to a validated
-// engine configuration for figures with a migration arm. An empty Migrate
-// spec means migrate.DefaultConfig — the figure exists to show migration,
-// so "not configured" selects the defaults rather than disabling it.
-func (o Options) migration() (migrate.Config, error) {
+// Validate is the one check of run-option values, shared by every surface
+// that takes them from a user: the CLI flag block (cmd/internal/cli) and
+// the daemon's figure query (internal/serve). It reports every problem at
+// once: unknown workloads, Shrink below 1, Workers below 0, Lanes below 1,
+// an unknown Topology preset, an invalid Probe config, and a Migrate spec
+// that does not resolve together with MigratePolicy (see Migration).
+// Figure functions read a zero Shrink or Lanes as 1; a surface states both
+// explicitly, so Validate treats zero as out of range. It looks names up
+// without building workloads or presets for the defaults, so the daemon
+// can run it on every request.
+func (o Options) Validate() error {
+	var errs []error
+	var unknown []string
+	for _, wl := range o.Workloads {
+		if !workloads.Known(wl) {
+			unknown = append(unknown, fmt.Sprintf("%q", wl))
+		}
+	}
+	if len(unknown) > 0 {
+		errs = append(errs, fmt.Errorf("unknown workloads %s (have %s)",
+			strings.Join(unknown, ", "), strings.Join(workloads.AllNames(), " ")))
+	}
+	if o.Shrink < 1 {
+		errs = append(errs, fmt.Errorf("shrink must be >= 1 (got %d)", o.Shrink))
+	}
+	if o.Workers < 0 {
+		errs = append(errs, fmt.Errorf("workers must be >= 0 (got %d)", o.Workers))
+	}
+	if o.Lanes < 1 {
+		errs = append(errs, fmt.Errorf("lanes must be >= 1 (got %d)", o.Lanes))
+	}
+	if o.Topology != "" {
+		if _, err := topology.Preset(o.Topology); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if o.Probe != nil {
+		if err := o.Probe.Validate(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if _, err := o.Migration(); err != nil {
+		errs = append(errs, err)
+	}
+	return errors.Join(errs...)
+}
+
+// Migration resolves the Migrate spec together with the MigratePolicy
+// override to one validated engine configuration. It returns nil when
+// neither enables migration (an empty or "off" spec and no policy); a
+// policy alone selects migrate.DefaultConfig with that classifier. A
+// spec valid for one classifier can be invalid for the override (alpha=0
+// is ignored by counter and rejected by ewma), so the pair is checked as
+// one.
+func (o Options) Migration() (*migrate.Config, error) {
 	cfg, err := migrate.ParseSpec(o.Migrate)
-	if err != nil {
-		return migrate.Config{}, err
+	if err != nil || o.MigratePolicy == "" {
+		return cfg, err
 	}
 	if cfg == nil {
 		def := migrate.DefaultConfig()
 		cfg = &def
 	}
-	if o.MigratePolicy != "" {
-		cfg.Policy = o.MigratePolicy
-	}
+	cfg.Policy = o.MigratePolicy
 	if err := cfg.Validate(); err != nil {
-		return migrate.Config{}, err
+		return nil, err
+	}
+	return cfg, nil
+}
+
+// migration is Migration for the figures with a migration arm: they exist
+// to show migration, so an unset selection means migrate.DefaultConfig
+// rather than no migration.
+func (o Options) migration() (migrate.Config, error) {
+	cfg, err := o.Migration()
+	if err != nil || cfg == nil {
+		return migrate.DefaultConfig(), err
 	}
 	return *cfg, nil
 }

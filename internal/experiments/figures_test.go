@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hetsim/internal/memsys"
+	"hetsim/internal/obs"
 )
 
 func memsysTable1() memsys.Config { return memsys.Table1Config() }
@@ -230,5 +231,28 @@ func TestPrintCDF(t *testing.T) {
 	}
 	if tb.Rows() < 10 {
 		t.Fatalf("CDF table has %d rows, want >= 10", tb.Rows())
+	}
+}
+
+// TestOptionsValidate: the one check of user-stated run options reports
+// every problem at once, and names the unknown workloads in one error.
+func TestOptionsValidate(t *testing.T) {
+	ok := Options{Shrink: 1, Lanes: 1, Workloads: []string{"bfs", "phased"}, Topology: "gh200", Migrate: "on", MigratePolicy: "ewma"}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid options rejected: %v", err)
+	}
+	bad := Options{Workloads: []string{"bfs", "nosuch", "", "stencil"}, Workers: -1, Topology: "vax",
+		Migrate: "alpha=0", MigratePolicy: "ewma", Probe: &obs.Config{Interval: 0, MaxSamples: 8}}
+	err := bad.Validate()
+	if err == nil {
+		t.Fatal("invalid options accepted")
+	}
+	errs := err.(interface{ Unwrap() []error }).Unwrap()
+	// workloads, shrink 0, workers, lanes 0, topology, probe, migrate pair
+	if len(errs) != 7 {
+		t.Errorf("got %d errors, want 7: %v", len(errs), errs)
+	}
+	if msg := errs[0].Error(); !strings.Contains(msg, `"nosuch", ""`) || !strings.Contains(msg, "xsbench") {
+		t.Errorf("workload error %q does not name the unknown and the known workloads", msg)
 	}
 }

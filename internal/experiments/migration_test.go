@@ -97,6 +97,22 @@ func TestOptionsMigration(t *testing.T) {
 	if _, err := (Options{Migrate: "epoch=-5"}).migration(); err == nil {
 		t.Error("negative epoch accepted")
 	}
+	// Migration, the resolver behind both, leaves migration off unless the
+	// spec or a policy turns it on, and checks the pair as one.
+	for _, o := range []Options{{}, {Migrate: "off"}} {
+		if cfg, err := o.Migration(); cfg != nil || err != nil {
+			t.Errorf("%+v resolved to %+v, %v; want migration off", o, cfg, err)
+		}
+	}
+	if cfg, err := (Options{Migrate: "off", MigratePolicy: "ewma"}).Migration(); err != nil || cfg == nil || cfg.Policy != migrate.PolicyEWMA {
+		t.Errorf("a policy alone resolved to %+v, %v; want the defaults with ewma", cfg, err)
+	}
+	if _, err := (Options{Migrate: "alpha=0"}).Migration(); err != nil {
+		t.Errorf("alpha=0 under the counter classifier rejected: %v", err)
+	}
+	if _, err := (Options{Migrate: "alpha=0", MigratePolicy: "ewma"}).Migration(); err == nil {
+		t.Error("alpha=0 under an ewma override accepted")
+	}
 	if _, err := FigMigration(Options{Shrink: 16, Workloads: []string{"bfs"}, Migrate: "minheat=0"}); err == nil {
 		t.Error("FigMigration accepted an invalid migration spec")
 	}

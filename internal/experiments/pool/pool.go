@@ -136,10 +136,6 @@ type Pool[C, R any] struct {
 	Offload func(sp *telemetry.Span, key string, cfg C) (R, bool)
 	// Workers caps concurrent runs; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// OnDone, when set, is called after each config completes (from
-	// worker goroutines, serialized by an internal lock) with the number
-	// completed so far, the total, and whether this one was a cache hit.
-	OnDone func(done, total int, cached bool)
 
 	initOnce sync.Once // guards lazy Cache creation
 }
@@ -192,12 +188,10 @@ func (p *Pool[C, R]) MapSpan(parent *telemetry.Span, cfgs []C) ([]R, Stats, erro
 	cache := p.Cache
 
 	st.Cached = make([]bool, n)
-	var mu sync.Mutex // guards st counters and OnDone ordering
-	done := 0
+	var mu sync.Mutex // guards st counters
 	finish := func(cached, offloaded, panicked bool, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		done++
 		if cached {
 			st.CacheHits++
 		} else {
@@ -211,9 +205,6 @@ func (p *Pool[C, R]) MapSpan(parent *telemetry.Span, cfgs []C) ([]R, Stats, erro
 		}
 		if panicked {
 			st.Panics++
-		}
-		if p.OnDone != nil {
-			p.OnDone(done, n, cached)
 		}
 	}
 

@@ -202,30 +202,6 @@ func TestMapEmptyAndDefaults(t *testing.T) {
 	}
 }
 
-// TestMapProgress: OnDone fires once per config with monotonically
-// increasing done counts.
-func TestMapProgress(t *testing.T) {
-	var calls int
-	last := 0
-	p := &Pool[int, int]{
-		Workers: 3,
-		Run:     func(_ *telemetry.Span, i int) (int, error) { return i, nil },
-		OnDone: func(done, total int, cached bool) {
-			calls++
-			if done != last+1 || total != 7 {
-				t.Errorf("OnDone(done=%d, total=%d) after %d", done, total, last)
-			}
-			last = done
-		},
-	}
-	if _, _, err := p.Map([]int{0, 1, 2, 3, 4, 5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 7 {
-		t.Errorf("OnDone fired %d times, want 7", calls)
-	}
-}
-
 // TestMapOffload: the Offload hook runs inside the singleflight fill — at
 // most once per distinct key — after the backend misses, its results are
 // written back to the backend, and ok=false falls back to the local Run.

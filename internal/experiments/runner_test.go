@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetsim/internal/topology"
 	"hetsim/internal/vm"
 	"hetsim/internal/workloads"
 )
@@ -233,6 +234,35 @@ func TestSBITForTable1(t *testing.T) {
 	co, ok := sbit.Info(vm.ZoneCO)
 	if !ok || co.LatencyCycles != 100 {
 		t.Fatalf("CO info = %+v, %v", co, ok)
+	}
+}
+
+// TestSBITForPresetShares checks the generalized BW-AWARE ratios on an
+// N-pool preset: each pool's share is its bandwidth fraction, and zones
+// sort fastest-first.
+func TestSBITForPresetShares(t *testing.T) {
+	topo, err := topology.Preset("cxl-expansion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbit := SBITFor(topo.MemsysConfig())
+	var total float64
+	for _, p := range topo.Pools {
+		total += p.BandwidthGBps()
+	}
+	for i, p := range topo.Pools {
+		got := sbit.Share(vm.ZoneID(i))
+		want := p.BandwidthGBps() / total
+		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("pool %s share = %v, want %v", p.Name, got, want)
+		}
+	}
+	byBW := sbit.ZonesByBandwidth()
+	if byBW[0] != vm.ZoneBO {
+		t.Errorf("fastest zone = %d, want %d (GDDR5)", byBW[0], vm.ZoneBO)
+	}
+	if last := byBW[len(byBW)-1]; last != vm.ZoneID(2) {
+		t.Errorf("slowest zone = %d, want 2 (CXL-DRAM)", last)
 	}
 }
 

@@ -71,23 +71,17 @@ func NewIsolatedExecutor(workers int) *Executor {
 }
 
 // NewResultCache returns an empty private result cache for
-// NewExecutorWithCache. The serving layer owns one per daemon and layers
-// its persistent disk backend under it (pool.Cache.SetBackend).
+// NewDistributedExecutor and Options.Cache. The serving layer owns one per
+// daemon and layers its persistent disk backend under it
+// (pool.Cache.SetBackend).
 func NewResultCache() *pool.Cache[Result] {
 	return pool.NewCache[Result]()
 }
 
-// NewExecutorWithCache is NewExecutor against a caller-owned cache instead
-// of the process-wide one — the pluggable-cache entry point for callers
-// that manage result persistence themselves.
-func NewExecutorWithCache(workers int, cache *pool.Cache[Result]) *Executor {
-	return newExecutor(workers, cache, nil)
-}
-
-// NewDistributedExecutor is NewExecutorWithCache with a RemoteRunner
-// layered between the cache tiers and local execution: each cacheable
-// config that misses the cache is offered to remote first and simulated
-// locally only if remote declines. A nil cache uses a private one; a nil
+// NewDistributedExecutor is NewExecutor against a caller-owned cache, with
+// a RemoteRunner layered between the cache tiers and local execution: each
+// cacheable config that misses the cache is offered to remote first and
+// simulated locally only if remote declines. A nil cache uses a private one; a nil
 // remote degrades to a purely local executor.
 func NewDistributedExecutor(workers int, cache *pool.Cache[Result], remote RemoteRunner) *Executor {
 	if cache == nil {

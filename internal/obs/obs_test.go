@@ -240,3 +240,30 @@ func TestFinalTimeType(t *testing.T) {
 		t.Fatalf("FinalTime = %d", sum.FinalTime)
 	}
 }
+
+// FuzzParseSpec: any input may be rejected, but none may panic, and every
+// accepted spec must round-trip through Config.Spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "off", "none", "false", "0", " on ", "default", "true", "1",
+		"interval=20000,samples=1024,out=run.csv,format=csv",
+		"interval=5000", "samples=2", "samples=1", "interval=0", "interval=-1",
+		"format=xml", "format=json,out=x.csv", "out=a=b", "out=,samples=8",
+		"bogus=1", "interval", "interval=fast", "samples=1048577", " interval = 7 , samples = 9 ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseSpec(s)
+		if err != nil || c == nil {
+			return
+		}
+		again, err := ParseSpec(c.Spec())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) rendered %q, which does not parse: %v", s, c.Spec(), err)
+		}
+		if again == nil || *again != *c {
+			t.Fatalf("ParseSpec(%q) = %+v; its spec %q parses to %+v", s, *c, c.Spec(), again)
+		}
+	})
+}

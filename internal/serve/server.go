@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -15,10 +14,8 @@ import (
 	"hetsim/internal/experiments"
 	"hetsim/internal/experiments/pool"
 	"hetsim/internal/metrics"
-	"hetsim/internal/migrate"
 	"hetsim/internal/obs"
 	"hetsim/internal/telemetry"
-	"hetsim/internal/topology"
 	"hetsim/internal/tune"
 )
 
@@ -43,10 +40,11 @@ type Config struct {
 	Lanes int
 	// Migrate is the default migration spec (migrate.ParseSpec) for figure
 	// requests carrying no ?migrate= parameter; "" keeps each migration
-	// figure's defaults. hmserved validates it at startup.
+	// figure's defaults.
 	Migrate string
 	// MigratePolicy is the default ?migrate-policy= ("counter" or "ewma");
-	// "" keeps the spec's classifier.
+	// "" keeps the spec's classifier. hmserved validates it together with
+	// Migrate at startup (experiments.Options.Validate).
 	MigratePolicy string
 	// JobWorkers caps concurrently executing jobs (default 2).
 	JobWorkers int
@@ -117,6 +115,9 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 	rec   *telemetry.Recorder
+	// figureDefaults are the options of a figure request that sets no
+	// query parameter (decodeFigureQuery's base).
+	figureDefaults experiments.Options
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -156,6 +157,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
+	if cfg.Lanes < 1 {
+		cfg.Lanes = 1
+	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -167,6 +171,10 @@ func New(cfg Config) (*Server, error) {
 		byKey: make(map[string]*Job),
 		queue: make(chan *Job, cfg.QueueCap),
 		start: time.Now(),
+	}
+	s.figureDefaults = experiments.Options{
+		Shrink: 1, Workers: cfg.SimWorkers, Lanes: cfg.Lanes, Topology: cfg.Topology,
+		Migrate: cfg.Migrate, MigratePolicy: cfg.MigratePolicy, Cache: s.cache, Remote: cfg.Remote,
 	}
 	s.rec = cfg.Telemetry
 	if s.rec == nil {
@@ -613,52 +621,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown figure %q (have %s)", name, strings.Join(experiments.IDs(), " ")))
 		return
 	}
-	opts := experiments.Options{
-		Cache: s.cache, Workers: s.cfg.SimWorkers, Remote: s.cfg.Remote,
-		Topology: s.cfg.Topology, Lanes: s.cfg.Lanes,
-		Migrate: s.cfg.Migrate, MigratePolicy: s.cfg.MigratePolicy,
-	}
-	q := r.URL.Query()
-	if v := q.Get("shrink"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "shrink must be a positive integer")
-			return
-		}
-		opts.Shrink = n
-	}
-	if v := q.Get("workloads"); v != "" {
-		opts.Workloads = strings.Split(v, ",")
-	}
-	if v := q.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "workers must be a non-negative integer")
-			return
-		}
-		opts.Workers = n
-	}
-	if v := q.Get("topology"); v != "" {
-		if _, err := topology.Preset(v); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		opts.Topology = v
-	}
-	if v := q.Get("migrate"); v != "" {
-		if _, err := migrate.ParseSpec(v); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		opts.Migrate = v
-	}
-	if v := q.Get("migrate-policy"); v != "" {
-		if !migrate.KnownPolicy(v) {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("unknown migrate policy %q (have %s)", v, strings.Join(migrate.PolicyNames(), " ")))
-			return
-		}
-		opts.MigratePolicy = v
+	opts, err := decodeFigureQuery(r.URL.Query(), s.figureDefaults)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
 	_, root := s.requestTrace(r, "rpc.figure")
@@ -705,27 +671,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 }
 
 // figureKey is the idempotency key of a figure request: the sha256 of its
-// name and result-affecting options. Workers is included — it cannot
-// change the output (the determinism guarantee), but requests differing in
-// it are distinct submissions, which also lets callers force a re-render
-// through the result cache.
+// name and the encoded query of its decoded options, which carry the
+// migrate spec in canonical form, so "on" and the expanded default spec
+// share a key. Workers is included — it cannot change the output (the
+// determinism guarantee), but requests differing in it are distinct
+// submissions, which also lets callers force a re-render through the
+// result cache.
 func figureKey(name string, opts experiments.Options) string {
-	// The migration selection is canonicalized through the spec parser so
-	// equivalent spellings ("on" vs the expanded default config) share a
-	// key; an invalid spec (already rejected with 400 upstream) degrades to
-	// the raw string.
-	mig := opts.Migrate
-	if cfg, err := migrate.ParseSpec(opts.Migrate); err == nil {
-		if cfg == nil {
-			mig = ""
-		} else {
-			mig = cfg.Spec()
-		}
-	}
-	desc := fmt.Sprintf("figure|%s|shrink=%d|workloads=%s|workers=%d|topology=%s|migrate=%s|migrate-policy=%s",
-		name, opts.Shrink, strings.Join(opts.Workloads, ","), opts.Workers, opts.Topology,
-		mig, opts.MigratePolicy)
-	return hashString(desc)
+	return hashString("figure|" + name + "?" + EncodeFigureQuery(opts))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -139,9 +139,6 @@ func (w *World) Engine() *Engine { return w.lanes[0] }
 // Lanes reports the number of event lanes.
 func (w *World) Lanes() int { return len(w.lanes) }
 
-// Lookahead reports the conservative window size.
-func (w *World) Lookahead() Time { return w.lookahead }
-
 // Root returns actor 0, the root context on lane 0. Components that were
 // not given a dedicated actor schedule through it.
 func (w *World) Root() *Actor { return w.actors[0] }

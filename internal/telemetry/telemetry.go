@@ -209,14 +209,6 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// Reset discards buffered spans and histograms (tests).
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans, r.dropped = nil, 0
-	r.hists = map[string]*metrics.Histogram{}
-}
-
 // MetricsMap renders the recorder's counters and per-span-name duration
 // histograms as a flat metric map in Prometheus histogram exposition shape
 // (cumulative _bucket{span=...,le=...} series plus _count and _sum), ready

@@ -10,12 +10,12 @@
 // capacity, channel count, per-channel bandwidth, DRAM timing and energy
 // parameters, and the interconnect hop that separates it from the GPU.
 //
-// A Topology compiles into the two artifacts the simulator consumes:
-//
-//   - MemsysConfig: the hardware description (internal/memsys) — channels,
-//     timings, hop latencies, capacities — that the memory system simulates,
-//   - SBIT: the System Bandwidth Information Table (internal/core) the
-//     placement policies read, mirroring the paper's proposed ACPI table.
+// A Topology compiles into MemsysConfig: the hardware description
+// (internal/memsys) — channels, timings, hop latencies, capacities — that
+// the memory system simulates. The placement policies' System Bandwidth
+// Information Table (internal/core) is derived from that config by
+// experiments.SBITFor, the discovery step the paper assigns to ACPI or
+// the GPU runtime, so every run reads one SBIT derivation.
 //
 // Pool order is significant: pool i becomes vm.ZoneID(i), and pool 0 is by
 // convention the GPU-attached, highest-bandwidth pool (what the paper calls
@@ -34,7 +34,6 @@ package topology
 import (
 	"fmt"
 
-	"hetsim/internal/core"
 	"hetsim/internal/dram"
 	"hetsim/internal/memsys"
 	"hetsim/internal/sim"
@@ -216,24 +215,6 @@ func (t Topology) MemsysConfig() memsys.Config {
 		})
 	}
 	return cfg
-}
-
-// SBIT compiles the topology into the System Bandwidth Information Table
-// placement policies read. (The experiment runner derives its SBIT from
-// the MemsysConfig instead, mirroring the paper's ACPI-discovers-hardware
-// flow; this direct form serves documentation and standalone policy use.)
-func (t Topology) SBIT() core.SBIT {
-	var s core.SBIT
-	for i, p := range t.Pools {
-		s.ZoneInfos = append(s.ZoneInfos, core.ZoneInfo{
-			Zone:          vm.ZoneID(i),
-			Name:          p.Name,
-			BandwidthGBps: p.BandwidthGBps(),
-			LatencyCycles: p.Hop.LatencyCycles,
-			CapacityBytes: p.CapacityBytes,
-		})
-	}
-	return s
 }
 
 // BWRatio is the paper's headline asymmetry metric: pool 0's bandwidth

@@ -125,34 +125,6 @@ func TestBWRatio(t *testing.T) {
 	}
 }
 
-// TestSBITShares checks the generalized BW-AWARE ratios: each pool's
-// share is its bandwidth fraction, and zones sort fastest-first.
-func TestSBITShares(t *testing.T) {
-	topo, err := Preset("cxl-expansion")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbit := topo.SBIT()
-	var total float64
-	for _, p := range topo.Pools {
-		total += p.BandwidthGBps()
-	}
-	for i, p := range topo.Pools {
-		got := sbit.Share(vm.ZoneID(i))
-		want := p.BandwidthGBps() / total
-		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("pool %s share = %v, want %v", p.Name, got, want)
-		}
-	}
-	byBW := sbit.ZonesByBandwidth()
-	if byBW[0] != vm.ZoneBO {
-		t.Errorf("fastest zone = %d, want %d (GDDR5)", byBW[0], vm.ZoneBO)
-	}
-	if last := byBW[len(byBW)-1]; last != vm.ZoneID(2) {
-		t.Errorf("slowest zone = %d, want 2 (CXL-DRAM)", last)
-	}
-}
-
 func TestCapacityPlumbed(t *testing.T) {
 	mc := GH200().MemsysConfig()
 	if mc.Zones[0].CapacityBytes != 96<<30 {

@@ -61,6 +61,13 @@ func AllNames() []string {
 	return names
 }
 
+// Known reports whether name is a registered workload, without building
+// it.
+func Known(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // Build constructs the named workload for the dataset.
 func Build(name string, ds Dataset) (Spec, error) {
 	b, ok := registry[name]

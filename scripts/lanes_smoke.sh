@@ -5,7 +5,9 @@
 #     for a workload run and for a trace replay,
 #   - hmexp figure CSVs are byte-identical at -lanes 1 and -lanes 8,
 #   - hmsim, hmexp, and hmserved all reject -lanes 0 (and a non-integer
-#     value) with exit status 2.
+#     value) with exit status 2, as hmsim and hmexp do -shrink below 1 and
+#     hmexp and hmserved -workers below 0 — the values the daemon refuses
+#     in a figure query.
 #
 # Byte-identity across lane counts is the tentpole invariant of the laned
 # engine (internal/sim World); the in-process determinism suite sweeps more
@@ -70,5 +72,13 @@ expect_usage_exit "$tmp/hmsim" -lanes two -workload bfs -shrink 16
 expect_usage_exit "$tmp/hmexp" -lanes 0 "$FIG"
 expect_usage_exit "$tmp/hmexp" -lanes 1.5 "$FIG"
 expect_usage_exit "$tmp/hmserved" -lanes 0 -addr 127.0.0.1:0
+
+echo "== -shrink below 1, -workers below 0 and unknown -workloads rejected with exit 2"
+expect_usage_exit "$tmp/hmsim" -shrink -7 -workload bfs
+expect_usage_exit "$tmp/hmsim" -shrink 0 -workload bfs
+expect_usage_exit "$tmp/hmexp" -shrink -5 "$FIG"
+expect_usage_exit "$tmp/hmexp" -workers -3 "$FIG"
+expect_usage_exit "$tmp/hmexp" -workloads nosuch "$FIG"
+expect_usage_exit "$tmp/hmserved" -workers -1 -addr 127.0.0.1:0
 
 echo "lanes_smoke.sh: OK (figures byte-identical across lane counts)"

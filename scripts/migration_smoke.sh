@@ -11,7 +11,11 @@
 #   - an hmserved daemon serves ?migrate= figures byte-identical to the
 #     corresponding local renders;
 #   - hmexp, hmsim, and hmserved all reject an invalid -migrate spec (and
-#     an unknown -migrate-policy) with exit status 2.
+#     an unknown -migrate-policy, and a spec the -migrate-policy override
+#     makes invalid) with exit status 2;
+#   - the daemon refuses bad figure options with 400 before queueing a
+#     job, and hmexp -server refuses them with exit 2 before sending a
+#     request.
 #
 # Everything binds to 127.0.0.1 only and uses throwaway cache dirs.
 set -eu
@@ -94,13 +98,62 @@ for spec in on "policy=ewma"; do
     diff "$tmp/out-srv-$spec/figmig.csv" "$tmp/out-local-$spec/figmig.csv"
 done
 
+echo "== daemon refuses bad figure options with 400 =="
+# http_status url: the HTTP status code of a GET.
+http_status() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -s -o /dev/null -w '%{http_code}' "$1"
+    else
+        wget -S -O /dev/null "$1" 2>&1 | awk '/^  HTTP\//{code=$2} END{print code}'
+    fi
+}
+# metric name: one unlabeled counter from the daemon's /metrics.
+metric() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -fsS "$url/metrics"
+    else
+        wget -qO- "$url/metrics"
+    fi | awk -v m="$1" '$1 == m {print $2}'
+}
+for q in "fig3?workloads=nosuch" \
+    "figmig?migrate=alpha%3D0&migrate-policy=ewma" \
+    "fig3?shrink=0" "fig3?workers=-1"; do
+    status="$(http_status "$url/v1/figures/$q")"
+    if [ "$status" != 400 ]; then
+        echo "migration_smoke.sh: GET /v1/figures/$q answered $status, want 400" >&2
+        exit 1
+    fi
+done
+
+echo "== hmexp -server refuses bad options before sending a request =="
+before="$(metric hmserved_http_requests_total)"
+set +e
+"$tmp/hmexp" -server "$url" -workloads nosuch fig3 >/dev/null 2>"$tmp/nosuch.log"
+status=$?
+set -e
+after="$(metric hmserved_http_requests_total)"
+if [ "$status" -ne 2 ] || [ "$(grep -c . "$tmp/nosuch.log")" -ne 1 ] ||
+    ! grep -q nosuch "$tmp/nosuch.log"; then
+    echo "migration_smoke.sh: hmexp -server -workloads nosuch exited $status, want 2 with one error naming the workload:" >&2
+    cat "$tmp/nosuch.log" >&2
+    exit 1
+fi
+# The second /metrics scrape is the only request between the two reads.
+if [ "$after" != "$((before + 1))" ]; then
+    echo "migration_smoke.sh: hmexp -server sent a request for rejected options ($before -> $after requests)" >&2
+    exit 1
+fi
+
 echo "== invalid -migrate / -migrate-policy rejected with exit 2 =="
 for cmd in "$tmp/hmexp -migrate epoch=banana fig3" \
     "$tmp/hmexp -migrate-policy mystery fig3" \
+    "$tmp/hmexp -migrate alpha=0 -migrate-policy ewma figmig" \
     "$tmp/hmsim -migrate minheat=0 -workload bfs" \
     "$tmp/hmsim -migrate-policy mystery -workload bfs" \
+    "$tmp/hmsim -migrate alpha=0 -migrate-policy ewma -workload bfs" \
     "$tmp/hmserved -migrate wb=-1 -addr 127.0.0.1:$((BASE_PORT + 1))" \
-    "$tmp/hmserved -migrate-policy mystery -addr 127.0.0.1:$((BASE_PORT + 1))"; do
+    "$tmp/hmserved -migrate-policy mystery -addr 127.0.0.1:$((BASE_PORT + 1))" \
+    "$tmp/hmserved -migrate alpha=0 -migrate-policy ewma -addr 127.0.0.1:$((BASE_PORT + 1))"; do
     set +e
     # shellcheck disable=SC2086
     $cmd >/dev/null 2>&1
@@ -112,4 +165,4 @@ for cmd in "$tmp/hmexp -migrate epoch=banana fig3" \
     fi
 done
 
-echo "migration smoke OK: figmigtopo deterministic, disabled path unchanged, daemon and CLI flags validated"
+echo "migration smoke OK: figmigtopo deterministic, disabled path unchanged, daemon queries and CLI flags validated"

@@ -23,7 +23,8 @@
 # Everything binds to 127.0.0.1 only and uses throwaway cache dirs.
 set -eu
 
-BASE_PORT="${BASE_PORT:-18121}"
+# Its own port range: tune-smoke listens on 18121, and make -j runs both.
+BASE_PORT="${BASE_PORT:-18131}"
 
 cd "$(dirname "$0")/.."
 
