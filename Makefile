@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race vet check bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
+.PHONY: all build fmt test race vet check repro-check bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
 
 all: build
 
@@ -36,6 +36,17 @@ vet:
 	$(GO) vet ./...
 
 check: build fmt vet test race bench-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke
+
+# Full-fidelity reproduction gate: re-run `hmexp all` and byte-compare its
+# output with the recorded experiments_full.txt, less the `sweep:` lines
+# (they carry wall time). A change that moves figure bytes on purpose
+# regenerates the file the same way and says why in CHANGES.md. About
+# 100 s of simulation on 2 cores, so CI runs it as its own job.
+repro-check:
+	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) run ./cmd/hmexp all > "$$tmp" && \
+	grep -v '^  sweep:' "$$tmp" | cmp - experiments_full.txt && \
+	echo "repro-check: hmexp all reproduces experiments_full.txt"
 
 # hetbench smoke test: every benchmark workload at -quick scale, including
 # the check that each workload's default-seed output digest still matches

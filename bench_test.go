@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hetsim/internal/cache"
+	"hetsim/internal/experiments"
 	"hetsim/internal/memsys"
 	"hetsim/internal/migrate"
 	"hetsim/internal/sim"
@@ -36,11 +37,15 @@ func reportHeadline(b *testing.B, fig Fig, keys ...string) {
 	}
 }
 
+// benchFigure renders figure id b.N times, each against a fresh result
+// cache, so every iteration simulates the figure cold rather than reading
+// what the first one left in the process-wide cache.
 func benchFigure(b *testing.B, id string, opts Options, keys ...string) {
 	b.Helper()
 	var fig Fig
 	var err error
 	for i := 0; i < b.N; i++ {
+		opts.Cache = experiments.NewResultCache()
 		fig, err = Figure(id, opts)
 		if err != nil {
 			b.Fatal(err)

@@ -153,6 +153,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: hmexp [flags] all | cdf | %s\n", strings.Join(heteromem.FigureIDs(), " | "))
 		os.Exit(2)
 	}
+	var ids []string
+	for _, a := range args {
+		if a == "all" {
+			ids = append(ids, heteromem.FigureIDs()...)
+			continue
+		}
+		ids = append(ids, a)
+	}
+	if !*doTune {
+		var errs []error
+		for _, id := range ids {
+			errs = append(errs, experiments.CheckFigure(id, opts))
+		}
+		cli.Check("hmexp", errs...)
+	}
 	stopProf, err := prof.Start(run.CPUProfile, run.MemProfile)
 	if err != nil {
 		fatal(err)
@@ -286,15 +301,6 @@ func main() {
 		default:
 			return heteromem.Figure(id, fopts)
 		}
-	}
-
-	var ids []string
-	for _, a := range args {
-		if a == "all" {
-			ids = append(ids, heteromem.FigureIDs()...)
-			continue
-		}
-		ids = append(ids, a)
 	}
 
 	// render prints one figure from its wire form, fetched from the daemon

@@ -44,6 +44,8 @@ func TestBadOptionsExit2(t *testing.T) {
 		{"-workloads nosuch fig3", []string{`unknown workloads "nosuch"`}},
 		{"-server " + ts.URL + " -workloads nosuch fig3", []string{`unknown workloads "nosuch"`}},
 		{"-migrate alpha=0 -migrate-policy ewma figmig", []string{"EWMAAlpha 0"}},
+		{"-shrink 32 -workloads bfs -migrate alpha=0 figmigtopo", []string{"figmigtopo runs both migration classifiers: migrate: EWMAAlpha 0"}},
+		{"-server " + ts.URL + " -migrate alpha=0 fig3 figdyn", []string{"figdyn runs both migration classifiers"}},
 		{"-shrink -5 -workers -3 fig2a", []string{"shrink must be >= 1", "workers must be >= 0"}},
 		{"-server " + ts.URL + " -probe on -topology hbm9000 fig3", []string{"unknown topology", "-probe needs local simulation"}},
 	} {

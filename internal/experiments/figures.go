@@ -68,8 +68,9 @@ type Options struct {
 	// Figures without a migration arm ignore it.
 	Migrate string
 	// MigratePolicy overrides the classifier of the Migrate spec
-	// ("counter" or "ewma"); "" keeps the spec's choice. figmigtopo, which
-	// compares both classifiers side by side, ignores it.
+	// ("counter" or "ewma"); "" keeps the spec's choice. figmigtopo and
+	// figdyn, which compare both classifiers side by side, ignore it and
+	// need a spec valid for each (CheckFigure).
 	MigratePolicy string
 
 	// Probe, when set, attaches a flight recorder (internal/obs) to every
@@ -196,6 +197,21 @@ func (o Options) migration() (migrate.Config, error) {
 		return migrate.DefaultConfig(), err
 	}
 	return *cfg, nil
+}
+
+// classifierArms resolves the Migrate spec once under each classifier, as
+// MigratePolicy overrides, for the figures that compare the two side by
+// side (figmigtopo, figdyn; see CheckFigure). A spec valid for one
+// classifier but not the other (alpha=0 suits counter, not ewma) fails
+// here, before the figure runs a simulation.
+func (o Options) classifierArms() (counter, ewma migrate.Config, err error) {
+	o.MigratePolicy = migrate.PolicyCounter
+	if counter, err = o.migration(); err != nil {
+		return counter, ewma, err
+	}
+	o.MigratePolicy = migrate.PolicyEWMA
+	ewma, err = o.migration()
+	return counter, ewma, err
 }
 
 // executor builds this figure's sweep executor: opts-controlled worker
@@ -460,31 +476,56 @@ func Fig3(opts Options) (Figure, error) {
 	}, nil
 }
 
+// fig4Fracs are the BO capacities of the Figure 4 sweep, as fractions of
+// the application footprint.
+var fig4Fracs = []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1}
+
 // Fig4 reproduces the capacity-constraint sweep: BW-AWARE performance as
 // the BO pool shrinks from 100% to 10% of the application footprint,
-// normalized per workload to the unconstrained run.
+// normalized per workload to the unconstrained run. The unconstrained
+// baselines run first; a fraction whose cap the baseline never reached
+// simulates exactly like the baseline (capUnreached), so only the
+// fractions a baseline filled run, and the rest reuse its Result. A probed
+// sweep runs every fraction: each probed run records its own series.
 func Fig4(opts Options) (Figure, error) {
-	fracs := []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1}
+	fracs := fig4Fracs
 	wls := opts.workloadList()
 	mem, err := opts.mem()
 	if err != nil {
 		return Figure{}, err
 	}
-	stride := 1 + len(fracs) // unconstrained baseline, then each fraction
-	cfgs := make([]RunConfig, 0, len(wls)*stride)
-	for _, wl := range wls {
-		base := RunConfig{Workload: wl, Dataset: opts.dataset(), Policy: BWAwarePolicy, Mem: mem, Shrink: opts.shrink()}
-		cfgs = append(cfgs, base)
-		for _, f := range fracs {
-			rc := base
-			rc.BOCapacityFrac = f
-			cfgs = append(cfgs, rc)
-		}
+	bases := make([]RunConfig, len(wls))
+	for wi, wl := range wls {
+		bases[wi] = RunConfig{Workload: wl, Dataset: opts.dataset(), Policy: BWAwarePolicy, Mem: mem, Shrink: opts.shrink()}
 	}
 	e := opts.executor()
-	res, err := e.Map(cfgs)
+	baseRes, err := e.Map(bases)
 	if err != nil {
 		return Figure{}, err
+	}
+	// res[wi*len(fracs)+fi] is workload wi at fracs[fi]: the baseline's
+	// Result where the cap is unreached, the capped run's otherwise.
+	res := make([]Result, len(wls)*len(fracs))
+	var cfgs []RunConfig
+	var at []int
+	for wi, base := range bases {
+		for fi, f := range fracs {
+			rc := base
+			rc.BOCapacityFrac = f
+			if i := wi*len(fracs) + fi; opts.Probe == nil && capUnreached(rc, baseRes[wi]) {
+				res[i] = baseRes[wi]
+			} else {
+				cfgs = append(cfgs, rc)
+				at = append(at, i)
+			}
+		}
+	}
+	capped, err := e.Map(cfgs)
+	if err != nil {
+		return Figure{}, err
+	}
+	for j, i := range at {
+		res[i] = capped[j]
 	}
 
 	cols := []string{"workload"}
@@ -495,11 +536,9 @@ func Fig4(opts Options) (Figure, error) {
 	head := map[string]float64{}
 	var at70, at10 []float64
 	for wi, wl := range wls {
-		group := res[wi*stride : (wi+1)*stride]
-		base := group[0]
 		row := []interface{}{wl}
 		for fi, f := range fracs {
-			rel := group[1+fi].Perf / base.Perf
+			rel := res[wi*len(fracs)+fi].Perf / baseRes[wi].Perf
 			row = append(row, rel)
 			switch f {
 			case 0.7:

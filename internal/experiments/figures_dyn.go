@@ -36,15 +36,10 @@ func FigDyn(opts Options) (Figure, error) {
 	// double-attach.
 	opts.Probe = nil
 	opts.ProbeSink = nil
-	opts.MigratePolicy = ""
-	baseMig, err := opts.migration()
+	counterCfg, ewmaCfg, err := opts.classifierArms()
 	if err != nil {
 		return Figure{}, err
 	}
-	counterCfg := baseMig
-	counterCfg.Policy = "counter"
-	ewmaCfg := baseMig
-	ewmaCfg.Policy = "ewma"
 
 	t, err := topology.Preset("cxl-expansion")
 	if err != nil {
@@ -64,7 +59,7 @@ func FigDyn(opts Options) (Figure, error) {
 
 	// One recorder per migration arm, sampling on the epoch grid so every
 	// row aligns with a migration decision point.
-	probeCfg := obs.Config{Interval: baseMig.EpochCycles, MaxSamples: 4096}
+	probeCfg := obs.Config{Interval: counterCfg.EpochCycles, MaxSamples: 4096}
 	probes := map[string]*obs.Probe{}
 	for _, arm := range []string{"counter", "ewma"} {
 		if probes[arm], err = obs.New(probeCfg); err != nil {
@@ -82,7 +77,7 @@ func FigDyn(opts Options) (Figure, error) {
 	bw, ctr, ewma := res[0], res[1], res[2]
 
 	tb := metrics.NewTable(
-		fmt.Sprintf("Extension: migration dynamics over time (%s on cxl-expansion at 10%% capacity, sampled every %d cycles)", wl, baseMig.EpochCycles),
+		fmt.Sprintf("Extension: migration dynamics over time (%s on cxl-expansion at 10%% capacity, sampled every %d cycles)", wl, counterCfg.EpochCycles),
 		"policy", "time_cycles", "promotions", "demotions", "wb_depth", "pages_fast", "util_fast")
 	head := map[string]float64{
 		"counter_vs_bwaware": ctr.Perf / bw.Perf,

@@ -24,15 +24,10 @@ func FigMigTopo(opts Options) (Figure, error) {
 		wls = []string{"bfs", "xsbench", "needle"}
 	}
 	topos := []string{"k40-ddr4", "gh200", "cxl-expansion"} // paper's system first
-	opts.MigratePolicy = ""
-	baseMig, err := opts.migration()
+	counterCfg, ewmaCfg, err := opts.classifierArms()
 	if err != nil {
 		return Figure{}, err
 	}
-	counterCfg := baseMig
-	counterCfg.Policy = "counter"
-	ewmaCfg := baseMig
-	ewmaCfg.Policy = "ewma"
 	e := opts.executor()
 
 	const stride = 4 // bwaware, bw+counter, bw+ewma, oracle

@@ -18,7 +18,8 @@ import (
 // every key exactly; the relational key tests (equal configs share a key)
 // cannot catch a change that moves all keys at once. Rows that share a
 // want value pin the equivalences as well: implicit vs explicit defaults,
-// the migration policy's empty spelling, and the lane count.
+// the migration policy's empty spelling, the lane count, and the pools a
+// LOCAL run never touches.
 func TestConfigKeyPinned(t *testing.T) {
 	memOf := func(name string) memsys.Config {
 		top, err := topology.Preset(name)
@@ -37,6 +38,7 @@ func TestConfigKeyPinned(t *testing.T) {
 	const (
 		table1Key = "b2fae05e5e193eb7d99b78a29503e87aa8d246974060e772932d6048359a4b70"
 		migKey    = "19aadc7c0dabdcd61bea05253638f9510cdece920586cca30a4d0ae14904a428"
+		localKey  = "8926e83a0b9a40c0204c1ef7ce1d109673eecaff45c4f7844029767f291ef9b6"
 	)
 	cases := []struct {
 		name string
@@ -50,8 +52,8 @@ func TestConfigKeyPinned(t *testing.T) {
 			PageSize: vm.DefaultPageSize, Seed: 42, BOCapacityFrac: 1e9,
 		}, table1Key},
 		{"lanes-only", RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 16, Lanes: 8}, table1Key},
-		{"local-leftovers", RunConfig{Workload: "hotspot", Policy: LocalPolicy, PercentCO: 30, Hints: hints, ProfileCounts: counts},
-			"ddf1c07bcf8b985e85bfba84f8404084b5f2cf51f4567db4a897d5c93c2dbef1"},
+		{"local-leftovers", RunConfig{Workload: "hotspot", Policy: LocalPolicy, PercentCO: 30, Hints: hints, ProfileCounts: counts}, localKey},
+		{"local-cxl-expansion", RunConfig{Workload: "hotspot", Policy: LocalPolicy, Mem: memOf("cxl-expansion")}, localKey},
 		{"interleave-leftovers", RunConfig{Workload: "hotspot", Policy: InterleavePolicy, PercentCO: 30, Hints: hints, ProfileCounts: counts},
 			"1058d332660c03e9eb74c15a823e5a8b374a5d848cd289bee95e2bde77483023"},
 		{"ratio-leftovers", RunConfig{Workload: "hotspot", Policy: RatioPolicy, PercentCO: 30, Hints: hints, ProfileCounts: counts},

@@ -23,9 +23,10 @@ func key(t *testing.T, rc experiments.RunConfig) string {
 	return k
 }
 
-// TestTopologyCacheKeysDistinct: the same run on different topology
-// presets must hash to different cache keys, or a gh200 result could be
-// served for a k40-ddr4 request from the shared (or persistent) cache.
+// TestTopologyCacheKeysDistinct: configs whose simulations can differ
+// never collide. The same BW-AWARE run on different topology presets must
+// hash to different cache keys, or a gh200 result could be served for a
+// k40-ddr4 request from the shared (or persistent) cache.
 func TestTopologyCacheKeysDistinct(t *testing.T) {
 	base := experiments.RunConfig{Workload: "bfs", Policy: experiments.BWAwarePolicy, Shrink: 16}
 	seen := map[string]string{}

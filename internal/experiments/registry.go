@@ -68,6 +68,27 @@ var builtinDesc = map[string]string{
 	"figdyn":     "migration dynamics over time: counter vs ewma flight-recorder series on cxl-expansion",
 }
 
+// bothClassifiers are the figures that run every migration classifier
+// side by side: they override MigratePolicy with each in turn, so
+// CheckFigure checks their Migrate spec under each classifier.
+var bothClassifiers = map[string]bool{"figmigtopo": true, "figdyn": true}
+
+// CheckFigure adds to Options.Validate the checks that depend on which
+// figure reads the options, so a request the figure would fail on is
+// refused before any simulation: hmexp exits 2 and the daemon answers
+// 400. Today that is one check: a figure comparing both migration
+// classifiers needs a Migrate spec valid for each (see classifierArms).
+// Unknown ids pass; callers report them.
+func CheckFigure(id string, o Options) error {
+	if !bothClassifiers[id] {
+		return nil
+	}
+	if _, _, err := o.classifierArms(); err != nil {
+		return fmt.Errorf("%s runs both migration classifiers: %w", id, err)
+	}
+	return nil
+}
+
 // Registered extensions, in registration order. Written only from init
 // functions (before main starts), read-only afterwards, so no locking.
 var (

@@ -337,30 +337,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		return Result{}, err
 	}
 	sbit := SBITFor(rc.Mem)
-
-	// Size the zones. The GPU-attached pool (zone 0) may be capped at a
-	// fraction of the footprint (the paper's capacity studies); any pool
-	// may additionally declare an absolute capacity in the memory config
-	// (topology presets do). The tighter bound wins.
-	boPages := vm.Unlimited
-	if rc.BOCapacityFrac > 0 {
-		footPages := vm.PagesFor(src.footprint, rc.PageSize)
-		boPages = max(int(rc.BOCapacityFrac*float64(footPages)+0.5), 1)
-	}
-	maxZone := 0
-	for _, z := range rc.Mem.Zones {
-		maxZone = max(maxZone, int(z.Zone))
-	}
-	zcfgs := make([]vm.ZoneConfig, maxZone+1)
-	for i := range zcfgs {
-		zcfgs[i] = vm.ZoneConfig{Name: fmt.Sprintf("zone%d", i), CapacityPages: vm.Unlimited}
-	}
-	for _, z := range rc.Mem.Zones {
-		zcfgs[z.Zone].Name = z.Name
-		zcfgs[z.Zone].CapacityPages = min(zcfgs[z.Zone].CapacityPages, capacityPages(z.CapacityBytes, rc.PageSize))
-	}
-	zcfgs[vm.ZoneBO].CapacityPages = min(zcfgs[vm.ZoneBO].CapacityPages, boPages)
-	space := vm.NewSpace(rc.PageSize, zcfgs)
+	space := vm.NewSpace(rc.PageSize, zoneBudgets(rc, src.footprint))
 
 	policy, err := buildPolicy(rc, sbit, space)
 	if err != nil {
@@ -540,9 +517,7 @@ func buildPolicy(rc RunConfig, sbit core.SBIT, space *vm.Space) (core.Policy, er
 	fast, slow := byBW[0], byBW[len(byBW)-1]
 	switch rc.Policy {
 	case LocalPolicy:
-		// LOCAL allocates from the GPU's local zone: the highest-bandwidth
-		// pool in the table.
-		return core.Local{Zone: fast}, nil
+		return core.Local{Zone: localZone(sbit)}, nil
 	case InterleavePolicy:
 		return core.NewInterleave(len(sbit.ZoneInfos)), nil
 	case BWAwarePolicy:
@@ -570,13 +545,59 @@ func buildPolicy(rc RunConfig, sbit core.SBIT, space *vm.Space) (core.Policy, er
 	}
 }
 
-// capacityPages converts a pool's absolute capacity to a page budget;
-// zero capacity means unlimited.
-func capacityPages(capBytes, pageSize uint64) int {
-	if capBytes == 0 {
-		return vm.Unlimited
+// localZone is the pool LOCAL places every page in: the highest-bandwidth
+// pool in the table (ties go to the pool configured first).
+func localZone(sbit core.SBIT) vm.ZoneID { return sbit.ZonesByBandwidth()[0] }
+
+// zoneBudgets sizes the vm zones of a run of rc (resolved) over a source
+// of footprint bytes: each pool's page budget is its absolute capacity in
+// the memory config (topology presets declare some), and the GPU-attached
+// pool (zone 0) is further capped at BOCapacityFrac of the footprint (the
+// paper's capacity studies); the tighter bound wins. vm.Unlimited marks an
+// uncapped pool. A BOCapacityFrac cap is at least one page, so a zero
+// footprint tells a capped pool 0 from an uncapped one without sizing it.
+// runTraced builds the address space from it, and the cache identity and
+// Fig4's reuse of unreached caps read the same budgets.
+func zoneBudgets(rc RunConfig, footprint uint64) []vm.ZoneConfig {
+	maxZone := 0
+	for _, z := range rc.Mem.Zones {
+		maxZone = max(maxZone, int(z.Zone))
 	}
-	return max(int(capBytes/pageSize), 1)
+	zcfgs := make([]vm.ZoneConfig, maxZone+1)
+	for i := range zcfgs {
+		zcfgs[i] = vm.ZoneConfig{Name: fmt.Sprintf("zone%d", i), CapacityPages: vm.Unlimited}
+	}
+	for _, z := range rc.Mem.Zones {
+		zcfgs[z.Zone].Name = z.Name
+		if z.CapacityBytes > 0 {
+			zcfgs[z.Zone].CapacityPages = min(zcfgs[z.Zone].CapacityPages, max(int(z.CapacityBytes/rc.PageSize), 1))
+		}
+	}
+	if rc.BOCapacityFrac > 0 {
+		footPages := vm.PagesFor(footprint, rc.PageSize)
+		boPages := max(int(rc.BOCapacityFrac*float64(footPages)+0.5), 1)
+		zcfgs[vm.ZoneBO].CapacityPages = min(zcfgs[vm.ZoneBO].CapacityPages, boPages)
+	}
+	return zcfgs
+}
+
+// capUnreached reports whether rc, which caps pool 0 (BOCapacityFrac),
+// simulates exactly like its uncapped twin — rc with BOCapacityFrac 0 —
+// given the twin's result: the twin placed no more pages in pool 0 than
+// rc's budget allows. core.Placer reads a pool's capacity only when
+// mapping into it fails with vm.ErrZoneFull, and without migration a page
+// never leaves the pool it was placed in, so up to the first such failure
+// the two runs are the same simulation — and rc's first failure would need
+// the twin to place more than the budget there. The rule excludes ORACLE,
+// whose assignment reads the capacities, and migration, which reads them
+// and moves pages; probed runs are never deduplicated, so callers must not
+// apply it to a probed sweep.
+func capUnreached(rc RunConfig, twin Result) bool {
+	if rc.Policy == OraclePolicy || rc.Migration != nil {
+		return false
+	}
+	budget := zoneBudgets(rc.resolved(), twin.Footprint)[vm.ZoneBO].CapacityPages
+	return twin.Place.PagesPerZone[vm.ZoneBO] <= budget
 }
 
 // Profile runs the workload once, unconstrained under LOCAL placement, and

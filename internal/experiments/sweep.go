@@ -14,6 +14,7 @@ import (
 	"hetsim/internal/migrate"
 	"hetsim/internal/obs"
 	"hetsim/internal/telemetry"
+	"hetsim/internal/vm"
 	"hetsim/internal/workloads"
 )
 
@@ -279,12 +280,13 @@ func RunAll(cfgs []RunConfig, workers int) ([]Result, metrics.SweepStats, error)
 }
 
 // canonicalRC is the cache identity of a RunConfig: every field Run reads,
-// after RunConfig.resolved applies Run's defaults, and fields the selected
-// policy ignores zeroed. Two RunConfigs with equal canonicalRC drive Run
-// through an identical simulation. RunConfig.Lanes is deliberately absent:
-// laned runs produce byte-identical Results (the lane determinism suite
-// asserts it), so a result computed at any lane count satisfies every lane
-// count.
+// after RunConfig.resolved applies Run's defaults, with fields the selected
+// policy ignores zeroed and, for a LOCAL run confined to its local pool,
+// the pools it never touches dropped (see canonicalKey). Two RunConfigs
+// with equal canonicalRC drive Run through an identical simulation.
+// RunConfig.Lanes is deliberately absent: laned runs produce
+// byte-identical Results (the lane determinism suite asserts it), so a
+// result computed at any lane count satisfies every lane count.
 type canonicalRC struct {
 	Workload string
 	Dataset  workloads.Dataset
@@ -341,6 +343,22 @@ func canonicalKey(rc RunConfig) (string, bool) {
 		c.Hints = rc.Hints
 	case OraclePolicy:
 		c.ProfileCounts = rc.ProfileCounts
+	case LocalPolicy:
+		// LOCAL maps every page into its local pool. When that pool is
+		// uncapped it never spills, and without migration or CPU
+		// co-traffic nothing else maps a page or sends an access to
+		// another pool, so only the local pool is part of the identity:
+		// the others' channels exist but stay idle, and their counters
+		// and energy in the Result stay zero.
+		local := localZone(SBITFor(rc.Mem))
+		if rc.Migration == nil && rc.CPUTrafficGBps == 0 && zoneBudgets(rc, 0)[local].CapacityPages == vm.Unlimited {
+			c.Mem.Zones = nil
+			for _, z := range rc.Mem.Zones {
+				if z.Zone == local {
+					c.Mem.Zones = append(c.Mem.Zones, z)
+				}
+			}
+		}
 	}
 	b, err := json.Marshal(c)
 	if err != nil {

@@ -32,6 +32,10 @@ var figureQueries = []struct {
 	{"fig3", "workloads=nosuch", http.StatusBadRequest},
 	{"fig3", "workloads=bfs,,stencil", http.StatusBadRequest},
 	{"figmig", "migrate=alpha%3D0&migrate-policy=ewma", http.StatusBadRequest},
+	{"figmigtopo", "shrink=32&workloads=bfs&migrate=alpha%3D0", http.StatusBadRequest}, // runs ewma too
+	{"figmigtopo", "migrate=alpha%3D0&migrate-policy=counter", http.StatusBadRequest},
+	{"figdyn", "migrate=alpha%3D0", http.StatusBadRequest},
+	{"figdyn", "migrate=alpha%3D0.5", http.StatusOK},
 	{"figmig", "migrate=epoch%3D-1", http.StatusBadRequest},
 	{"figmig", "migrate=frobnicate%3D1", http.StatusBadRequest},
 	{"figmig", "migrate-policy=fifo", http.StatusBadRequest},

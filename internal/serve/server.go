@@ -615,6 +615,8 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 // idempotent figure job (deduplicated with any concurrent or prior request
 // for the same figure and options) and waits for it, honoring client
 // disconnect — the job keeps running and lands in the cache either way.
+// Options that fail decodeFigureQuery or the figure's own check
+// (experiments.CheckFigure) get 400 before a job is queued.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if _, ok := experiments.ByID(name); !ok {
@@ -622,6 +624,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, err := decodeFigureQuery(r.URL.Query(), s.figureDefaults)
+	if err == nil {
+		err = experiments.CheckFigure(name, opts)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -12,7 +12,8 @@
 #     corresponding local renders;
 #   - hmexp, hmsim, and hmserved all reject an invalid -migrate spec (and
 #     an unknown -migrate-policy, and a spec the -migrate-policy override
-#     makes invalid) with exit status 2;
+#     makes invalid) with exit status 2, and hmexp rejects a spec that one
+#     of the two classifiers figmigtopo and figdyn compare makes invalid;
 #   - the daemon refuses bad figure options with 400 before queueing a
 #     job, and hmexp -server refuses them with exit 2 before sending a
 #     request.
@@ -117,6 +118,8 @@ metric() {
 }
 for q in "fig3?workloads=nosuch" \
     "figmig?migrate=alpha%3D0&migrate-policy=ewma" \
+    "figmigtopo?shrink=32&workloads=bfs&migrate=alpha%3D0" \
+    "figdyn?migrate=alpha%3D0" \
     "fig3?shrink=0" "fig3?workers=-1"; do
     status="$(http_status "$url/v1/figures/$q")"
     if [ "$status" != 400 ]; then
@@ -148,6 +151,9 @@ echo "== invalid -migrate / -migrate-policy rejected with exit 2 =="
 for cmd in "$tmp/hmexp -migrate epoch=banana fig3" \
     "$tmp/hmexp -migrate-policy mystery fig3" \
     "$tmp/hmexp -migrate alpha=0 -migrate-policy ewma figmig" \
+    "$tmp/hmexp -shrink 32 -workloads bfs -migrate alpha=0 figmigtopo" \
+    "$tmp/hmexp -migrate alpha=0 figdyn" \
+    "$tmp/hmexp -server $url -migrate alpha=0 figmigtopo" \
     "$tmp/hmsim -migrate minheat=0 -workload bfs" \
     "$tmp/hmsim -migrate-policy mystery -workload bfs" \
     "$tmp/hmsim -migrate alpha=0 -migrate-policy ewma -workload bfs" \
