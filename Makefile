@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race vet check repro-check bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
+.PHONY: all build fmt test race vet check repro-check traffic-cover bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
 
 all: build
 
@@ -47,6 +47,20 @@ repro-check:
 	$(GO) run ./cmd/hmexp all > "$$tmp" && \
 	grep -v '^  sweep:' "$$tmp" | cmp - experiments_full.txt && \
 	echo "repro-check: hmexp all reproduces experiments_full.txt"
+
+# Traffic coverage: the repository functions that real runs never enter,
+# the candidates for the next deletion. It builds hmexp and hetbench with
+# coverage over every hetsim package (hetbench through `go -C bench`, so
+# no file under bench/ changes), runs `hmexp -shrink 8 all` and every
+# hetbench workload once at -quick, and prints each function no run
+# entered. About 50 s on 2 cores; not part of `make check` or CI.
+traffic-cover:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov" && \
+	$(GO) build -cover -coverpkg=hetsim/... -o "$$tmp/hmexp" ./cmd/hmexp && \
+	$(GO) -C bench build -cover -coverpkg=hetsim/... -o "$$tmp/hetbench" ./hetbench && \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/hmexp" -shrink 8 all > /dev/null && \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/hetbench" -quick -seconds 0 > /dev/null && \
+	$(GO) tool covdata func -i "$$tmp/cov" | awk '$$NF == "0.0%" { print $$1, $$2 }'
 
 # hetbench smoke test: every benchmark workload at -quick scale, including
 # the check that each workload's default-seed output digest still matches

@@ -5,6 +5,8 @@ import (
 	"log"
 
 	"hetsim"
+	"hetsim/internal/dram"
+	"hetsim/internal/memsys"
 )
 
 // Running one workload under the paper's BW-AWARE policy.
@@ -21,6 +23,42 @@ func ExampleRun() {
 	// pool serves ~71% of traffic.
 	fmt.Printf("policy=%s BO-served=%.0f%%\n", res.Policy, res.BOServed*100)
 	// Output: policy=BW-AWARE BO-served=71%
+}
+
+// Defining your own topology (TOPOLOGIES.md): the paper's Table 1 memory
+// system with its two pools replaced by an accelerator card's, HBM2e on
+// package and DDR5 across PCIe 5.
+func ExampleRunConfig_customTopology() {
+	channel := func(gbps float64, banks int, energy dram.EnergyConfig) dram.Config {
+		return dram.Config{
+			Timing: dram.Table1Timing(), Banks: banks, RowBytes: 2048,
+			BytesPerCycle: memsys.BytesPerCycle(gbps), BurstBytes: 128,
+			Energy: energy,
+		}
+	}
+	mem := memsys.Table1Config() // keeps Table 1's lines, L2 slices and MSHRs
+	mem.Zones = []memsys.ZoneConfig{
+		{Zone: 0, Name: "HBM2e", Channels: 8, DRAM: channel(115, 32, dram.HBM3Energy()),
+			CapacityBytes: 16 << 30},
+		{Zone: 1, Name: "DDR5", Channels: 4, DRAM: channel(38.4, 16, dram.DDR4Energy()),
+			ExtraLatency: 140}, // 100 ns at 1.4 GHz
+	}
+	if err := mem.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	res, err := heteromem.Run(heteromem.RunConfig{
+		Workload: "bfs",
+		Policy:   heteromem.BWAware,
+		Shrink:   16,
+		Mem:      mem,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// 920 of 1073.6 GB/s is in HBM2e, so BW-AWARE places ~86% of pages
+	// there and HBM2e serves most of the traffic.
+	fmt.Printf("BW-AWARE on hbm2e-ddr5: pool 0 serves %.0f%%\n", res.BOServed*100)
+	// Output: BW-AWARE on hbm2e-ddr5: pool 0 serves 84%
 }
 
 // The GetAllocation hint computation of Figure 9: three annotated

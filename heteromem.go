@@ -183,9 +183,11 @@ func StructureProfile(res Result) []StructureStat {
 // 80 GB/s CO behind a 100-cycle hop).
 func Table1SBIT() SBIT { return core.Table1SBIT() }
 
-// Topology describes an N-pool heterogeneous memory system (see
-// internal/topology and TOPOLOGIES.md): each pool's channel count,
-// per-channel bandwidth, timing, capacity, and interconnect hop.
+// Topology is a named N-pool heterogeneous memory system (see
+// internal/topology and TOPOLOGIES.md): a preset name plus the memory
+// configuration it stands for, one zone per pool with its channel count,
+// per-channel bandwidth, timing, capacity and interconnect hop. Pass
+// MemsysConfig() as RunConfig.Mem to run on it.
 type Topology = topology.Topology
 
 // TopologyPreset returns a built-in topology by name; select one for a

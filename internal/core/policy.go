@@ -263,7 +263,9 @@ func BuildOracleAssignmentZones(counts []uint64, zones []vm.ZoneID, shares []flo
 
 // Hinted honors per-allocation annotations: HintBO/HintCO pin the
 // allocation's pages, HintBW and HintNone defer to an underlying BW-AWARE
-// (or other) policy, matching §5.2's runtime semantics.
+// (or other) policy, matching §5.2's runtime semantics. It stands in for
+// §5.2's mbind call: gpurt.Malloc records the hint on the allocation, and
+// each page's placement reads it there.
 type Hinted struct {
 	// Fallback handles HintBW and HintNone requests.
 	Fallback Policy

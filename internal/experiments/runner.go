@@ -332,6 +332,11 @@ func sourceOf(rc RunConfig) (source, error) {
 // replays differ only in their source.
 func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	rc = rc.resolved()
+	// The zone budgets below size the address space from rc.Mem, so it is
+	// checked before them rather than in memsys.New.
+	if err := rc.Mem.Validate(); err != nil {
+		return Result{}, err
+	}
 	src, err := sourceOf(rc)
 	if err != nil {
 		return Result{}, err

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hetsim/internal/core"
+	"hetsim/internal/memsys"
 	"hetsim/internal/topology"
 	"hetsim/internal/vm"
 	"hetsim/internal/workloads"
@@ -245,16 +248,17 @@ func TestSBITForPresetShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sbit := SBITFor(topo.MemsysConfig())
+	mem := topo.MemsysConfig()
+	sbit := SBITFor(mem)
 	var total float64
-	for _, p := range topo.Pools {
-		total += p.BandwidthGBps()
+	for _, z := range mem.Zones {
+		total += mem.ZoneBandwidthGBps(z.Zone)
 	}
-	for i, p := range topo.Pools {
-		got := sbit.Share(vm.ZoneID(i))
-		want := p.BandwidthGBps() / total
+	for _, z := range mem.Zones {
+		got := sbit.Share(z.Zone)
+		want := mem.ZoneBandwidthGBps(z.Zone) / total
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("pool %s share = %v, want %v", p.Name, got, want)
+			t.Errorf("pool %s share = %v, want %v", z.Name, got, want)
 		}
 	}
 	byBW := sbit.ZonesByBandwidth()
@@ -263,6 +267,40 @@ func TestSBITForPresetShares(t *testing.T) {
 	}
 	if last := byBW[len(byBW)-1]; last != vm.ZoneID(2) {
 		t.Errorf("slowest zone = %d, want 2 (CXL-DRAM)", last)
+	}
+}
+
+// TestTable1SBITMatchesConfig pins core.Table1SBIT, the last hand-written
+// copy of Table 1's pools, to the SBIT every default run derives from
+// memsys.Table1Config.
+func TestTable1SBITMatchesConfig(t *testing.T) {
+	got, want := core.Table1SBIT(), SBITFor(memsys.Table1Config())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("core.Table1SBIT() = %+v, want SBITFor(memsys.Table1Config()) = %+v", got, want)
+	}
+}
+
+// TestRunRejectsMalformedMem: a malformed memory system, as a client may
+// send in a RunConfig, is an error from Run and never a panic.
+func TestRunRejectsMalformedMem(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*memsys.Config)
+	}{
+		{"negative hop", func(m *memsys.Config) { m.Zones[1].ExtraLatency = -100 }},
+		{"negative global latency", func(m *memsys.Config) { m.GlobalExtraLatency = -100 }},
+		{"duplicate zone IDs", func(m *memsys.Config) { m.Zones[1].Zone = m.Zones[0].Zone }},
+		{"zone ID out of range", func(m *memsys.Config) { m.Zones[1].Zone = vm.MaxZones }},
+		{"empty zone name", func(m *memsys.Config) { m.Zones[1].Name = "" }},
+		{"duplicate zone names", func(m *memsys.Config) { m.Zones[1].Name = m.Zones[0].Name }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mem := memsys.Table1Config()
+			c.mut(&mem)
+			if _, err := Run(RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 64, Mem: mem}); err == nil {
+				t.Fatal("Run accepted a malformed Mem")
+			}
+		})
 	}
 }
 

@@ -29,31 +29,3 @@ func Coalesce(laneAddrs []uint64, lineBytes uint64) []uint64 {
 	}
 	return out
 }
-
-// CoalesceAccesses is Coalesce for Access values: the write flag of a
-// merged transaction is the OR of its lanes' flags (a transaction with any
-// store lane must write).
-func CoalesceAccesses(lanes []Access, lineBytes uint64) []Access {
-	if len(lanes) == 0 {
-		return nil
-	}
-	mask := ^(lineBytes - 1)
-	type lineInfo struct {
-		addr  uint64
-		write bool
-	}
-	byLine := make(map[uint64]lineInfo, len(lanes))
-	for _, l := range lanes {
-		base := l.VA & mask
-		info := byLine[base]
-		info.addr = base
-		info.write = info.write || l.Write
-		byLine[base] = info
-	}
-	out := make([]Access, 0, len(byLine))
-	for _, info := range byLine {
-		out = append(out, Access{VA: info.addr, Write: info.write})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VA < out[j].VA })
-	return out
-}

@@ -51,27 +51,6 @@ func TestCoalesceEmpty(t *testing.T) {
 	if got := Coalesce(nil, 128); got != nil {
 		t.Fatalf("Coalesce(nil) = %v", got)
 	}
-	if got := CoalesceAccesses(nil, 128); got != nil {
-		t.Fatalf("CoalesceAccesses(nil) = %v", got)
-	}
-}
-
-func TestCoalesceAccessesWriteOr(t *testing.T) {
-	lanes := []Access{
-		{VA: 0x100, Write: false},
-		{VA: 0x140, Write: true}, // same 128 B line as 0x100? 0x100..0x17f -> yes
-		{VA: 0x200, Write: false},
-	}
-	got := CoalesceAccesses(lanes, 128)
-	if len(got) != 2 {
-		t.Fatalf("got %d transactions, want 2", len(got))
-	}
-	if got[0].VA != 0x100 || !got[0].Write {
-		t.Fatalf("merged transaction = %+v, want write=true at 0x100", got[0])
-	}
-	if got[1].VA != 0x200 || got[1].Write {
-		t.Fatalf("second transaction = %+v", got[1])
-	}
 }
 
 // Property: every lane's line appears exactly once, sorted, regardless of

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"hetsim/internal/core"
-	"hetsim/internal/mempolicy"
 	"hetsim/internal/vm"
 )
 
@@ -52,9 +51,6 @@ type Runtime struct {
 	allocs     []Allocation
 	nextVA     uint64
 	firstTouch bool
-	// mempolicy, when set (NewWithMempolicy), implements hints via mbind
-	// instead of per-fault hint dispatch.
-	mempolicy *mempolicy.Table
 }
 
 // New returns an eager-placement runtime allocating from va 0 upward.
@@ -104,9 +100,6 @@ func (r *Runtime) Malloc(label string, size uint64, hint core.Hint) (Allocation,
 		Hint:  hint,
 	}
 	pages := vm.PagesFor(size, ps)
-	if err := r.bindHint(a); err != nil {
-		return Allocation{}, fmt.Errorf("gpurt: Malloc(%q, %d): %w", label, size, err)
-	}
 	if !r.firstTouch {
 		firstPage := a.Base / ps
 		for p := 0; p < pages; p++ {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hetsim/internal/core"
-	"hetsim/internal/mempolicy"
 	"hetsim/internal/vm"
 )
 
@@ -64,13 +63,24 @@ func TestMallocPlacesAllPages(t *testing.T) {
 	}
 }
 
+// A Malloc hint reaches placement through the allocation, whether pages
+// are placed at Malloc (eager) or on their first touch (Fault).
 func TestMallocHintsHonored(t *testing.T) {
-	r := newRuntime(vm.Unlimited, vm.Unlimited, core.NewHintedZones(core.NewBWAware(core.Table1SBIT(), 1), vm.ZoneBO, vm.ZoneCO))
-	a, _ := r.Malloc("pinned-co", 4*vm.DefaultPageSize, core.HintCO)
-	for p := uint64(0); p < 4; p++ {
-		z, ok := r.Space().PageZone(a.Base/vm.DefaultPageSize + p)
-		if !ok || z != vm.ZoneCO {
-			t.Fatalf("hinted-CO page %d in zone %d", p, z)
+	for _, firstTouch := range []bool{false, true} {
+		r := newRuntime(vm.Unlimited, vm.Unlimited, core.NewHintedZones(core.NewBWAware(core.Table1SBIT(), 1), vm.ZoneBO, vm.ZoneCO))
+		r.firstTouch = firstTouch
+		a, _ := r.Malloc("pinned-co", 4*vm.DefaultPageSize, core.HintCO)
+		for p := uint64(0); p < 4; p++ {
+			vpage := a.Base/vm.DefaultPageSize + p
+			if firstTouch {
+				if err := r.Fault(vpage); err != nil {
+					t.Fatal(err)
+				}
+			}
+			z, ok := r.Space().PageZone(vpage)
+			if !ok || z != vm.ZoneCO {
+				t.Fatalf("first touch %v: hinted-CO page %d in zone %d", firstTouch, p, z)
+			}
 		}
 	}
 }
@@ -163,89 +173,5 @@ func TestGetAllocationLengthMismatch(t *testing.T) {
 	r := newRuntime(1, 1, core.Local{Zone: vm.ZoneBO})
 	if _, err := r.GetAllocation([]uint64{1}, nil, core.Table1SBIT()); err == nil {
 		t.Fatal("mismatched annotation arrays accepted")
-	}
-}
-
-func TestMempolicyRuntimeHints(t *testing.T) {
-	space := vm.NewSpace(vm.DefaultPageSize, []vm.ZoneConfig{
-		{Name: "BO", CapacityPages: vm.Unlimited},
-		{Name: "CO", CapacityPages: vm.Unlimited},
-	})
-	rt, table, err := NewWithMempolicy(space, core.Table1SBIT(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rt.FirstTouch() {
-		t.Fatal("mempolicy runtime not first-touch")
-	}
-	if table.DefaultMode() != mempolicy.ModeBWAware {
-		t.Fatalf("default mode = %v, want MPOL_BWAWARE", table.DefaultMode())
-	}
-
-	co, err := rt.Malloc("pinned", 4*vm.DefaultPageSize, core.HintCO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unhinted, err := rt.Malloc("spread", 4*vm.DefaultPageSize, core.HintNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.Bindings() != 1 {
-		t.Fatalf("Bindings = %d, want 1 (only the hinted allocation)", table.Bindings())
-	}
-
-	// Fault pages in; the bound range must land in CO, the unhinted one
-	// follows the BW-AWARE default.
-	for p := uint64(0); p < 4; p++ {
-		if err := rt.Fault(co.Base/vm.DefaultPageSize + p); err != nil {
-			t.Fatal(err)
-		}
-		z, _ := space.PageZone(co.Base/vm.DefaultPageSize + p)
-		if z != vm.ZoneCO {
-			t.Fatalf("mbind'd page %d in zone %d, want CO", p, z)
-		}
-		if err := rt.Fault(unhinted.Base/vm.DefaultPageSize + p); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestMempolicyRuntimeMatchesHintedPolicy(t *testing.T) {
-	// The mbind route and the Hinted-policy route must produce the same
-	// zone for every page given the same hints and seed.
-	build := func(viaMempolicy bool) []vm.ZoneID {
-		space := vm.NewSpace(vm.DefaultPageSize, []vm.ZoneConfig{
-			{Name: "BO", CapacityPages: vm.Unlimited},
-			{Name: "CO", CapacityPages: vm.Unlimited},
-		})
-		var rt *Runtime
-		if viaMempolicy {
-			var err error
-			rt, _, err = NewWithMempolicy(space, core.Table1SBIT(), 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			placer := core.NewPlacer(space, core.NewHintedZones(core.NewBWAware(core.Table1SBIT(), 7), vm.ZoneBO, vm.ZoneCO), core.Table1SBIT())
-			rt = NewFirstTouch(space, placer)
-		}
-		rt.Malloc("a", 8*vm.DefaultPageSize, core.HintBO)
-		rt.Malloc("b", 8*vm.DefaultPageSize, core.HintCO)
-		rt.Malloc("c", 8*vm.DefaultPageSize, core.HintBW)
-		var zones []vm.ZoneID
-		for p := uint64(0); p < 24; p++ {
-			if err := rt.Fault(p); err != nil {
-				t.Fatal(err)
-			}
-			z, _ := space.PageZone(p)
-			zones = append(zones, z)
-		}
-		return zones
-	}
-	a, b := build(true), build(false)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("page %d: mempolicy route -> %d, hinted route -> %d", i, a[i], b[i])
-		}
 	}
 }

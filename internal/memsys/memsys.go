@@ -3,9 +3,9 @@
 // slices with MSHR files, a per-pool interconnect hop (the PCIe-era
 // fixed-latency hop of the paper, or a C2C/CXL link in newer topologies),
 // and the virtual-memory translation layer. Table1Config is the paper's
-// two-pool instance; internal/topology compiles multi-pool presets into the
-// same Config. The package exposes one operation to the GPU model — AccessH
-// — and per-page DRAM access counts to the profiler.
+// two-pool instance; internal/topology's presets are Configs too. The
+// package exposes one operation to the GPU model — AccessH — and per-page
+// DRAM access counts to the profiler.
 package memsys
 
 import (
@@ -64,8 +64,9 @@ type Config struct {
 // Table1Config returns the paper's simulated memory system: 8 GDDR5
 // channels totalling 200 GB/s on the GPU, 4 DDR4 channels totalling
 // 80 GB/s on the CPU behind a 100-cycle hop, 128 kB of memory-side L2
-// with 128 MSHRs per channel, 128 B lines. The "k40-ddr4" topology preset
-// compiles to exactly this configuration.
+// with 128 MSHRs per channel, 128 B lines. It is the one definition of
+// Table 1's memory system: the "k40-ddr4" topology preset returns it, and
+// the other presets replace or extend its zones.
 func Table1Config() Config {
 	gddr5 := dram.Config{
 		Timing:        dram.Table1Timing(),
@@ -143,7 +144,11 @@ func (c *Config) SetZoneBandwidthGBps(z vm.ZoneID, gbps float64) {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: bad line or interleave sizes,
+// no MSHRs, a negative latency adder, no zones, and per zone an
+// out-of-range or repeated ID (so at most vm.MaxZones zones), a missing
+// or repeated name, a non-positive channel count, a negative hop or
+// invalid DRAM.
 func (c Config) Validate() error {
 	switch {
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
@@ -152,16 +157,29 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memsys: InterleaveBytes %d must be a power of two >= LineBytes", c.InterleaveBytes)
 	case c.MSHRsPerSlice <= 0:
 		return fmt.Errorf("memsys: MSHRsPerSlice %d must be positive", c.MSHRsPerSlice)
+	case c.GlobalExtraLatency < 0:
+		return fmt.Errorf("memsys: GlobalExtraLatency %d negative", c.GlobalExtraLatency)
 	case len(c.Zones) == 0:
 		return fmt.Errorf("memsys: no zones")
 	}
+	var ids [vm.MaxZones]bool
+	names := make(map[string]bool, len(c.Zones))
 	for _, z := range c.Zones {
-		if z.Zone >= vm.MaxZones {
+		switch {
+		case z.Zone >= vm.MaxZones:
 			return fmt.Errorf("memsys: zone %q has ID %d, want < %d", z.Name, z.Zone, vm.MaxZones)
-		}
-		if z.Channels <= 0 {
+		case ids[z.Zone]:
+			return fmt.Errorf("memsys: zone %q repeats zone ID %d", z.Name, z.Zone)
+		case z.Name == "":
+			return fmt.Errorf("memsys: zone %d has no name", z.Zone)
+		case names[z.Name]:
+			return fmt.Errorf("memsys: duplicate zone name %q", z.Name)
+		case z.Channels <= 0:
 			return fmt.Errorf("memsys: zone %q has %d channels", z.Name, z.Channels)
+		case z.ExtraLatency < 0:
+			return fmt.Errorf("memsys: zone %q hop latency %d negative", z.Name, z.ExtraLatency)
 		}
+		ids[z.Zone], names[z.Name] = true, true
 		if err := z.DRAM.Validate(); err != nil {
 			return fmt.Errorf("memsys: zone %q: %w", z.Name, err)
 		}

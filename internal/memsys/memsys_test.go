@@ -1,9 +1,11 @@
 package memsys
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hetsim/internal/sim"
@@ -46,23 +48,47 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	mutations := []struct {
 		name string
 		mut  func(*Config)
+		want string // substring of the expected error
 	}{
-		{"bad line", func(c *Config) { c.LineBytes = 100 }},
-		{"interleave < line", func(c *Config) { c.InterleaveBytes = 64 }},
-		{"zero mshr", func(c *Config) { c.MSHRsPerSlice = 0 }},
-		{"no zones", func(c *Config) { c.Zones = nil }},
-		{"zone ID out of range", func(c *Config) { c.Zones[1].Zone = vm.MaxZones }},
-		{"zero channels", func(c *Config) { c.Zones[0].Channels = 0 }},
-		{"bad dram", func(c *Config) { c.Zones[0].DRAM.Banks = 0 }},
+		{"bad line", func(c *Config) { c.LineBytes = 100 }, "LineBytes"},
+		{"interleave < line", func(c *Config) { c.InterleaveBytes = 64 }, "InterleaveBytes"},
+		{"zero mshr", func(c *Config) { c.MSHRsPerSlice = 0 }, "MSHRsPerSlice"},
+		{"negative global latency", func(c *Config) { c.GlobalExtraLatency = -1 }, "GlobalExtraLatency"},
+		{"no zones", func(c *Config) { c.Zones = nil }, "no zones"},
+		{"too many zones", func(c *Config) {
+			for i := len(c.Zones); i <= vm.MaxZones; i++ {
+				z := c.Zones[0]
+				z.Zone, z.Name = vm.ZoneID(i), fmt.Sprint("zone", i)
+				c.Zones = append(c.Zones, z)
+			}
+		}, "ID"},
+		{"zone ID out of range", func(c *Config) { c.Zones[1].Zone = vm.MaxZones }, "ID"},
+		{"duplicate zone IDs", func(c *Config) { c.Zones[1].Zone = c.Zones[0].Zone }, "zone ID"},
+		{"empty zone name", func(c *Config) { c.Zones[1].Name = "" }, "name"},
+		{"duplicate zone names", func(c *Config) { c.Zones[1].Name = c.Zones[0].Name }, "duplicate"},
+		{"zero channels", func(c *Config) { c.Zones[0].Channels = 0 }, "channels"},
+		{"negative channels", func(c *Config) { c.Zones[1].Channels = -4 }, "channels"},
+		{"negative hop", func(c *Config) { c.Zones[1].ExtraLatency = -1 }, "hop"},
+		{"zero bandwidth", func(c *Config) { c.Zones[0].DRAM.BytesPerCycle = 0 }, "BytesPerCycle"},
+		{"zero banks", func(c *Config) { c.Zones[0].DRAM.Banks = 0 }, "Banks"},
+		{"zero row bytes", func(c *Config) { c.Zones[1].DRAM.RowBytes = 0 }, "RowBytes"},
+		{"bad dram", func(c *Config) { c.Zones[0].DRAM.BurstBytes = 0 }, "BurstBytes"},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := Table1Config()
 			m.mut(&cfg)
-			if err := cfg.Validate(); err == nil {
+			err := cfg.Validate()
+			if err == nil {
 				t.Fatal("Validate accepted bad config")
 			}
+			if !strings.Contains(err.Error(), m.want) {
+				t.Errorf("error %q does not mention %q", err, m.want)
+			}
 		})
+	}
+	if err := Table1Config().Validate(); err != nil {
+		t.Fatalf("Table1Config rejected: %v", err)
 	}
 }
 

@@ -119,16 +119,9 @@ type StructureStat struct {
 	FootprintFrac float64 // share of the application footprint
 }
 
-// ProfileStructures maps page counts back onto the allocations that own the
-// pages, the reverse mapping the paper builds from instrumented cudaMalloc
-// call sites.
-func ProfileStructures(counts []uint64, rt *gpurt.Runtime) []StructureStat {
-	return ProfileAllocations(counts, rt.Allocations(), rt.Space().PageSize())
-}
-
-// ProfileAllocations is ProfileStructures for callers that hold only the
-// allocation table (e.g. a finished experiment result) rather than a live
-// runtime.
+// ProfileAllocations maps page counts back onto the allocations that own
+// the pages, the reverse mapping the paper builds from instrumented
+// cudaMalloc call sites.
 func ProfileAllocations(counts []uint64, allocs []gpurt.Allocation, pageSize uint64) []StructureStat {
 	stats := make([]StructureStat, len(allocs))
 	ps := pageSize

@@ -109,7 +109,7 @@ func TestProfileStructures(t *testing.T) {
 	rt.Malloc("c", vm.DefaultPageSize, core.HintNone)
 
 	counts := []uint64{100, 10, 10, 0} // pages 0..3
-	stats := ProfileStructures(counts, rt)
+	stats := ProfileAllocations(counts, rt.Allocations(), vm.DefaultPageSize)
 	if len(stats) != 3 {
 		t.Fatalf("%d structure stats, want 3", len(stats))
 	}
@@ -133,7 +133,7 @@ func TestProfileStructuresShortCounts(t *testing.T) {
 	rt := buildRuntime(t)
 	rt.Malloc("a", 2*vm.DefaultPageSize, core.HintNone)
 	// counts shorter than the footprint must not panic.
-	stats := ProfileStructures([]uint64{7}, rt)
+	stats := ProfileAllocations([]uint64{7}, rt.Allocations(), vm.DefaultPageSize)
 	if stats[0].Accesses != 7 {
 		t.Fatalf("Accesses = %d, want 7", stats[0].Accesses)
 	}
@@ -143,7 +143,7 @@ func TestHotnessAndSizeVectors(t *testing.T) {
 	rt := buildRuntime(t)
 	rt.Malloc("a", vm.DefaultPageSize, core.HintNone)
 	rt.Malloc("b", 2*vm.DefaultPageSize, core.HintNone)
-	stats := ProfileStructures([]uint64{40, 10, 10}, rt)
+	stats := ProfileAllocations([]uint64{40, 10, 10}, rt.Allocations(), vm.DefaultPageSize)
 	hot := HotnessVector(stats)
 	sizes := SizeVector(stats)
 	if len(hot) != 2 || len(sizes) != 2 {

@@ -9,35 +9,32 @@ import (
 	"hetsim/internal/vm"
 )
 
-// TestK40MatchesTable1 pins the byte-identity contract: the k40-ddr4
-// preset must compile to exactly the paper's Table 1 memory system, so
-// figures rendered on it are bit-identical to the historical default.
-func TestK40MatchesTable1(t *testing.T) {
-	got := K40DDR4().MemsysConfig()
-	want := memsys.Table1Config()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("K40DDR4().MemsysConfig() diverged from memsys.Table1Config():\n got %+v\nwant %+v", got, want)
-	}
-}
-
 func TestPresetsValid(t *testing.T) {
 	for _, name := range Names() {
 		topo, err := Preset(name)
 		if err != nil {
 			t.Fatalf("Preset(%q): %v", name, err)
 		}
-		if err := topo.Validate(); err != nil {
-			t.Errorf("preset %q invalid: %v", name, err)
-		}
 		mc := topo.MemsysConfig()
-		if len(mc.Zones) != len(topo.Pools) {
-			t.Errorf("preset %q: %d zones from %d pools", name, len(mc.Zones), len(topo.Pools))
+		if err := mc.Validate(); err != nil {
+			t.Errorf("preset %q invalid: %v", name, err)
 		}
 		for i, z := range mc.Zones {
 			if z.Zone != vm.ZoneID(i) {
 				t.Errorf("preset %q pool %d mapped to zone %d", name, i, z.Zone)
 			}
 		}
+	}
+}
+
+// MemsysConfig hands out copies: a caller that rescales its zones must
+// not change the preset it came from.
+func TestMemsysConfigIndependent(t *testing.T) {
+	topo := K40DDR4()
+	mc := topo.MemsysConfig()
+	mc.ScaleZoneBandwidth(vm.ZoneBO, 2)
+	if !reflect.DeepEqual(topo.MemsysConfig(), memsys.Table1Config()) {
+		t.Fatal("mutating a MemsysConfig copy changed the topology")
 	}
 }
 
@@ -69,57 +66,72 @@ func TestPresetEmptyIsK40(t *testing.T) {
 	}
 }
 
+// TestValidateRejects malforms every preset's memory system and checks
+// that memsys.Config.Validate, which every run applies, refuses it: the
+// rules hold for each preset's zone layout, not only Table 1's.
 func TestValidateRejects(t *testing.T) {
-	valid := func() Topology { return K40DDR4() }
 	cases := []struct {
 		name   string
-		mutate func(*Topology)
+		mutate func(*memsys.Config)
 		want   string // substring of the expected error
 	}{
-		{"empty name", func(tp *Topology) { tp.Name = "" }, "name"},
-		{"no pools", func(tp *Topology) { tp.Pools = nil }, "no pools"},
-		{"too many pools", func(tp *Topology) {
-			for len(tp.Pools) <= vm.MaxZones {
-				p := tp.Pools[0]
-				p.Name = strings.Repeat("x", len(tp.Pools))
-				tp.Pools = append(tp.Pools, p)
+		{"no pools", func(c *memsys.Config) { c.Zones = nil }, "no zones"},
+		{"too many pools", func(c *memsys.Config) {
+			for len(c.Zones) <= vm.MaxZones {
+				z := c.Zones[0]
+				z.Zone, z.Name = vm.ZoneID(len(c.Zones)), strings.Repeat("x", len(c.Zones))
+				c.Zones = append(c.Zones, z)
 			}
-		}, "pools"},
-		{"empty pool name", func(tp *Topology) { tp.Pools[1].Name = "" }, "name"},
-		{"duplicate pool names", func(tp *Topology) { tp.Pools[1].Name = tp.Pools[0].Name }, "duplicate"},
-		{"zero channels", func(tp *Topology) { tp.Pools[0].Channels = 0 }, "channels"},
-		{"negative channels", func(tp *Topology) { tp.Pools[1].Channels = -4 }, "channels"},
-		{"zero bandwidth", func(tp *Topology) { tp.Pools[0].ChannelGBps = 0 }, "bandwidth"},
-		{"zero banks", func(tp *Topology) { tp.Pools[0].Banks = 0 }, "banks"},
-		{"zero row bytes", func(tp *Topology) { tp.Pools[1].RowBytes = 0 }, "row"},
-		{"negative hop", func(tp *Topology) { tp.Pools[1].Hop.LatencyCycles = -1 }, "hop"},
+		}, "ID"},
+		{"empty pool name", func(c *memsys.Config) { c.Zones[1].Name = "" }, "name"},
+		{"duplicate pool names", func(c *memsys.Config) { c.Zones[1].Name = c.Zones[0].Name }, "duplicate"},
+		{"zero channels", func(c *memsys.Config) { c.Zones[0].Channels = 0 }, "channels"},
+		{"negative channels", func(c *memsys.Config) { c.Zones[1].Channels = -4 }, "channels"},
+		{"zero bandwidth", func(c *memsys.Config) { c.Zones[0].DRAM.BytesPerCycle = 0 }, "BytesPerCycle"},
+		{"zero banks", func(c *memsys.Config) { c.Zones[0].DRAM.Banks = 0 }, "Banks"},
+		{"zero row bytes", func(c *memsys.Config) { c.Zones[1].DRAM.RowBytes = 0 }, "RowBytes"},
+		{"negative hop", func(c *memsys.Config) { c.Zones[1].ExtraLatency = -1 }, "hop"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tp := valid()
-			tc.mutate(&tp)
-			err := tp.Validate()
-			if err == nil {
-				t.Fatal("Validate accepted bad topology")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
+			for _, name := range Names() {
+				topo, err := Preset(name)
+				if err != nil {
+					t.Fatalf("Preset(%q): %v", name, err)
+				}
+				mc := topo.MemsysConfig()
+				tc.mutate(&mc)
+				err = mc.Validate()
+				if err == nil {
+					t.Errorf("%s: Validate accepted bad config", name)
+					continue
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
+				}
 			}
 		})
 	}
-	if err := valid().Validate(); err != nil {
-		t.Fatalf("unmutated preset rejected: %v", err)
-	}
 }
 
+// TestBWRatio pins the exact ratios: figtopo writes them into figure
+// JSON at full precision, and BWRatio reads bandwidth back through
+// memsys.BytesPerCycle.
 func TestBWRatio(t *testing.T) {
-	if r := K40DDR4().BWRatio(); r < 2.49 || r > 2.51 {
-		t.Errorf("k40-ddr4 BW ratio = %.2f, want 2.5 (200:80)", r)
+	for _, c := range []struct {
+		topo Topology
+		want float64
+	}{
+		{K40DDR4(), 2.5},              // 200:80
+		{GH200(), 8},                  // 4000:500
+		{CXLExpansion(), 200.0 / 144}, // 200:(80+64)
+	} {
+		if r := c.topo.BWRatio(); r != c.want {
+			t.Errorf("%s BW ratio = %v, want %v", c.topo.Name, r, c.want)
+		}
 	}
-	if r := GH200().BWRatio(); r < 7.9 || r > 8.1 {
-		t.Errorf("gh200 BW ratio = %.2f, want ~8 (4000:500)", r)
-	}
-	one := Topology{Name: "solo", Pools: K40DDR4().Pools[:1]}
+	one := K40DDR4()
+	one.Mem.Zones = one.Mem.Zones[:1]
 	if r := one.BWRatio(); r != 0 {
 		t.Errorf("single-pool ratio = %v, want 0", r)
 	}
