@@ -2,7 +2,8 @@
 #
 # `make check` is the tier-1 verification gate: build + gofmt + vet + full
 # test suite + race-detector pass over the experiment harness (the only
-# part of the tree that runs simulations concurrently).
+# part of the tree that runs simulations concurrently) + the hetbench
+# smoke test + the end-to-end scenarios on real binaries.
 
 GO ?= go
 
@@ -35,7 +36,8 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build fmt vet test race bench-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke
+check: build fmt vet test race bench-smoke
+	$(GO) run ./cmd/hme2e topology lanes migration tune probe
 
 # Full-fidelity reproduction gate: re-run `hmexp all` and byte-compare its
 # output with the recorded experiments_full.txt, less the `sweep:` lines
@@ -111,59 +113,40 @@ bench-serve:
 serve:
 	$(GO) run ./cmd/hmserved
 
-# Start a 3-worker hmserved fleet on localhost:18081-18083 (ctrl-C drains
-# and stops all of them); point hmexp -cluster or hmserved -cluster at it.
+# End-to-end checks on real binaries, one cmd/hme2e scenario per target
+# (each scenario's doc comment lists its assertions): the same bytes from
+# local, daemon and cluster renders, at any lane count and with probes on,
+# and exit 2 for every refused invocation. Daemons bind 127.0.0.1:0, so
+# `make -j` runs targets side by side; `make check` runs the topology,
+# lanes, migration, tune and probe scenarios in one hme2e process.
+#
+# cluster starts a 3-worker hmserved fleet on 127.0.0.1:18081-18083
+# (ctrl-C drains and stops all of them); point hmexp -cluster or
+# hmserved -cluster at it. trace-smoke leaves trace-smoke.json, a
+# Chrome/Perfetto timeline of a traced fleet sweep, which CI uploads.
 cluster:
-	scripts/cluster.sh fleet 3
+	$(GO) run ./cmd/hme2e fleet 3
 
-# End-to-end cluster check: 2 workers + a coordinator, one figure fetched
-# through the fleet, output diffed byte-for-byte against a local render.
 cluster-smoke:
-	scripts/cluster.sh smoke
+	$(GO) run ./cmd/hme2e cluster
 
-# End-to-end topology check: a tiny figure sweep on every memory-topology
-# preset (k40-ddr4, gh200, cxl-expansion), on real binaries: k40-ddr4 must
-# be byte-identical to the Table 1 default, the new presets must actually
-# change the output, hmserved must serve ?topology= identically to local
-# renders, and all three CLIs must reject unknown presets with exit 2.
-topology-smoke:
-	scripts/topology_smoke.sh
-
-# End-to-end lane check on real binaries: hmsim and hmexp output must be
-# byte-identical at -lanes 1 and -lanes 8, and all three CLIs must reject
-# an invalid -lanes with exit 2.
-lanes-smoke:
-	scripts/lanes_smoke.sh
-
-# End-to-end migration check on real binaries: figmigtopo renders on every
-# preset byte-identically across reruns, -migrate off changes nothing,
-# hmserved serves ?migrate= identically to local renders, and all three
-# CLIs reject invalid -migrate specs with exit 2.
-migration-smoke:
-	scripts/migration_smoke.sh
-
-# End-to-end autotuning check on real binaries: hmexp -tune reports are
-# byte-identical across processes, lane counts, worker counts, the daemon
-# (POST /v1/tune), and cluster dispatch; bad specs get 422 from the daemon
-# and exit 2 from the CLIs.
-tune-smoke:
-	scripts/tune_smoke.sh
-
-# End-to-end flight-recorder check on real binaries: -json and figure CSVs
-# are byte-identical with probes on or off (including multi-lane runs),
-# probed series dumps and Chrome-trace counter tracks validate with
-# hmtrace counters, hmexp -list enumerates the registry, figdyn renders
-# deterministically, hmserved streams ?probe= jobs over /progress, and
-# invalid -probe specs get exit 2.
-probe-smoke:
-	scripts/probe_smoke.sh
-
-# End-to-end telemetry check: a tiny sweep through a 2-worker fleet with
-# -trace-out, then the emitted Chrome/Perfetto trace (trace-smoke.json)
-# is validated with hmtrace. CI uploads the file as an artifact, so every
-# run leaves an openable timeline behind.
 trace-smoke:
-	scripts/cluster.sh trace
+	$(GO) run ./cmd/hme2e trace
+
+topology-smoke:
+	$(GO) run ./cmd/hme2e topology
+
+lanes-smoke:
+	$(GO) run ./cmd/hme2e lanes
+
+migration-smoke:
+	$(GO) run ./cmd/hme2e migration
+
+tune-smoke:
+	$(GO) run ./cmd/hme2e tune
+
+probe-smoke:
+	$(GO) run ./cmd/hme2e probe
 
 clean:
 	$(GO) clean ./...

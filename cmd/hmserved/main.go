@@ -45,7 +45,10 @@
 // a figure request would be refused for (experiments.Options.Validate:
 // an unknown -topology, a -migrate spec that does not resolve with
 // -migrate-policy) — is rejected at startup with exit status 2 rather
-// than silently proceeding with the last value to win.
+// than silently proceeding with the last value to win. The daemon binds
+// -addr before it logs anything about serving: a busy address exits 1, and
+// the "listening" log line carries the bound address (with -addr
+// 127.0.0.1:0, the port the kernel chose).
 //
 // With -telemetry, the daemon records execution spans (internal/telemetry)
 // for every request: structured span logs with trace/span IDs, and span
@@ -67,6 +70,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -100,9 +104,18 @@ func main() {
 	opts, err := run.Options()
 	cli.Check("hmserved", err, opts.Validate(), validateFlags(*jobs, *queueCap, *drain))
 
+	// Bind first (see the package comment). The bound address also names
+	// the process in telemetry timelines, so two port-0 workers stay apart.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hmserved:", err)
+		os.Exit(1)
+	}
+	bound := ln.Addr().String()
+
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	rec := telemetry.NewRecorder()
-	rec.SetProc("hmserved " + *addr)
+	rec.SetProc("hmserved " + bound)
 	if *telem {
 		rec.SetEnabled(true)
 		rec.SetLogger(logger)
@@ -143,11 +156,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr, "cache_dir", *cacheDir)
-		errc <- httpSrv.ListenAndServe()
+		logger.Info("listening", "addr", bound, "cache_dir", *cacheDir)
+		errc <- httpSrv.Serve(ln)
 	}()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

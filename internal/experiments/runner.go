@@ -332,10 +332,17 @@ func sourceOf(rc RunConfig) (source, error) {
 // replays differ only in their source.
 func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	rc = rc.resolved()
-	// The zone budgets below size the address space from rc.Mem, so it is
-	// checked before them rather than in memsys.New.
+	// A client-supplied RunConfig is checked here, before the zone budgets
+	// size the address space from rc.Mem and before vm.NewSpace and gpu.New
+	// would panic on a malformed page size or GPU.
 	if err := rc.Mem.Validate(); err != nil {
 		return Result{}, err
+	}
+	if err := rc.GPU.Validate(); err != nil {
+		return Result{}, err
+	}
+	if rc.PageSize&(rc.PageSize-1) != 0 {
+		return Result{}, fmt.Errorf("experiments: PageSize %d is not a power of two", rc.PageSize)
 	}
 	src, err := sourceOf(rc)
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"hetsim/internal/core"
+	"hetsim/internal/gpu"
 	"hetsim/internal/memsys"
+	"hetsim/internal/tlb"
 	"hetsim/internal/topology"
 	"hetsim/internal/vm"
 	"hetsim/internal/workloads"
@@ -280,25 +282,30 @@ func TestTable1SBITMatchesConfig(t *testing.T) {
 	}
 }
 
-// TestRunRejectsMalformedMem: a malformed memory system, as a client may
-// send in a RunConfig, is an error from Run and never a panic.
+// TestRunRejectsMalformedMem: a malformed RunConfig — its memory system,
+// GPU, TLB or page size — as a client may send one, is an error from Run
+// and never a panic.
 func TestRunRejectsMalformedMem(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		mut  func(*memsys.Config)
+		mut  func(*RunConfig)
 	}{
-		{"negative hop", func(m *memsys.Config) { m.Zones[1].ExtraLatency = -100 }},
-		{"negative global latency", func(m *memsys.Config) { m.GlobalExtraLatency = -100 }},
-		{"duplicate zone IDs", func(m *memsys.Config) { m.Zones[1].Zone = m.Zones[0].Zone }},
-		{"zone ID out of range", func(m *memsys.Config) { m.Zones[1].Zone = vm.MaxZones }},
-		{"empty zone name", func(m *memsys.Config) { m.Zones[1].Name = "" }},
-		{"duplicate zone names", func(m *memsys.Config) { m.Zones[1].Name = m.Zones[0].Name }},
+		{"negative hop", func(rc *RunConfig) { rc.Mem.Zones[1].ExtraLatency = -100 }},
+		{"negative global latency", func(rc *RunConfig) { rc.Mem.GlobalExtraLatency = -100 }},
+		{"duplicate zone IDs", func(rc *RunConfig) { rc.Mem.Zones[1].Zone = rc.Mem.Zones[0].Zone }},
+		{"zone ID out of range", func(rc *RunConfig) { rc.Mem.Zones[1].Zone = vm.MaxZones }},
+		{"empty zone name", func(rc *RunConfig) { rc.Mem.Zones[1].Name = "" }},
+		{"duplicate zone names", func(rc *RunConfig) { rc.Mem.Zones[1].Name = rc.Mem.Zones[0].Name }},
+		{"page size not a power of two", func(rc *RunConfig) { rc.PageSize = 3 }},
+		{"negative SMs", func(rc *RunConfig) { rc.GPU.SMs = -2 }},
+		{"no warps per SM", func(rc *RunConfig) { rc.GPU = gpu.Config{SMs: 1} }},
+		{"empty TLB", func(rc *RunConfig) { rc.TLB = &tlb.Config{} }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			mem := memsys.Table1Config()
-			c.mut(&mem)
-			if _, err := Run(RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 64, Mem: mem}); err == nil {
-				t.Fatal("Run accepted a malformed Mem")
+			rc := RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 64, Mem: memsys.Table1Config()}
+			c.mut(&rc)
+			if _, err := Run(rc); err == nil {
+				t.Fatal("Run accepted a malformed RunConfig")
 			}
 		})
 	}

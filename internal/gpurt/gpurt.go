@@ -1,9 +1,9 @@
 // Package gpurt is the CUDA-runtime analogue of §5.2: a memory allocator
 // (Malloc, mirroring cudaMalloc with the paper's added hint argument) that
 // assigns virtual address ranges to named data structures and places their
-// pages through an OS placement policy at allocation time, plus the
-// GetAllocation helper of §5.3 that converts program annotations
-// (size + hotness arrays) into machine-appropriate placement hints.
+// pages through an OS placement policy, at allocation time or on first
+// touch. The §5.3 hint computation that feeds Malloc's hints is
+// core.ComputeHints.
 package gpurt
 
 import (
@@ -78,12 +78,6 @@ func (r *Runtime) Fault(vpage uint64) error {
 	return err
 }
 
-// Space returns the underlying address space.
-func (r *Runtime) Space() *vm.Space { return r.space }
-
-// Placer returns the placement engine (for stats).
-func (r *Runtime) Placer() *core.Placer { return r.placer }
-
 // Malloc allocates size bytes for the data structure label, placing every
 // page through the policy with the given hint. It corresponds to
 // cudaMalloc(devPtr, size, hint). A zero size is an error, as in CUDA.
@@ -120,25 +114,6 @@ func (r *Runtime) Allocations() []Allocation {
 	return append([]Allocation(nil), r.allocs...)
 }
 
-// Footprint returns the total allocated bytes.
-func (r *Runtime) Footprint() uint64 {
-	var f uint64
-	for _, a := range r.allocs {
-		f += a.Size
-	}
-	return f
-}
-
-// FootprintPages returns the total mapped pages across allocations.
-func (r *Runtime) FootprintPages() int {
-	ps := r.space.PageSize()
-	n := 0
-	for _, a := range r.allocs {
-		n += a.Pages(ps)
-	}
-	return n
-}
-
 // AllocationAt finds the allocation containing virtual address va. Because
 // allocations are assigned from a bump pointer, Base is sorted and a binary
 // search suffices.
@@ -157,29 +132,4 @@ func (r *Runtime) AllocationAt(va uint64) (Allocation, bool) {
 // AllocationOfPage finds the allocation containing virtual page vpage.
 func (r *Runtime) AllocationOfPage(vpage uint64) (Allocation, bool) {
 	return r.AllocationAt(vpage * r.space.PageSize())
-}
-
-// BOCapacityBytes reports the bandwidth-optimized zone's capacity in bytes
-// (for GetAllocation), which may be vm.Unlimited pages.
-func (r *Runtime) BOCapacityBytes() uint64 {
-	c := r.space.ZoneCapacity(vm.ZoneBO)
-	if c == vm.Unlimited {
-		return ^uint64(0) / 2
-	}
-	return uint64(c) * r.space.PageSize()
-}
-
-// GetAllocation is the paper's runtime hint computation (Figure 9): given
-// the program's annotated sizes and hotness values, in allocation order,
-// and the machine's discovered topology (the SBIT), return the hint to pass
-// to each Malloc.
-func (r *Runtime) GetAllocation(sizes []uint64, hotness []float64, sbit core.SBIT) ([]core.Hint, error) {
-	if len(sizes) != len(hotness) {
-		return nil, fmt.Errorf("gpurt: GetAllocation: %d sizes but %d hotness values", len(sizes), len(hotness))
-	}
-	allocs := make([]core.AllocationInfo, len(sizes))
-	for i := range sizes {
-		allocs[i] = core.AllocationInfo{Size: sizes[i], Hotness: hotness[i]}
-	}
-	return core.ComputeHints(allocs, r.BOCapacityBytes(), sbit.Share(vm.ZoneBO))
 }

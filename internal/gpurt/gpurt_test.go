@@ -35,12 +35,6 @@ func TestMallocLaysOutSequentially(t *testing.T) {
 	if b.Pages(vm.DefaultPageSize) != 2 {
 		t.Fatalf("5000-byte allocation spans %d pages, want 2", b.Pages(vm.DefaultPageSize))
 	}
-	if r.Footprint() != 5100 {
-		t.Fatalf("Footprint = %d, want 5100", r.Footprint())
-	}
-	if r.FootprintPages() != 3 {
-		t.Fatalf("FootprintPages = %d, want 3", r.FootprintPages())
-	}
 }
 
 func TestMallocZeroSize(t *testing.T) {
@@ -55,10 +49,10 @@ func TestMallocPlacesAllPages(t *testing.T) {
 	if _, err := r.Malloc("big", 10*vm.DefaultPageSize, core.HintNone); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Space().MappedPages(); got != 10 {
+	if got := r.space.MappedPages(); got != 10 {
 		t.Fatalf("MappedPages = %d, want 10", got)
 	}
-	if got := r.Space().ZoneUsed(vm.ZoneBO); got != 10 {
+	if got := r.space.ZoneUsed(vm.ZoneBO); got != 10 {
 		t.Fatalf("ZoneUsed(BO) = %d, want 10", got)
 	}
 }
@@ -77,7 +71,7 @@ func TestMallocHintsHonored(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			z, ok := r.Space().PageZone(vpage)
+			z, ok := r.space.PageZone(vpage)
 			if !ok || z != vm.ZoneCO {
 				t.Fatalf("first touch %v: hinted-CO page %d in zone %d", firstTouch, p, z)
 			}
@@ -90,10 +84,10 @@ func TestMallocSpillsOnFullZone(t *testing.T) {
 	if _, err := r.Malloc("a", 5*vm.DefaultPageSize, core.HintNone); err != nil {
 		t.Fatal(err)
 	}
-	if bo := r.Space().ZoneUsed(vm.ZoneBO); bo != 2 {
+	if bo := r.space.ZoneUsed(vm.ZoneBO); bo != 2 {
 		t.Fatalf("BO pages = %d, want 2", bo)
 	}
-	if co := r.Space().ZoneUsed(vm.ZoneCO); co != 3 {
+	if co := r.space.ZoneUsed(vm.ZoneCO); co != 3 {
 		t.Fatalf("CO pages = %d, want 3", co)
 	}
 }
@@ -138,40 +132,5 @@ func TestAllocationsCopy(t *testing.T) {
 	list[0].Label = "mutated"
 	if r.Allocations()[0].Label != "a" {
 		t.Fatal("Allocations returned aliased storage")
-	}
-}
-
-func TestGetAllocationUnconstrained(t *testing.T) {
-	r := newRuntime(vm.Unlimited, vm.Unlimited, core.Local{Zone: vm.ZoneBO})
-	hints, err := r.GetAllocation([]uint64{1000, 2000}, []float64{2, 3}, core.Table1SBIT())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hints {
-		if h != core.HintBW {
-			t.Fatalf("hints = %v, want all BW in unconstrained system", hints)
-		}
-	}
-}
-
-func TestGetAllocationConstrained(t *testing.T) {
-	// BO holds 1 page; the hotter structure (one page) gets it.
-	r := newRuntime(1, vm.Unlimited, core.Local{Zone: vm.ZoneBO})
-	sizes := []uint64{vm.DefaultPageSize, vm.DefaultPageSize}
-	hints, err := r.GetAllocation(sizes, []float64{1, 5}, core.Table1SBIT())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hotter structure is pinned to BO; the colder one no longer fits
-	// whole and falls back to BW-AWARE spreading.
-	if hints[0] != core.HintBW || hints[1] != core.HintBO {
-		t.Fatalf("hints = %v, want [BW BO]", hints)
-	}
-}
-
-func TestGetAllocationLengthMismatch(t *testing.T) {
-	r := newRuntime(1, 1, core.Local{Zone: vm.ZoneBO})
-	if _, err := r.GetAllocation([]uint64{1}, nil, core.Table1SBIT()); err == nil {
-		t.Fatal("mismatched annotation arrays accepted")
 	}
 }

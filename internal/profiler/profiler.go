@@ -7,8 +7,8 @@
 //   - the page-level bandwidth cumulative distribution function of
 //     Figure 6 (pages sorted hot to cold),
 //   - the per-data-structure hotness map of Figure 7, and
-//   - the hotness vector consumed by gpurt.GetAllocation for
-//     annotation-based placement (Figures 9 and 10).
+//   - the hotness vector consumed by core.ComputeHints (the paper's
+//     GetAllocation) for annotation-based placement (Figures 9 and 10).
 package profiler
 
 import (

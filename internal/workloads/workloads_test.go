@@ -116,8 +116,12 @@ func TestAllocateAndPrograms(t *testing.T) {
 	if len(allocs) != len(s.Structures) {
 		t.Fatalf("%d allocations for %d structures", len(allocs), len(s.Structures))
 	}
-	if rt.Footprint() != s.Footprint() {
-		t.Fatalf("runtime footprint %d != spec footprint %d", rt.Footprint(), s.Footprint())
+	var footprint uint64
+	for _, a := range allocs {
+		footprint += a.Size
+	}
+	if footprint != s.Footprint() {
+		t.Fatalf("allocated footprint %d != spec footprint %d", footprint, s.Footprint())
 	}
 	progs := s.Programs(allocs)
 	if len(progs) != s.Warps {
