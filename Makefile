@@ -50,18 +50,25 @@ repro-check:
 	grep -v '^  sweep:' "$$tmp" | cmp - experiments_full.txt && \
 	echo "repro-check: hmexp all reproduces experiments_full.txt"
 
-# Traffic coverage: the repository functions that real runs never enter,
-# the candidates for the next deletion. It builds hmexp and hetbench with
-# coverage over every hetsim package (hetbench through `go -C bench`, so
-# no file under bench/ changes), runs `hmexp -shrink 8 all` and every
-# hetbench workload once at -quick, and prints each function no run
-# entered. About 50 s on 2 cores; not part of `make check` or CI.
+# Traffic coverage: the repository functions that no end-to-end path
+# enters, the candidates for the next deletion. It builds hmexp and
+# hetbench with coverage over every hetsim package (hetbench through
+# `go -C bench`, so no file under bench/ changes) and runs `hmexp
+# -shrink 8 all` and every hetbench workload once at -quick, untraced and
+# at -trace 1 (its layer replay is the only caller of the vm and memsys
+# access paths outside a simulation). Then it runs the seven hme2e
+# scenarios; GOFLAGS makes hme2e's own `go build` produce covered
+# binaries that write to the same GOCOVERDIR. It prints each function no
+# run entered. About 55 s on 2 cores; not part of `make check` or CI.
 traffic-cover:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov" && \
 	$(GO) build -cover -coverpkg=hetsim/... -o "$$tmp/hmexp" ./cmd/hmexp && \
 	$(GO) -C bench build -cover -coverpkg=hetsim/... -o "$$tmp/hetbench" ./hetbench && \
-	GOCOVERDIR="$$tmp/cov" "$$tmp/hmexp" -shrink 8 all > /dev/null && \
-	GOCOVERDIR="$$tmp/cov" "$$tmp/hetbench" -quick -seconds 0 > /dev/null && \
+	export GOCOVERDIR="$$tmp/cov" && \
+	"$$tmp/hmexp" -shrink 8 all > /dev/null && \
+	"$$tmp/hetbench" -quick -seconds 0 > /dev/null && \
+	"$$tmp/hetbench" -quick -seconds 0 -trace 1 -trace-dir "$$tmp/trace" > /dev/null && \
+	GOFLAGS='-cover -coverpkg=hetsim/...' $(GO) run ./cmd/hme2e cluster trace topology lanes migration tune probe > /dev/null && \
 	$(GO) tool covdata func -i "$$tmp/cov" | awk '$$NF == "0.0%" { print $$1, $$2 }'
 
 # hetbench smoke test: every benchmark workload at -quick scale, including

@@ -47,7 +47,7 @@
 // joint placement-policy + migration-spec space (internal/tune) under
 // -tune-budget candidate evaluations and prints the winning configuration,
 // the oracle comparison, and the search trace. -tune-strategy picks the
-// searcher (successive halving by default; "grid" is the exhaustive
+// search schedule (successive halving by default; "grid" is its one-rung
 // baseline). -server runs the search on the daemon via POST /v1/tune;
 // -cluster dispatches candidate evaluations across the fleet. Reports are
 // byte-identical on every path.

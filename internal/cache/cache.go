@@ -135,9 +135,6 @@ func log2(v int) int {
 	return n
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -236,18 +233,4 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 		}
 	}
 	return false, false
-}
-
-// Flush invalidates the whole cache, returning how many dirty lines were
-// dropped. Used between simulation phases (e.g. oracle re-runs).
-func (c *Cache) Flush() (dirty int) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				dirty++
-			}
-			set[i] = way{}
-		}
-	}
-	return dirty
 }

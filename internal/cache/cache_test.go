@@ -148,19 +148,6 @@ func TestInsertExistingRefreshes(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := New(l1Config())
-	c.Insert(0, true)
-	c.Insert(128, false)
-	c.Insert(256, true)
-	if got := c.Flush(); got != 2 {
-		t.Fatalf("Flush() = %d dirty lines, want 2", got)
-	}
-	if c.Lookup(0, false) {
-		t.Fatal("line survived Flush")
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	c := New(l1Config())
 	c.Lookup(0, false) // miss

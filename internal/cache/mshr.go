@@ -94,9 +94,6 @@ func NewMSHR(capacity int) *MSHR {
 	return &MSHR{capacity: capacity, index: newLineIndex(capacity)}
 }
 
-// Capacity returns the entry count.
-func (m *MSHR) Capacity() int { return m.capacity }
-
 // Used reports how many entries are live.
 func (m *MSHR) Used() int { return m.used }
 

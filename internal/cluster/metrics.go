@@ -78,7 +78,7 @@ func (c *Coordinator) MetricsMap() map[string]float64 {
 		m["cluster_worker_inflight"+l] = float64(len(w.sem))
 		if n := w.lat.Count(); n > 0 {
 			m["cluster_worker_latency_us_count"+l] = float64(n)
-			m["cluster_worker_latency_us_mean"+l] = w.lat.Mean()
+			m["cluster_worker_latency_us_mean"+l] = w.lat.Sum() / float64(n)
 			m["cluster_worker_latency_us_p50"+l] = float64(w.lat.Percentile(0.50))
 			m["cluster_worker_latency_us_p95"+l] = float64(w.lat.Percentile(0.95))
 			m["cluster_worker_latency_us_p99"+l] = float64(w.lat.Percentile(0.99))

@@ -85,15 +85,3 @@ func ComputeHints(allocs []AllocationInfo, boCapacity uint64, boShare float64) (
 	}
 	return hints, nil
 }
-
-// HintSet attaches hints to allocation ordinals for use by the Hinted
-// policy via Request.Hint. A nil HintSet hints nothing.
-type HintSet map[int]Hint
-
-// Hint returns the hint for allocation alloc, defaulting to HintNone.
-func (h HintSet) Hint(alloc int) Hint {
-	if h == nil {
-		return HintNone
-	}
-	return h[alloc] // zero value is HintNone
-}

@@ -82,17 +82,6 @@ func TestComputeHintsEmptyAndErrors(t *testing.T) {
 	}
 }
 
-func TestHintSet(t *testing.T) {
-	var nilSet HintSet
-	if nilSet.Hint(3) != HintNone {
-		t.Fatal("nil HintSet hinted")
-	}
-	hs := HintSet{1: HintBO}
-	if hs.Hint(1) != HintBO || hs.Hint(2) != HintNone {
-		t.Fatalf("HintSet lookups wrong: %v %v", hs.Hint(1), hs.Hint(2))
-	}
-}
-
 // Property: under capacity constraint, total bytes hinted to BO never
 // exceed the BO capacity.
 func TestPropertyHintsRespectCapacity(t *testing.T) {

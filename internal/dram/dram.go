@@ -142,9 +142,6 @@ func NewChannel(cfg Config) *Channel {
 	return &Channel{cfg: cfg, burst: cfg.burstCycles(), burstFrac: cfg.burstFrac(), banks: banks}
 }
 
-// Config returns the channel's configuration.
-func (ch *Channel) Config() Config { return ch.cfg }
-
 // Stats returns a copy of the accumulated counters.
 func (ch *Channel) Stats() Stats { return ch.stats }
 

@@ -51,8 +51,9 @@ type Options struct {
 	// reproduction; "" means the paper's Table 1 system. "k40-ddr4" is
 	// byte-identical to "" — same hardware, same cache keys. Unknown names
 	// fail figure construction. Figures that study a fixed hardware point
-	// (table1's companion fig1, figzones' three-technology demo, figtopo's
-	// all-preset sweep) ignore it.
+	// (table1's companion fig1, figzones' three-technology demo, the
+	// all-preset sweeps of figtopo and figmigtopo, figdyn's cxl-expansion
+	// chain) ignore it.
 	Topology string
 	// Lanes runs each simulation with this many parallel event lanes
 	// (RunConfig.Lanes): SMs and DRAM channels are partitioned across
@@ -62,10 +63,10 @@ type Options struct {
 	// entries. 0 or 1 means sequential.
 	Lanes int
 	// Migrate configures the dynamic page-migration engine for the figures
-	// that run it (figmig, figphase, figmigtopo) as a migrate spec string
-	// (see migrate.ParseSpec): "" or "on" means migrate.DefaultConfig,
-	// "k=v,..." overrides it. Invalid specs fail figure construction.
-	// Figures without a migration arm ignore it.
+	// that run it (figmig, figphase, figmigtopo, figdyn) as a migrate spec
+	// string (see migrate.ParseSpec): "" or "on" means
+	// migrate.DefaultConfig, "k=v,..." overrides it. Invalid specs fail
+	// figure construction. Figures without a migration arm ignore it.
 	Migrate string
 	// MigratePolicy overrides the classifier of the Migrate spec
 	// ("counter" or "ewma"); "" keeps the spec's choice. figmigtopo and

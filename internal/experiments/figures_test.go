@@ -224,6 +224,30 @@ func TestByIDAndIDs(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsRepeatedIDs: Register appends a new id to the figure
+// table and panics on an id already in it, built-in or registered.
+func TestRegisterRejectsRepeatedIDs(t *testing.T) {
+	saved := figures
+	figures = append([]figure(nil), figures...)
+	t.Cleanup(func() { figures = saved })
+	fn := func(Options) (Figure, error) { return Figure{}, nil }
+	Register("figtest", "a registered figure", fn)
+	for _, id := range []string{"fig3", "figtest"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register(%q) of a repeated id did not panic", id)
+				}
+			}()
+			Register(id, "again", fn)
+		}()
+	}
+	ids := IDs()
+	if len(ids) != len(saved)+1 || ids[len(ids)-1] != "figtest" || Describe("figtest") != "a registered figure" {
+		t.Errorf("IDs() = %v after one registration and two refused ones", ids)
+	}
+}
+
 func TestPrintCDF(t *testing.T) {
 	tb, err := PrintCDF("bfs", Options{Shrink: 16}, 20)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package pool provides the deterministic worker-pool executor behind
 // every figure sweep in package experiments. A sweep is an embarrassingly
-// parallel list of independent discrete-event simulations; Pool.Map runs
+// parallel list of independent discrete-event simulations; Pool.MapSpan runs
 // such a list across a fixed number of worker goroutines while preserving
 // the exact semantics of a sequential loop:
 //
@@ -15,7 +15,7 @@
 //     are executed once per Cache, with duplicates — including concurrent
 //     ones — served the same result (singleflight).
 //
-// The cache can be shared across Map calls and across Pools, which is how
+// The cache can be shared across MapSpan calls and across Pools, which is how
 // the experiment harness simulates the LOCAL/INTERLEAVE/BW-AWARE baselines
 // shared by Figures 2-7 only once per process. Cached values are returned
 // by shallow copy: callers must treat results as immutable.
@@ -32,7 +32,7 @@ import (
 	"hetsim/internal/telemetry"
 )
 
-// Stats summarizes the work a Map call performed.
+// Stats summarizes the work a MapSpan call performed.
 type Stats struct {
 	Total     int // configs submitted
 	Executed  int // runs actually simulated (locally or via Offload)
@@ -108,16 +108,16 @@ func (c *Cache[R]) Len() int {
 // everything else has useful zero-value behavior.
 type Pool[C, R any] struct {
 	// Run executes one config. It must be safe for concurrent use and
-	// deterministic in its config (the determinism guarantee of Map is
+	// deterministic in its config (the determinism guarantee of MapSpan is
 	// exactly the determinism of Run). The span is the run's telemetry
-	// scope — nil unless the Map was handed a parent span and telemetry is
+	// scope — nil unless MapSpan was handed a parent span and telemetry is
 	// active — and implementations may attach attributes or child spans to
 	// it; it must never influence the result.
 	Run func(sp *telemetry.Span, cfg C) (R, error)
 	// Key returns the canonical cache key for a config, or ok=false for
 	// configs that must not be cached. Nil disables caching entirely.
 	Key func(C) (key string, ok bool)
-	// Cache holds results across Map calls. If nil and Key is set, the
+	// Cache holds results across MapSpan calls. If nil and Key is set, the
 	// Pool lazily creates a private cache on first use.
 	Cache *Cache[R]
 	// Offload, when set, is consulted for each cacheable config after the
@@ -128,7 +128,7 @@ type Pool[C, R any] struct {
 	// successful results are written back to the Backend exactly like local
 	// runs. Uncacheable configs (Key ok=false, or no Key) never offload:
 	// without a canonical identity there is nothing to route or verify.
-	// Offload must be safe for concurrent use, and to preserve Map's
+	// Offload must be safe for concurrent use, and to preserve MapSpan's
 	// determinism guarantee it must return results bit-identical to Run's
 	// (the cluster layer asserts this end to end). The span is the
 	// attempt's telemetry scope (nil when telemetry is off) and must never
@@ -154,22 +154,19 @@ func (p *Pool[C, R]) workers(n int) int {
 	return w
 }
 
-// Map runs every config and returns the results in input order: results[i]
-// always corresponds to cfgs[i], no matter which worker finished it or
-// whether it came from the cache. The returned error joins the failures of
-// every failing index (nil if all succeeded); results at failing indices
-// are zero values.
-func (p *Pool[C, R]) Map(cfgs []C) ([]R, Stats, error) {
-	return p.MapSpan(nil, cfgs)
-}
-
-// MapSpan is Map with a telemetry scope: when parent is a live span, each
-// config's lifecycle stages — the cache tier that satisfied it (memory,
-// disk, fleet) and the local run — are recorded as child spans, one
-// timeline lane per worker goroutine, plus a final merge span covering the
+// MapSpan runs every config and returns the results in input order:
+// results[i] always corresponds to cfgs[i], no matter which worker
+// finished it or whether it came from the cache. The returned error joins
+// the failures of every failing index (nil if all succeeded); results at
+// failing indices are zero values.
+//
+// parent is the telemetry scope: when it is a live span, each config's
+// lifecycle stages — the cache tier that satisfied it (memory, disk,
+// fleet) and the local run — are recorded as child spans, one timeline
+// lane per worker goroutine, plus a final merge span covering the
 // index-ordered result assembly. A nil parent (or disabled telemetry)
-// makes this identical to Map: spans are nil and every telemetry call is a
-// no-op. Results are unaffected either way.
+// records nothing: spans are nil and every telemetry call is a no-op.
+// Results are unaffected either way.
 func (p *Pool[C, R]) MapSpan(parent *telemetry.Span, cfgs []C) ([]R, Stats, error) {
 	start := time.Now()
 	n := len(cfgs)

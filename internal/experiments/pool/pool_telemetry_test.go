@@ -98,8 +98,8 @@ type mapBackend[R any] struct{}
 func (mapBackend[R]) Get(string) (R, bool) { var z R; return z, false }
 func (mapBackend[R]) Put(string, R)        {}
 
-// TestMapDisabledTelemetryRecordsNothing: Map (no span) against a live
-// recorder, and MapSpan against a disabled one, must both leave the
+// TestMapDisabledTelemetryRecordsNothing: MapSpan with a nil parent
+// against a live recorder, and with a disabled one, must both leave the
 // recorder empty — the disabled path is the default and must stay free.
 func TestMapDisabledTelemetryRecordsNothing(t *testing.T) {
 	rec := telemetry.NewRecorder()
@@ -117,9 +117,9 @@ func TestMapDisabledTelemetryRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Plain Map never records, even with recording on elsewhere.
+	// A nil parent never records, even with recording on elsewhere.
 	rec.SetEnabled(true)
-	if _, _, err := p.Map([]int{4, 5, 6}); err != nil {
+	if _, _, err := p.MapSpan(nil, []int{4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
 	if n := rec.SpanCount(); n != 0 {

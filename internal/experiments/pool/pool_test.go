@@ -27,7 +27,7 @@ func TestMapOrdering(t *testing.T) {
 			return fmt.Sprintf("r%d", i), nil
 		},
 	}
-	res, st, err := p.Map(cfgs)
+	res, st, err := p.MapSpan(nil, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestMapPanicRecovery(t *testing.T) {
 			return i * 10, nil
 		},
 	}
-	res, st, err := p.Map([]int{0, 1, 2, 3})
+	res, st, err := p.MapSpan(nil, []int{0, 1, 2, 3})
 	if err == nil {
 		t.Fatal("want error from panicking run")
 	}
@@ -81,7 +81,7 @@ func TestMapErrorCollection(t *testing.T) {
 			return i, nil
 		},
 	}
-	_, st, err := p.Map([]int{0, 1, 2, 3, 4, 5})
+	_, st, err := p.MapSpan(nil, []int{0, 1, 2, 3, 4, 5})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -96,7 +96,7 @@ func TestMapErrorCollection(t *testing.T) {
 }
 
 // TestMapCacheDedup: duplicate keys are executed once even when submitted
-// concurrently in one batch, and a shared Cache carries across Map calls
+// concurrently in one batch, and a shared Cache carries across MapSpan calls
 // and across Pools.
 func TestMapCacheDedup(t *testing.T) {
 	var executions atomic.Int64
@@ -145,7 +145,7 @@ func TestMapCacheDedup(t *testing.T) {
 
 func p0Map(t *testing.T, p *Pool[int, int], cfgs []int) ([]int, Stats, error) {
 	t.Helper()
-	return p.Map(cfgs)
+	return p.MapSpan(nil, cfgs)
 }
 
 // TestMapUncacheable: Key returning ok=false forces execution every time.
@@ -159,7 +159,7 @@ func TestMapUncacheable(t *testing.T) {
 			return i, nil
 		},
 	}
-	if _, st, err := p.Map([]int{1, 1, 1, 1}); err != nil {
+	if _, st, err := p.MapSpan(nil, []int{1, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	} else if st.CacheHits != 0 || executions.Load() != 4 {
 		t.Errorf("uncacheable configs were cached: %+v, %d executions", st, executions.Load())
@@ -178,7 +178,7 @@ func TestMapCachedErrors(t *testing.T) {
 			return 0, errors.New("always fails")
 		},
 	}
-	_, st, err := p.Map([]int{1, 2, 3})
+	_, st, err := p.MapSpan(nil, []int{1, 2, 3})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -193,11 +193,11 @@ func TestMapCachedErrors(t *testing.T) {
 // TestMapEmptyAndDefaults: empty input, zero Workers (GOMAXPROCS default).
 func TestMapEmptyAndDefaults(t *testing.T) {
 	p := &Pool[int, int]{Run: func(_ *telemetry.Span, i int) (int, error) { return i, nil }}
-	res, st, err := p.Map(nil)
+	res, st, err := p.MapSpan(nil, nil)
 	if err != nil || len(res) != 0 || st.Total != 0 {
 		t.Fatalf("empty map: res=%v st=%+v err=%v", res, st, err)
 	}
-	if _, st, _ := p.Map([]int{1, 2}); st.Workers < 1 {
+	if _, st, _ := p.MapSpan(nil, []int{1, 2}); st.Workers < 1 {
 		t.Errorf("workers = %d, want >= 1", st.Workers)
 	}
 }
@@ -230,7 +230,7 @@ func TestMapOffload(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = i
 	}
-	res, st, err := p.Map(cfgs)
+	res, st, err := p.MapSpan(nil, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestMapOffloadUncacheable(t *testing.T) {
 		Offload: func(*telemetry.Span, string, int) (int, bool) { offloads.Add(1); return 0, true },
 		Run:     func(_ *telemetry.Span, i int) (int, error) { return i, nil },
 	}
-	if _, st, err := p.Map([]int{1, 2, 3}); err != nil {
+	if _, st, err := p.MapSpan(nil, []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	} else if st.Offloaded != 0 || offloads.Load() != 0 {
 		t.Errorf("uncacheable configs offloaded: %+v, %d calls", st, offloads.Load())
@@ -322,7 +322,7 @@ func TestBackendSingleflight(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = i
 	}
-	res, st, err := p.Map(cfgs)
+	res, st, err := p.MapSpan(nil, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestBackendSingleflight(t *testing.T) {
 		Key:     p.Key,
 		Run:     p.Run,
 	}
-	res2, st2, err := p2.Map(cfgs)
+	res2, st2, err := p2.MapSpan(nil, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

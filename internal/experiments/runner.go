@@ -535,6 +535,9 @@ func buildPolicy(rc RunConfig, sbit core.SBIT, space *vm.Space) (core.Policy, er
 	case BWAwarePolicy:
 		return core.NewBWAware(sbit, rc.Seed), nil
 	case RatioPolicy:
+		if rc.PercentCO < 0 || rc.PercentCO > 100 {
+			return nil, fmt.Errorf("experiments: RatioPolicy PercentCO %d outside [0,100]", rc.PercentCO)
+		}
 		// The x:y split is inherently two-valued; in an N-pool topology it
 		// splits between the fastest and slowest pools.
 		return core.NewRatioZones(rc.PercentCO, rc.Seed, fast, slow), nil

@@ -300,6 +300,9 @@ func TestRunRejectsMalformedMem(t *testing.T) {
 		{"negative SMs", func(rc *RunConfig) { rc.GPU.SMs = -2 }},
 		{"no warps per SM", func(rc *RunConfig) { rc.GPU = gpu.Config{SMs: 1} }},
 		{"empty TLB", func(rc *RunConfig) { rc.TLB = &tlb.Config{} }},
+		{"ratio above 100", func(rc *RunConfig) { rc.Policy, rc.PercentCO = RatioPolicy, 150 }},
+		{"negative ratio", func(rc *RunConfig) { rc.Policy, rc.PercentCO = RatioPolicy, -5 }},
+		{"allocations past the zone span", func(rc *RunConfig) { rc.PageSize = 1 << 40 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rc := RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 64, Mem: memsys.Table1Config()}

@@ -46,10 +46,10 @@ type RemoteRunner func(sp *telemetry.Span, key string, rc RunConfig) (Result, bo
 //
 // Determinism guarantee: Run is a deterministic function of its RunConfig
 // (seeded RNGs, a discrete-event engine with total event ordering, no
-// shared mutable state), and pool.Map places every result at the index of
-// its input config. Therefore Executor.Map returns bit-identical Result
-// slices for any worker count, and cached results are bit-identical to
-// freshly simulated ones.
+// shared mutable state), and Pool.MapSpan places every result at the
+// index of its input config. Therefore Executor.Map returns bit-identical
+// Result slices for any worker count, and cached results are
+// bit-identical to freshly simulated ones.
 type Executor struct {
 	p     pool.Pool[RunConfig, Result]
 	span  *telemetry.Span // parent scope for Map calls; nil when untraced

@@ -94,6 +94,13 @@ func (r *Runtime) Malloc(label string, size uint64, hint core.Hint) (Allocation,
 		Hint:  hint,
 	}
 	pages := vm.PagesFor(size, ps)
+	// Any pool may receive every page, so the allocations, rounded up to
+	// whole pages, must fit in the physical span of one pool. Testing size
+	// first keeps a rounding overflow in PagesFor out of the comparison.
+	if size > vm.ZoneSpan-a.Base || uint64(pages)*ps > vm.ZoneSpan-a.Base {
+		return Allocation{}, fmt.Errorf("gpurt: Malloc(%q, %d): allocations in %d-byte pages span more than a pool's %d bytes",
+			label, size, ps, vm.ZoneSpan)
+	}
 	if !r.firstTouch {
 		firstPage := a.Base / ps
 		for p := 0; p < pages; p++ {

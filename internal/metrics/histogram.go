@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram is a log-scaled latency histogram: values land in
@@ -83,20 +81,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Count reports how many samples were observed.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean reports the exact arithmetic mean of the samples.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min and Max report the exact extremes.
-func (h *Histogram) Min() uint64 { return h.min }
-
-// Max reports the largest observed sample.
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Percentile returns an upper bound for the p-th percentile (p in [0,1]),
 // accurate to the containing power-of-two bucket.
@@ -186,15 +170,4 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	}
 	*h = Histogram{buckets: j.Buckets, count: j.Count, sum: j.Sum, min: j.Min, max: j.Max}
 	return nil
-}
-
-// String summarizes the distribution.
-func (h *Histogram) String() string {
-	if h.count == 0 {
-		return "histogram: empty"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n=%d mean=%.1f min=%d p50<=%d p95<=%d p99<=%d max=%d",
-		h.count, h.Mean(), h.min, h.Percentile(0.50), h.Percentile(0.95), h.Percentile(0.99), h.max)
-	return sb.String()
 }

@@ -1,8 +1,8 @@
 // Package metrics provides the small numeric and reporting helpers the
-// experiment harness uses: geometric means, normalization against a
-// baseline, plain-text table rendering for the figure/table reproductions,
-// and sweep statistics (runs, cache hits, wall time) for the parallel
-// sweep executor.
+// experiment harness uses: geometric means, plain-text table rendering for
+// the figure/table reproductions, latency histograms, Prometheus text
+// rendering, and sweep statistics (runs, cache hits, wall time) for the
+// parallel sweep executor.
 package metrics
 
 import (
@@ -27,36 +27,6 @@ func Geomean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// Mean returns the arithmetic mean, NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Normalize divides every value by base. base must be nonzero.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
-// Speedup converts runtimes to relative performance against a baseline
-// runtime: perf = baseline/runtime, so >1 is faster than baseline.
-func Speedup(baselineCycles, cycles float64) float64 {
-	if cycles == 0 {
-		return math.NaN()
-	}
-	return baselineCycles / cycles
 }
 
 // Table renders aligned text tables for experiment output.

@@ -5,16 +5,16 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
+	"hetsim/internal/kvspec"
 	"hetsim/internal/sim"
 )
 
 // Spec strings are the CLI / HTTP surface of Config: the -migrate flag on
 // hmexp/hmsim/hmserved and the ?migrate= query parameter both accept
 //
-//	""            — migration disabled (also "off", "none")
-//	"on"          — DefaultConfig ("default" works too)
+//	""            — migration disabled (also "off", "none", "false", "0")
+//	"on"          — DefaultConfig (also "default", "true", "1")
 //	"k=v,k=v,..." — DefaultConfig with overrides
 //
 // with keys policy, epoch, pages, lock, minheat, hyst, cooldown, alpha,
@@ -23,44 +23,28 @@ import (
 // (every key, sorted), so equal configurations always produce equal
 // strings — the serve layer folds it into figure cache keys.
 
-// ParseSpec parses a migration spec string. It returns (nil, nil) when the
-// spec disables migration, and a validated Config otherwise.
+// ParseSpec parses a migration spec string (grammar: internal/kvspec). It
+// returns (nil, nil) when the spec disables migration, and a validated
+// Config otherwise.
 func ParseSpec(s string) (*Config, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "", "off", "none", "false", "0":
-		return nil, nil
-	case "on", "default", "true", "1":
-		cfg := DefaultConfig()
-		return &cfg, nil
-	}
 	cfg := DefaultConfig()
-	for _, kv := range strings.Split(s, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("migrate: bad spec element %q (want key=value)", kv)
-		}
-		k = strings.ToLower(strings.TrimSpace(k))
-		val = strings.TrimSpace(val)
+	on, err := kvspec.Parse("migrate: spec", s, func(k, val string) error {
 		var err error
 		switch k {
 		case "policy":
 			cfg.Policy = cmp.Or(val, PolicyCounter)
 		case "epoch":
-			err = specInt(val, func(n int64) { cfg.EpochCycles = sim.Time(n) })
+			err = kvspec.Int(val, func(n int64) { cfg.EpochCycles = sim.Time(n) })
 		case "pages":
-			err = specInt(val, func(n int64) { cfg.PagesPerEpoch = int(n) })
+			err = kvspec.Int(val, func(n int64) { cfg.PagesPerEpoch = int(n) })
 		case "lock":
-			err = specInt(val, func(n int64) { cfg.LockCycles = sim.Time(n) })
+			err = kvspec.Int(val, func(n int64) { cfg.LockCycles = sim.Time(n) })
 		case "minheat":
 			cfg.MinHeat, err = strconv.ParseUint(val, 10, 64)
 		case "hyst":
 			err = specFloat(val, func(f float64) { cfg.HysteresisFactor = f })
 		case "cooldown":
-			err = specInt(val, func(n int64) { cfg.CooldownEpochs = int(n) })
+			err = kvspec.Int(val, func(n int64) { cfg.CooldownEpochs = int(n) })
 		case "alpha":
 			err = specFloat(val, func(f float64) { cfg.EWMAAlpha = f })
 		case "high":
@@ -68,27 +52,22 @@ func ParseSpec(s string) (*Config, error) {
 		case "low":
 			err = specFloat(val, func(f float64) { cfg.LowWatermark = f })
 		case "wb":
-			err = specInt(val, func(n int64) { cfg.WriteBackPages = int(n) })
+			err = kvspec.Int(val, func(n int64) { cfg.WriteBackPages = int(n) })
 		default:
-			return nil, fmt.Errorf("migrate: unknown spec key %q", k)
+			return fmt.Errorf("migrate: unknown spec key %q", k)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("migrate: bad value for %q: %w", k, err)
+			return fmt.Errorf("migrate: bad value for %q: %w", k, err)
 		}
+		return nil
+	})
+	if err != nil || !on {
+		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &cfg, nil
-}
-
-func specInt(s string, set func(int64)) error {
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return err
-	}
-	set(n)
-	return nil
 }
 
 func specFloat(s string, set func(float64)) error {

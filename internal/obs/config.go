@@ -16,9 +16,9 @@ package obs
 import (
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"strings"
 
+	"hetsim/internal/kvspec"
 	"hetsim/internal/sim"
 )
 
@@ -79,7 +79,8 @@ func (c Config) EffectiveFormat() string {
 	return FormatJSON
 }
 
-// ParseSpec parses the -probe / ?probe= grammar, shared by every surface:
+// ParseSpec parses the -probe / ?probe= value, shared by every surface
+// (grammar: internal/kvspec):
 //
 //	""                                  -> (nil, nil)   probe off
 //	"off" | "none" | "false" | "0"      -> (nil, nil)   probe off
@@ -89,55 +90,34 @@ func (c Config) EffectiveFormat() string {
 // Keys: interval (cycles), samples (ring capacity), out (dump path),
 // format (json|csv). Unknown keys and invalid values are errors, as is a
 // configuration that fails Validate.
-func ParseSpec(spec string) (*Config, error) {
-	switch strings.TrimSpace(spec) {
-	case "", "off", "none", "false", "0":
-		return nil, nil
-	case "on", "default", "true", "1":
-		cfg := DefaultConfig()
-		return &cfg, nil
-	}
+func ParseSpec(s string) (*Config, error) {
 	cfg := DefaultConfig()
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return nil, fmt.Errorf("obs: probe spec field %q, want key=value", field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+	on, err := kvspec.Parse("obs: probe spec", s, func(key, val string) error {
 		var err error
 		switch key {
 		case "interval":
-			err = specInt(val, func(n int64) { cfg.Interval = sim.Time(n) })
+			err = kvspec.Int(val, func(n int64) { cfg.Interval = sim.Time(n) })
 		case "samples":
-			err = specInt(val, func(n int64) { cfg.MaxSamples = int(n) })
+			err = kvspec.Int(val, func(n int64) { cfg.MaxSamples = int(n) })
 		case "out":
 			cfg.Out = val
 		case "format":
 			cfg.Format = val
 		default:
-			return nil, fmt.Errorf("obs: unknown probe spec key %q (keys: interval, samples, out, format)", key)
+			return fmt.Errorf("obs: unknown probe spec key %q (keys: interval, samples, out, format)", key)
 		}
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("obs: probe spec %w", err)
 		}
+		return nil
+	})
+	if err != nil || !on {
+		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &cfg, nil
-}
-
-func specInt(val string, set func(int64)) error {
-	n, err := strconv.ParseInt(val, 10, 64)
-	if err != nil {
-		return fmt.Errorf("obs: probe spec value %q, want an integer", val)
-	}
-	set(n)
-	return nil
 }
 
 // Spec renders the canonical round-trippable form of c.

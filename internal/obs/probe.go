@@ -65,9 +65,6 @@ func New(cfg Config) (*Probe, error) {
 	return &Probe{cfg: cfg}, nil
 }
 
-// Config returns the probe's configuration.
-func (p *Probe) Config() Config { return p.cfg }
-
 // Attach binds the probe to one run's components and registers its window
 // hook; mig may be nil (no migration engine). Call during run assembly,
 // after the memory system's own window hooks are registered, so samples
@@ -260,11 +257,4 @@ func (p *Probe) SnapshotSince(seq uint64) Snapshot {
 		s.Rows = append(s.Rows, row)
 	}
 	return s
-}
-
-// Final reports whether the run has drained and the series is complete.
-func (p *Probe) Final() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.final
 }

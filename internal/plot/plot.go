@@ -1,7 +1,7 @@
-// Package plot renders small ASCII charts for terminal output: line charts
-// for CDF curves and sweeps (Figures 4, 5, 6) and bar charts for policy
-// comparisons (Figures 3, 8, 10). It keeps the experiment tooling
-// dependency-free while still producing figure-shaped output.
+// Package plot renders small ASCII line charts for terminal output, such
+// as the page-hotness CDF curves of Figure 6 (`hmexp -plot cdf`). It
+// keeps the experiment tooling dependency-free while still producing
+// figure-shaped output.
 package plot
 
 import (
@@ -74,39 +74,5 @@ func Line(title string, points [][2]float64, width, height int) string {
 	}
 	fmt.Fprintf(&sb, "        +%s\n", strings.Repeat("-", width))
 	fmt.Fprintf(&sb, "        %-*.2f%*.2f\n", width/2, minX, width-width/2, maxX)
-	return sb.String()
-}
-
-// Bar renders a horizontal bar chart. Values may be any nonnegative
-// magnitudes; bars scale to the maximum.
-func Bar(title string, labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		return fmt.Sprintf("%s\n(label/value mismatch)\n", title)
-	}
-	if width < 10 {
-		width = 40
-	}
-	maxV := 0.0
-	maxL := 0
-	for i, v := range values {
-		maxV = math.Max(maxV, v)
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	var sb strings.Builder
-	if title != "" {
-		fmt.Fprintf(&sb, "%s\n", title)
-	}
-	for i, v := range values {
-		n := int(v / maxV * float64(width))
-		if v > 0 && n == 0 {
-			n = 1
-		}
-		fmt.Fprintf(&sb, "%-*s %s %.3f\n", maxL, labels[i], strings.Repeat("#", n), v)
-	}
 	return sb.String()
 }

@@ -65,35 +65,3 @@ func TestLineMonotoneCurveShape(t *testing.T) {
 		t.Fatalf("increasing curve rendered flat (rows %d..%d):\n%s", firstCol, lastCol, out)
 	}
 }
-
-func TestBarBasic(t *testing.T) {
-	out := Bar("policies", []string{"LOCAL", "BW-AWARE"}, []float64{1.0, 1.4}, 20)
-	if !strings.Contains(out, "LOCAL") || !strings.Contains(out, "BW-AWARE") {
-		t.Fatal("labels missing")
-	}
-	// BW-AWARE bar must be longer.
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	count := func(s string) int { return strings.Count(s, "#") }
-	if count(lines[2]) <= count(lines[1]) {
-		t.Fatalf("bar lengths wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "1.400") {
-		t.Fatal("values missing")
-	}
-}
-
-func TestBarEdgeCases(t *testing.T) {
-	if out := Bar("t", []string{"a"}, []float64{0, 1}, 10); !strings.Contains(out, "mismatch") {
-		t.Fatal("mismatch not reported")
-	}
-	out := Bar("t", []string{"a", "b"}, []float64{0, 0}, 10)
-	if strings.Count(out, "#") != 0 {
-		t.Fatal("zero values drew bars")
-	}
-	// Tiny positive values still get one mark.
-	out = Bar("t", []string{"a", "b"}, []float64{0.0001, 100}, 10)
-	rows := strings.Split(out, "\n")
-	if !strings.Contains(rows[1], "#") {
-		t.Fatalf("tiny value invisible:\n%s", out)
-	}
-}

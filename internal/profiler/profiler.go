@@ -166,13 +166,3 @@ func HotnessVector(stats []StructureStat) []float64 {
 	}
 	return v
 }
-
-// SizeVector extracts per-allocation sizes in program allocation order —
-// Figure 9's size[] array.
-func SizeVector(stats []StructureStat) []uint64 {
-	v := make([]uint64, len(stats))
-	for _, s := range stats {
-		v[s.Alloc.ID] = s.Alloc.Size
-	}
-	return v
-}

@@ -145,12 +145,11 @@ func TestHotnessAndSizeVectors(t *testing.T) {
 	rt.Malloc("b", 2*vm.DefaultPageSize, core.HintNone)
 	stats := ProfileAllocations([]uint64{40, 10, 10}, rt.Allocations(), vm.DefaultPageSize)
 	hot := HotnessVector(stats)
-	sizes := SizeVector(stats)
-	if len(hot) != 2 || len(sizes) != 2 {
-		t.Fatalf("vector lengths = %d,%d, want 2,2", len(hot), len(sizes))
+	if len(hot) != 2 {
+		t.Fatalf("vector length = %d, want 2", len(hot))
 	}
-	if sizes[0] != vm.DefaultPageSize || sizes[1] != 2*vm.DefaultPageSize {
-		t.Fatalf("sizes = %v", sizes)
+	if stats[0].Alloc.Size != vm.DefaultPageSize || stats[1].Alloc.Size != 2*vm.DefaultPageSize {
+		t.Fatalf("sizes = %d, %d", stats[0].Alloc.Size, stats[1].Alloc.Size)
 	}
 	if hot[0] <= hot[1] {
 		t.Fatalf("hotness = %v, want a hotter than b", hot)

@@ -47,13 +47,6 @@ const DefaultMaxSpans = 1 << 17
 // coordinator smoke) keep separate span buffers.
 var Default = NewRecorder()
 
-// Enabled reports whether the process-wide Default recorder is recording.
-// Instrumentation sites that cannot reach a span cheaply gate on this.
-func Enabled() bool { return Default.Enabled() }
-
-// SetEnabled switches the Default recorder.
-func SetEnabled(on bool) { Default.SetEnabled(on) }
-
 // NewTraceID returns a fresh 16-hex-digit random trace ID.
 func NewTraceID() string {
 	var b [8]byte

@@ -69,9 +69,6 @@ func New(cfg Config) *TLB {
 	return &TLB{cfg: cfg, order: make([]uint64, 0, cfg.Entries)}
 }
 
-// Config returns the TLB configuration.
-func (t *TLB) Config() Config { return t.cfg }
-
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
@@ -105,11 +102,4 @@ func (t *TLB) Invalidate(vpage uint64) bool {
 		}
 	}
 	return false
-}
-
-// Flush empties the TLB, returning how many entries were dropped.
-func (t *TLB) Flush() int {
-	n := len(t.order)
-	t.order = t.order[:0]
-	return n
 }

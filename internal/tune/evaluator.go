@@ -13,7 +13,7 @@ import (
 // rate, remote-dispatch count, and access totals accumulate into a single
 // SweepStats, and repeated-neighborhood candidates (same placement at a
 // finer rung, the re-measured winner) are served from the cache tiers
-// instead of re-simulated. Searchers drive it via Eval; it records the
+// instead of re-simulated. The search drives it via Eval; it records the
 // search trace as a side effect.
 type Evaluator struct {
 	p     Problem
@@ -43,18 +43,10 @@ func newEvaluator(p Problem, o Options, sp *telemetry.Span) (*Evaluator, error) 
 	}, nil
 }
 
-// FinalShrink is the problem's target fidelity — the run-length divisor of
-// the last rung and of every reference measurement.
-func (ev *Evaluator) FinalShrink() int { return ev.p.Shrink }
-
-// Seed drives any sampling decision a Searcher makes; equal seeds must
-// yield equal searches.
-func (ev *Evaluator) Seed() int64 { return ev.p.Seed }
-
 // Eval measures every candidate at the given fidelity, appends one trace
 // entry per candidate (initially not kept), and returns the measured
 // performances in candidate order plus the trace offset of the first
-// entry — searchers pass offset+i to Keep to mark survivors.
+// entry — the search passes offset+i to Keep to mark survivors.
 func (ev *Evaluator) Eval(rung, shrink int, cands []Params) (perfs []float64, offset int, err error) {
 	sp := ev.sp.Child("tune.rung")
 	if sp != nil {

@@ -2,86 +2,45 @@ package tune
 
 import "sort"
 
-// Searcher is a pluggable search strategy: evaluate candidates from space
-// through ev within the eval budget and return the index (into space) of
-// the winner. Implementations must be deterministic functions of
-// (space, budget, ev.Seed()) — no wall clock, no unseeded randomness —
-// so a search is reproducible bit-for-bit anywhere.
-type Searcher interface {
-	Name() string
-	Search(ev *Evaluator, space []Params, budget int) (int, error)
-}
-
-// searchers holds the built-in strategies in presentation order.
-var searchers = []Searcher{gridSearcher{}, halvingSearcher{}}
+// A strategy is successive halving (eta = 2) with a preferred rung count:
+// start from a seeded sample of the space, evaluate every survivor at a
+// coarse fidelity, keep the better half, double the fidelity, repeat — the
+// final rung runs at the problem's target fidelity. Cheap rungs discard
+// the bulk of the space for a fraction of a full evaluation each, so a
+// given budget explores roughly twice the candidates of a one-rung search.
+// grid is the one-rung baseline: every sampled candidate evaluated once at
+// final fidelity, best perf wins. It covers budget candidates where
+// halving covers ~2x as many — the comparison figtune's notes quantify.
+// A search is a deterministic function of (space, budget, seed) — no wall
+// clock, no unseeded randomness — so it is reproducible bit-for-bit
+// anywhere.
+var strategies = []struct {
+	name  string
+	rungs int
+}{{"grid", 1}, {"halving", 3}}
 
 // Strategies lists the built-in strategy names.
 func Strategies() []string {
-	names := make([]string, len(searchers))
-	for i, s := range searchers {
-		names[i] = s.Name()
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.name
 	}
 	return names
 }
 
 // Known reports whether name is a built-in strategy ("" selects the
 // default, halving).
-func Known(name string) bool {
-	_, ok := byName(name)
-	return name == "" || ok
-}
+func Known(name string) bool { return name == "" || rungsOf(name) > 0 }
 
-func byName(name string) (Searcher, bool) {
-	for _, s := range searchers {
-		if s.Name() == name {
-			return s, true
+// rungsOf is the preferred rung count of a strategy, 0 if it is unknown.
+func rungsOf(name string) int {
+	for _, s := range strategies {
+		if s.name == name {
+			return s.rungs
 		}
 	}
-	return nil, false
+	return 0
 }
-
-// gridSearcher is the baseline: a seeded sample of the space, every
-// candidate evaluated once at final fidelity, best perf wins (ties go to
-// the lower space index). It spends the whole budget at full cost per
-// candidate, so it covers budget candidates where halving covers ~2x as
-// many — the comparison figtune's notes quantify.
-type gridSearcher struct{}
-
-func (gridSearcher) Name() string { return "grid" }
-
-func (gridSearcher) Search(ev *Evaluator, space []Params, budget int) (int, error) {
-	idxs := sample(budget, len(space), ev.Seed())
-	cands := make([]Params, len(idxs))
-	for i, si := range idxs {
-		cands[i] = space[si]
-	}
-	perfs, offset, err := ev.Eval(0, ev.FinalShrink(), cands)
-	if err != nil {
-		return 0, err
-	}
-	best := 0
-	for i := 1; i < len(perfs); i++ {
-		if perfs[i] > perfs[best] {
-			best = i
-		}
-	}
-	ev.Keep(offset + best)
-	return idxs[best], nil
-}
-
-// halvingSearcher is successive halving (eta = 2): start from a seeded
-// sample of the space, evaluate every survivor at a coarse fidelity, keep
-// the better half, double the fidelity, repeat — the final rung runs at
-// the problem's target fidelity. Cheap rungs discard the bulk of the space
-// for a fraction of a full evaluation each, so a given budget explores
-// roughly twice the candidates grid search can.
-type halvingSearcher struct{}
-
-func (halvingSearcher) Name() string { return "halving" }
-
-// halvingRungs is the preferred rung count; small budgets shed rungs
-// until even a single survivor chain (one eval per rung) fits.
-const halvingRungs = 3
 
 // halvingCost is the total evaluation count of starting n0 candidates
 // through r halving rungs.
@@ -101,8 +60,11 @@ func keepCount(n int) int {
 	return n / 2
 }
 
-func (halvingSearcher) Search(ev *Evaluator, space []Params, budget int) (int, error) {
-	rungs := halvingRungs
+// search runs successive halving over space within the eval budget and
+// returns the index (into space) of the winner. Small budgets shed rungs
+// until even a single survivor chain (one eval per rung) fits. Ties go to
+// the lower space index.
+func search(ev *Evaluator, space []Params, budget, rungs int) (int, error) {
 	for rungs > 1 && halvingCost(1, rungs) > budget {
 		rungs--
 	}
@@ -116,9 +78,9 @@ func (halvingSearcher) Search(ev *Evaluator, space []Params, budget int) (int, e
 		n0 = n
 	}
 
-	idxs := sample(n0, len(space), ev.Seed())
+	idxs := sample(n0, len(space), ev.p.Seed)
 	for r := 0; r < rungs; r++ {
-		shrink := ev.FinalShrink() << (rungs - 1 - r)
+		shrink := ev.p.Shrink << (rungs - 1 - r) // the last rung at the target fidelity
 		cands := make([]Params, len(idxs))
 		for i, si := range idxs {
 			cands[i] = space[si]

@@ -168,7 +168,7 @@ func (c Params) Validate() error {
 // solves). The zero value selects successive halving with the default
 // budget on a private cache.
 type Options struct {
-	// Strategy names the Searcher ("" = "halving"; see Strategies).
+	// Strategy names the search schedule ("" = "halving"; see Strategies).
 	Strategy string
 	// Budget caps candidate evaluations across all rungs (0 = 16).
 	// Baseline, oracle, and profiling runs are not counted — they are the
@@ -240,7 +240,6 @@ func Run(p Problem, o Options) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	s, _ := byName(o.Strategy)
 
 	sp := o.Span.Child("tune")
 	defer sp.End()
@@ -255,7 +254,7 @@ func Run(p Problem, o Options) (Report, error) {
 		return Report{}, err
 	}
 	space := Space()
-	winIdx, err := s.Search(ev, space, o.Budget)
+	winIdx, err := search(ev, space, o.Budget, rungsOf(o.Strategy))
 	if err != nil {
 		return Report{}, err
 	}
@@ -264,7 +263,7 @@ func Run(p Problem, o Options) (Report, error) {
 	// Reference points, all at final fidelity: the default config (the
 	// paper's BW-AWARE placement, no migration), the winner, and the
 	// static oracle. The winner was already evaluated at final fidelity by
-	// the searcher, so re-measuring it here is a cache hit, not a rerun.
+	// the search, so re-measuring it here is a cache hit, not a rerun.
 	def := Params{Policy: PolicyBWAware, Migrate: "off"}
 	refSp := sp.Child("tune.reference")
 	perfs, err := ev.measure(refSp, p.Shrink, []Params{def, winner})

@@ -141,6 +141,37 @@ func TestStrategies(t *testing.T) {
 	}
 }
 
+// TestGridIsOneRung: grid evaluates its whole sample once, at rung 0 and
+// the final shrink, and keeps exactly one entry: the best perf, ties going
+// to the lower space index (the trace lists the sample in space order).
+func TestGridIsOneRung(t *testing.T) {
+	p := quickProblem()
+	rep := mustRun(t, p, Options{Strategy: "grid", Budget: 5, Workers: 2, Cache: experiments.NewResultCache()})
+	if len(rep.Trace) != 5 {
+		t.Fatalf("grid trace has %d entries for budget 5, want 5", len(rep.Trace))
+	}
+	kept := -1
+	for i, e := range rep.Trace {
+		if e.Rung != 0 || e.Shrink != p.Shrink {
+			t.Errorf("entry %d at rung %d, shrink %d; want rung 0, shrink %d", i, e.Rung, e.Shrink, p.Shrink)
+		}
+		if e.Kept {
+			if kept >= 0 {
+				t.Fatalf("entries %d and %d both kept", kept, i)
+			}
+			kept = i
+		}
+	}
+	if kept < 0 {
+		t.Fatal("no entry kept")
+	}
+	for i, e := range rep.Trace {
+		if e.Perf > rep.Trace[kept].Perf || i < kept && e.Perf == rep.Trace[kept].Perf {
+			t.Errorf("kept entry %d (perf %g), but entry %d has perf %g", kept, rep.Trace[kept].Perf, i, e.Perf)
+		}
+	}
+}
+
 // TestDeterminismAcrossWorkersAndLanes: the same search on 1 worker, 8
 // workers, and multi-lane simulations yields byte-identical wire reports
 // (isolated caches keep one variant from serving another's results).

@@ -40,6 +40,11 @@ const (
 	offMask   = (uint64(1) << zoneShift) - 1
 )
 
+// ZoneSpan is the physical span of one zone in bytes. A zone's frames are
+// numbered densely, so a space whose mapped pages span more could number
+// frames past it, into the zone field.
+const ZoneSpan = 1 << zoneShift
+
 // Unlimited marks a zone with effectively infinite capacity.
 const Unlimited = int(^uint(0) >> 1)
 
@@ -116,12 +121,6 @@ func NewSpace(pageSize uint64, zones []ZoneConfig) *Space {
 
 // PageSize returns the page size in bytes.
 func (s *Space) PageSize() uint64 { return s.pageSize }
-
-// Zones reports how many zones the space has.
-func (s *Space) Zones() int { return len(s.zones) }
-
-// ZoneName returns the configured name of z.
-func (s *Space) ZoneName(z ZoneID) string { return s.zones[z].cfg.Name }
 
 // ZoneCapacity returns the configured capacity of z in pages.
 func (s *Space) ZoneCapacity(z ZoneID) int { return s.zones[z].cfg.CapacityPages }

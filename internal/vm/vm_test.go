@@ -175,11 +175,8 @@ func TestPagesFor(t *testing.T) {
 
 func TestZoneNames(t *testing.T) {
 	s := twoZone(1, 1)
-	if s.ZoneName(ZoneBO) != "BO" || s.ZoneName(ZoneCO) != "CO" {
-		t.Fatalf("zone names = %q, %q", s.ZoneName(ZoneBO), s.ZoneName(ZoneCO))
-	}
-	if s.Zones() != 2 {
-		t.Fatalf("Zones() = %d, want 2", s.Zones())
+	if len(s.zones) != 2 || s.zones[ZoneBO].cfg.Name != "BO" || s.zones[ZoneCO].cfg.Name != "CO" {
+		t.Fatalf("zones = %+v, want BO and CO", s.zones)
 	}
 	if s.ZoneCapacity(ZoneBO) != 1 {
 		t.Fatalf("ZoneCapacity(BO) = %d, want 1", s.ZoneCapacity(ZoneBO))

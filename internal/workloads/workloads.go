@@ -317,13 +317,3 @@ func (s *Spec) Describe() string {
 	b.WriteString(")")
 	return b.String()
 }
-
-// DescribeStructures returns one line per data structure.
-func (s *Spec) DescribeStructures() []string {
-	out := make([]string, len(s.Structures))
-	for i, st := range s.Structures {
-		out[i] = fmt.Sprintf("%-24s %8.2f MB  w=%.2f  wr=%.2f  %s",
-			st.Label, float64(st.Size)/(1<<20), st.Weight, st.WriteFrac, st.Pattern)
-	}
-	return out
-}
