@@ -29,9 +29,11 @@ fmt:
 # sweep executor, every figure sweep dispatched through it, the daemon's
 # job queue / two-tier cache, the cluster coordinator's dispatch and
 # heartbeat paths, the autotuner's multi-worker searches, and the
-# telemetry recorder fed by all of them in parallel.
+# telemetry recorder fed by all of them in parallel. Concurrent runs also
+# share two pools: drained event-queue slabs (sim) and released
+# warp-program slabs (workloads).
 race:
-	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/
+	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/ ./internal/workloads/
 
 vet:
 	$(GO) vet ./...

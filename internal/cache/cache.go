@@ -84,18 +84,22 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(t)
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
+// A way is one word, line<<wayLineShift | wayValid | wayDirty, with the
+// full line address as its tag. An invalid way is 0.
+const (
+	wayValid     = 1
+	wayDirty     = 2
+	wayLineShift = 2
+)
 
 // Cache is a set-associative tag array with true-LRU replacement. Within a
 // set, ways are kept in recency order (index 0 = MRU), which is cheap for
-// the small associativities modeled here.
+// the small associativities modeled here. All ways live in one flat array,
+// set i at [i*Ways, (i+1)*Ways), so an 8-way set of one-word ways is one
+// 64-byte row.
 type Cache struct {
 	cfg      Config
-	sets     [][]way
+	ways     []uint64
 	setMask  uint64
 	lineBits uint
 	stats    Stats
@@ -109,14 +113,9 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	c := &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		ways:     make([]uint64, nsets*cfg.Ways),
 		setMask:  uint64(nsets - 1),
 		lineBits: uint(log2(cfg.LineBytes)),
 	}
@@ -142,19 +141,28 @@ func (c *Cache) Stats() Stats { return c.stats }
 // for a byte address.
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineBits }
 
-func (c *Cache) index(line uint64) (set []way, tag uint64) {
-	return c.sets[line&c.setMask], line >> 0 // full line address as tag; set bits are redundant but harmless
+// index returns the set holding addr and the valid way word for its line.
+// It panics on a line too wide to pack into a way, which would alias
+// another line. The addresses a simulation gives its caches, virtual at
+// the L1 and channel-local at the L2, lie below vm.ZoneSpan (2^40), far
+// inside the limit.
+func (c *Cache) index(addr uint64) (set []uint64, key uint64) {
+	line := c.Line(addr)
+	if line>>(64-wayLineShift) != 0 {
+		panic("cache: line address too wide to pack into a way")
+	}
+	i := int(line&c.setMask) * c.cfg.Ways
+	return c.ways[i : i+c.cfg.Ways : i+c.cfg.Ways], line<<wayLineShift | wayValid
 }
 
 // Lookup probes for addr and promotes the line to MRU on a hit. If write is
 // true and the line is present, it is marked dirty.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
-	line := c.Line(addr)
-	set, tag := c.index(line)
+	set, key := c.index(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i]&^wayDirty == key {
 			if write {
-				set[i].dirty = true
+				set[i] |= wayDirty
 			}
 			if c.cfg.Replace == LRU {
 				w := set[i]
@@ -180,13 +188,15 @@ type Victim struct {
 // full. The returned Victim is Valid when a live line was displaced and
 // Dirty when that line must be written back.
 func (c *Cache) Insert(addr uint64, dirty bool) Victim {
-	line := c.Line(addr)
-	set, tag := c.index(line)
+	set, key := c.index(addr)
+	w := key
+	if dirty {
+		w |= wayDirty
+	}
 	// If already present (e.g. a racing fill), refresh in place.
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			w := set[i]
-			w.dirty = w.dirty || dirty
+		if set[i]&^wayDirty == key {
+			w |= set[i] // a dirty line stays dirty
 			copy(set[1:i+1], set[:i])
 			set[0] = w
 			return Victim{}
@@ -199,7 +209,7 @@ func (c *Cache) Insert(addr uint64, dirty bool) Victim {
 	if c.cfg.Replace == Random {
 		victimIdx = c.rng.Intn(len(set))
 		for i := range set {
-			if !set[i].valid {
+			if set[i]&wayValid == 0 {
 				victimIdx = i
 				break
 			}
@@ -207,28 +217,27 @@ func (c *Cache) Insert(addr uint64, dirty bool) Victim {
 	}
 	v := set[victimIdx]
 	var out Victim
-	if v.valid {
-		out = Victim{LineAddr: v.tag, Dirty: v.dirty, Valid: true}
+	if v&wayValid != 0 {
+		out = Victim{LineAddr: v >> wayLineShift, Dirty: v&wayDirty != 0, Valid: true}
 		c.stats.Evictions++
-		if v.dirty {
+		if out.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	copy(set[1:victimIdx+1], set[:victimIdx])
-	set[0] = way{tag: tag, valid: true, dirty: dirty}
+	set[0] = w
 	return out
 }
 
 // Invalidate drops the line containing addr if present, reporting whether it
 // was present and dirty. Used for write-evict L1 policy.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	line := c.Line(addr)
-	set, tag := c.index(line)
+	set, key := c.index(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			dirty = set[i].dirty
+		if set[i]&^wayDirty == key {
+			dirty = set[i]&wayDirty != 0
 			copy(set[i:], set[i+1:])
-			set[len(set)-1] = way{}
+			set[len(set)-1] = 0
 			return true, dirty
 		}
 	}

@@ -324,3 +324,164 @@ func TestLRUWinsOnReuse(t *testing.T) {
 		t.Fatalf("LRU hit rate %.3f not above FIFO %.3f on reuse pattern", lru, fifo)
 	}
 }
+
+// refCache is the tag array Cache replaced, one []refWay per set with a
+// struct per way, kept as the reference TestCacheMatchesReference checks
+// the packed ways against.
+type refCache struct {
+	cfg      Config
+	sets     [][]refWay
+	setMask  uint64
+	lineBits uint
+	stats    Stats
+	rng      *rand.Rand
+}
+
+type refWay struct {
+	tag   uint64
+	valid bool
+	dirty bool
+}
+
+func newRefCache(cfg Config) *refCache {
+	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	sets := make([][]refWay, nsets)
+	backing := make([]refWay, nsets*cfg.Ways)
+	for i := range sets {
+		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	}
+	c := &refCache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), lineBits: uint(log2(cfg.LineBytes))}
+	if cfg.Replace == Random {
+		c.rng = rand.New(rand.NewSource(cfg.Seed + 1))
+	}
+	return c
+}
+
+func (c *refCache) index(addr uint64) ([]refWay, uint64) {
+	line := addr >> c.lineBits
+	return c.sets[line&c.setMask], line
+}
+
+func (c *refCache) Lookup(addr uint64, write bool) bool {
+	set, tag := c.index(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			if write {
+				set[i].dirty = true
+			}
+			if c.cfg.Replace == LRU {
+				w := set[i]
+				copy(set[1:i+1], set[:i])
+				set[0] = w
+			}
+			c.stats.Hits++
+			return true
+		}
+	}
+	c.stats.Misses++
+	return false
+}
+
+func (c *refCache) Insert(addr uint64, dirty bool) Victim {
+	set, tag := c.index(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			w := set[i]
+			w.dirty = w.dirty || dirty
+			copy(set[1:i+1], set[:i])
+			set[0] = w
+			return Victim{}
+		}
+	}
+	victimIdx := len(set) - 1
+	if c.cfg.Replace == Random {
+		victimIdx = c.rng.Intn(len(set))
+		for i := range set {
+			if !set[i].valid {
+				victimIdx = i
+				break
+			}
+		}
+	}
+	v := set[victimIdx]
+	var out Victim
+	if v.valid {
+		out = Victim{LineAddr: v.tag, Dirty: v.dirty, Valid: true}
+		c.stats.Evictions++
+		if v.dirty {
+			c.stats.Writebacks++
+		}
+	}
+	copy(set[1:victimIdx+1], set[:victimIdx])
+	set[0] = refWay{tag: tag, valid: true, dirty: dirty}
+	return out
+}
+
+func (c *refCache) Invalidate(addr uint64) (present, dirty bool) {
+	set, tag := c.index(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			dirty = set[i].dirty
+			copy(set[i:], set[i+1:])
+			set[len(set)-1] = refWay{}
+			return true, dirty
+		}
+	}
+	return false, false
+}
+
+// TestCacheMatchesReference runs random Lookup, Insert and Invalidate
+// sequences on Cache and refCache under every replacement policy at 1 to
+// 16 ways and requires the same results, victims and stats after every
+// operation. Addresses come from two ranges, each three times the cache's
+// capacity: one at 0 and one ending at 2^40 (vm.ZoneSpan), the top of the
+// range a simulation gives its caches.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, rep := range []Replacement{LRU, FIFO, Random} {
+		for ways := 1; ways <= 16; ways++ {
+			cfg := Config{SizeBytes: 4 * 128 * ways, LineBytes: 128, Ways: ways, Replace: rep, Seed: int64(ways)}
+			got, want := New(cfg), newRefCache(cfg)
+			rng := rand.New(rand.NewSource(int64(ways)*31 + int64(rep)))
+			lines := 3 * 4 * ways
+			for op := 0; op < 4000; op++ {
+				addr := uint64(rng.Intn(lines))*128 + uint64(rng.Intn(128))
+				if rng.Intn(2) == 0 {
+					addr += 1<<40 - uint64(lines)*128
+				}
+				write := rng.Intn(3) == 0
+				switch k := rng.Intn(8); {
+				case k < 4:
+					if g, w := got.Lookup(addr, write), want.Lookup(addr, write); g != w {
+						t.Fatalf("%v %d-way op %d: Lookup(%#x, %v) = %v, reference %v", rep, ways, op, addr, write, g, w)
+					}
+				case k < 7:
+					if g, w := got.Insert(addr, write), want.Insert(addr, write); g != w {
+						t.Fatalf("%v %d-way op %d: Insert(%#x, %v) = %+v, reference %+v", rep, ways, op, addr, write, g, w)
+					}
+				default:
+					gp, gd := got.Invalidate(addr)
+					wp, wd := want.Invalidate(addr)
+					if gp != wp || gd != wd {
+						t.Fatalf("%v %d-way op %d: Invalidate(%#x) = %v, %v, reference %v, %v", rep, ways, op, addr, gp, gd, wp, wd)
+					}
+				}
+				if got.Stats() != want.stats {
+					t.Fatalf("%v %d-way op %d: stats %+v, reference %+v", rep, ways, op, got.Stats(), want.stats)
+				}
+			}
+		}
+	}
+}
+
+// TestUnpackableLinePanics: a line too wide for a way word would alias a
+// narrower line, so the cache refuses it.
+func TestUnpackableLinePanics(t *testing.T) {
+	c := New(Config{SizeBytes: 64, LineBytes: 1, Ways: 4})
+	c.Insert(1<<62-1, true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert of line 2^62 did not panic")
+		}
+	}()
+	c.Insert(1<<62, false)
+}

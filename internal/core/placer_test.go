@@ -52,6 +52,28 @@ func TestPlacerFallbackOnFull(t *testing.T) {
 	}
 }
 
+// TestPlacerSpillAllocFree: a capped run spills most of its first touches,
+// so placing a page that a full zone refuses allocates nothing once the
+// page table covers it.
+func TestPlacerSpillAllocFree(t *testing.T) {
+	const pages = 100
+	sp := newSpace(1, vm.Unlimited)
+	p := NewPlacer(sp, Local{Zone: vm.ZoneBO}, Table1SBIT())
+	if _, err := p.PlacePage(Request{VPage: pages}); err != nil { // fills BO, grows the table
+		t.Fatal(err)
+	}
+	next := uint64(0)
+	avg := testing.AllocsPerRun(pages-1, func() {
+		if z, err := p.PlacePage(Request{VPage: next}); err != nil || z != vm.ZoneCO {
+			t.Fatalf("page %d: PlacePage = %d, %v; want a spill to CO", next, z, err)
+		}
+		next++
+	})
+	if avg != 0 {
+		t.Fatalf("a spilled page allocates %.2f objects, want 0", avg)
+	}
+}
+
 func TestPlacerAllFull(t *testing.T) {
 	sp := newSpace(1, 1)
 	p := NewPlacer(sp, Local{Zone: vm.ZoneBO}, Table1SBIT())

@@ -85,7 +85,8 @@ type RunConfig struct {
 	Mem memsys.Config
 	GPU gpu.Config // zero value means gpu.Table1Config()
 
-	// PageSize overrides the 4 kB OS page size (must be a power of two).
+	// PageSize overrides the 4 kB OS page size (must be a power of two, no
+	// smaller than Mem.LineBytes).
 	// Larger pages coarsen placement granularity — the page-size ablation.
 	PageSize uint64
 
@@ -344,6 +345,9 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	if rc.PageSize&(rc.PageSize-1) != 0 {
 		return Result{}, fmt.Errorf("experiments: PageSize %d is not a power of two", rc.PageSize)
 	}
+	if rc.PageSize < uint64(rc.Mem.LineBytes) {
+		return Result{}, fmt.Errorf("experiments: PageSize %d is smaller than the %d-byte cache line", rc.PageSize, rc.Mem.LineBytes)
+	}
 	src, err := sourceOf(rc)
 	if err != nil {
 		return Result{}, err
@@ -452,7 +456,7 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		}
 		attachSimTelemetry(sp, world, mem, g, cycles)
 	}
-	return Result{
+	res := Result{
 		Migration:   migStats,
 		EnergyNJ:    mem.TotalEnergyNJ(),
 		Workload:    src.name,
@@ -467,7 +471,9 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		Place:       placer.Stats(),
 		GPUStats:    g.Stats(),
 		Footprint:   src.footprint,
-	}, nil
+	}
+	workloads.ReleasePrograms(progs) // the run is over; its slab serves the next
+	return res, nil
 }
 
 // attachSimTelemetry snapshots the simulator's phase counters — all of

@@ -297,6 +297,9 @@ func TestRunRejectsMalformedMem(t *testing.T) {
 		{"empty zone name", func(rc *RunConfig) { rc.Mem.Zones[1].Name = "" }},
 		{"duplicate zone names", func(rc *RunConfig) { rc.Mem.Zones[1].Name = rc.Mem.Zones[0].Name }},
 		{"page size not a power of two", func(rc *RunConfig) { rc.PageSize = 3 }},
+		{"1-byte pages", func(rc *RunConfig) { rc.PageSize = 1 }},
+		{"16-byte pages", func(rc *RunConfig) { rc.PageSize = 16 }},
+		{"64-byte pages, below the 128-byte line", func(rc *RunConfig) { rc.PageSize = 64 }},
 		{"negative SMs", func(rc *RunConfig) { rc.GPU.SMs = -2 }},
 		{"no warps per SM", func(rc *RunConfig) { rc.GPU = gpu.Config{SMs: 1} }},
 		{"empty TLB", func(rc *RunConfig) { rc.TLB = &tlb.Config{} }},

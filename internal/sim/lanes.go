@@ -236,7 +236,8 @@ func (w *World) step() Time {
 
 // Run drains every lane and returns the final clock value (the maximum
 // over lanes). One lane runs inline; several run on worker threads with a
-// barrier per window.
+// barrier per window. A drained lane's event slab goes to the next queue
+// that needs one (see queue.handOff).
 func (w *World) Run() Time {
 	if len(w.lanes) == 1 {
 		return w.runSingle()
@@ -252,7 +253,15 @@ func (w *World) runSingle() Time {
 		e.drain(t + step - 1)
 		w.runHooks()
 	}
+	w.handOffSlabs()
 	return e.now
+}
+
+// handOffSlabs passes each drained lane's event slab on to the next run.
+func (w *World) handOffSlabs() {
+	for _, e := range w.lanes {
+		e.q.handOff()
+	}
 }
 
 func (w *World) runParallel() Time {
@@ -301,6 +310,7 @@ func (w *World) runParallel() Time {
 	for _, ch := range starts {
 		close(ch)
 	}
+	w.handOffSlabs()
 	end := Time(0)
 	for _, e := range w.lanes {
 		if e.now > end {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -337,6 +338,72 @@ func TestEngineAgainstReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunHandsOnDrainedSlab: World.Run hands a drained lane's record
+// slab, free list included, to the next queue that schedules an event,
+// and a world running on the handed-on slab fires the reference schedule.
+func TestRunHandsOnDrainedSlab(t *testing.T) {
+	const budget = 300
+	want := refProg(budget, nil)
+	var p pinger
+	// sync.Pool may miss a slab put on another P, and under the race
+	// detector drops a quarter of them, so retry until one is handed on.
+	for try := 0; try < 50; try++ {
+		first := NewWorld(1, progLA)
+		for i := range 2 * handOffMin {
+			first.Root().At(Time(i), &p, 0)
+		}
+		first.Run()
+		if first.lanes[0].q.nodes != nil {
+			t.Fatal("a drained lane kept its slab")
+		}
+		var got []string
+		second := NewWorld(1, progLA)
+		newProg(second, budget, &got)
+		if second.lanes[0].q.box == nil {
+			continue
+		}
+		second.Run()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run on a handed-on slab fired %d events, the reference %d, or in another order", len(got), len(want))
+		}
+		return
+	}
+	t.Fatal("no queue took a handed-on slab in 50 tries")
+}
+
+// TestConcurrentRunsShareSlabs runs worlds from four goroutines at once,
+// as sweep workers do. Each goroutine drains a schedule large enough to
+// hand its slab on, then runs the actor program on whatever slab its queue
+// takes, which must fire the reference schedule.
+func TestConcurrentRunsShareSlabs(t *testing.T) {
+	const budget = 300
+	want := refProg(budget, nil)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var p pinger
+			for r := range 5 {
+				big := NewWorld(1, progLA)
+				for i := range 2 * handOffMin {
+					big.Root().At(Time(i), &p, 0)
+				}
+				big.Run()
+				var got []string
+				w := NewWorld(1, progLA)
+				newProg(w, budget, &got)
+				w.Run()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d, run %d: fired %d events, the reference %d, or in another order", g, r, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCrossLaneSendBehindClock: a Send made between runs may target a lane

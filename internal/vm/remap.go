@@ -82,7 +82,7 @@ func (s *Space) allocPhys(z ZoneID) (uint64, error) {
 	}
 	zs := &s.zones[z]
 	if zs.cfg.CapacityPages != Unlimited && int(zs.next) >= zs.cfg.CapacityPages {
-		return 0, fmt.Errorf("%w: %s (%d pages)", ErrZoneFull, zs.cfg.Name, zs.cfg.CapacityPages)
+		return 0, zs.full
 	}
 	pa := uint64(z)<<zoneShift | zs.next*s.pageSize
 	zs.next++

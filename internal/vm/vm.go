@@ -63,6 +63,9 @@ type ZoneConfig struct {
 type zoneState struct {
 	cfg  ZoneConfig
 	next uint64 // bump allocator: next free physical page index
+	// full is the ErrZoneFull error allocPhys returns for this zone, built
+	// once: capped runs spill most first touches through it.
+	full error
 }
 
 // Space is one process's address space over a set of zones. The zero value
@@ -110,7 +113,7 @@ func NewSpace(pageSize uint64, zones []ZoneConfig) *Space {
 		if z.CapacityPages < 0 {
 			panic(fmt.Sprintf("vm: zone %q capacity %d negative", z.Name, z.CapacityPages))
 		}
-		zs[i] = zoneState{cfg: z}
+		zs[i] = zoneState{cfg: z, full: fmt.Errorf("%w: %s (%d pages)", ErrZoneFull, z.Name, z.CapacityPages)}
 	}
 	shift := uint(0)
 	for s := pageSize; s > 1; s >>= 1 {

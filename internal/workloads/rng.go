@@ -5,17 +5,24 @@ import "math/rand"
 // warpSource is math/rand's default Source — the additive lagged-Fibonacci
 // generator behind rand.NewSource — with a cheaper Seed. Every warp seeds
 // its own generator, so a bandwidth-bound run seeds hundreds of them per
-// simulation. rand's Seed walks the seeding LCG x' = 48271·x mod (2³¹−1)
-// serially, 1841 steps per seed, and rand.NewSource allocates a fresh
-// 4.9 kB register each time. Here Seed computes every LCG word directly as
-// 48271ⁿ·x₀ mod (2³¹−1) from a power table built once, and the register
-// lives inline in the warp's program. The streams are bit-identical to
-// rand.NewSource's (TestWarpSourceMatchesMathRand pins them), so every
-// rand.Rand method over it — Float64, Intn, Int63n, NewZipf — behaves
-// exactly as it would over rand.NewSource.
+// simulation, and a short run's warp draws far fewer numbers than the
+// 607-word register holds. rand's Seed walks the seeding LCG
+// x' = 48271·x mod (2³¹−1) serially, 1841 steps per seed, and
+// rand.NewSource allocates a fresh 4.9 kB register each time. Here Seed
+// only normalizes the seed, and the first draw to read a register word
+// computes it as 48271ⁿ·x₀ mod (2³¹−1) from a power table built once: a
+// warp that draws k < 334 numbers computes about 2k words. The register
+// lives inline in the warp's program, and since every word is computed
+// before it is read, a reused register needs no reset. The streams are
+// bit-identical to rand.NewSource's (TestWarpSourceMatchesMathRand pins
+// them), so every rand.Rand method over it — Float64, Intn, Int63n,
+// NewZipf — behaves exactly as it would over rand.NewSource.
 type warpSource struct {
 	tap, feed int
-	vec       [rngLen]uint64
+	// x is the normalized seed while draws still read words Seed did not
+	// compute, and 0 once they are all computed.
+	x   uint64
+	vec [rngLen]uint64
 }
 
 const (
@@ -90,7 +97,15 @@ func mulMod(a, x uint64) uint64 {
 	return p&lcgMod + p>>31
 }
 
-// Seed implements rand.Source with rand.NewSource's seeding.
+// seededWord returns register word i as rand's Seed fills it for the
+// normalized seed x.
+func seededWord(i int, x uint64) uint64 {
+	p := &lcgPow[i]
+	return mulMod(p[0], x)<<40 ^ mulMod(p[1], x)<<20 ^ mulMod(p[2], x) ^ rngCooked[i]
+}
+
+// Seed implements rand.Source with rand.NewSource's seeding. It computes
+// no register word; the first draws do (seedWords).
 func (r *warpSource) Seed(seed int64) {
 	r.tap, r.feed = 0, rngLen-rngTap
 	seed %= lcgMod
@@ -100,10 +115,7 @@ func (r *warpSource) Seed(seed int64) {
 	if seed == 0 {
 		seed = lcgZeroSeed
 	}
-	x := uint64(seed)
-	for i, p := range &lcgPow {
-		r.vec[i] = mulMod(p[0], x)<<40 ^ mulMod(p[1], x)<<20 ^ mulMod(p[2], x) ^ rngCooked[i]
-	}
+	r.x = uint64(seed)
 }
 
 // Int63 implements rand.Source.
@@ -119,7 +131,25 @@ func (r *warpSource) Uint64() uint64 {
 	if r.feed < 0 {
 		r.feed += rngLen
 	}
+	if r.x != 0 {
+		r.seedWords()
+	}
 	x := r.vec[r.feed] + r.vec[r.tap]
 	r.vec[r.feed] = x
 	return x
+}
+
+// seedWords computes the words draws 1 to rngLen−rngTap (334) read before
+// anything wrote them. Draw k's feed index, rngLen−rngTap−k, is one no
+// earlier draw has read. Its tap index, rngLen−k, is likewise unread for
+// k ≤ rngTap; for later k it is the feed word draw k−rngTap computed and
+// updated. Draw 334 reads feed index 0, after which every word exists.
+func (r *warpSource) seedWords() {
+	r.vec[r.feed] = seededWord(r.feed, r.x)
+	if r.tap >= rngLen-rngTap {
+		r.vec[r.tap] = seededWord(r.tap, r.x)
+	}
+	if r.feed == 0 {
+		r.x = 0
+	}
 }

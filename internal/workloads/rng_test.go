@@ -30,18 +30,29 @@ func sourceSeeds() []int64 {
 // checkSourceMatches compares a warpSource seeded with seed against
 // rand.NewSource(seed) over 2×rngLen draws of each method (so the register
 // wraps and words written by earlier draws are re-read), then over the
-// rand.Rand methods the generators use.
+// rand.Rand methods the generators use. The Uint64 stream is compared from
+// a fresh register and after reseeding a source n draws into another
+// seed's stream, for n at each boundary of on-demand seeding: the tap
+// reads seeded words up to draw rngTap and the feed up to draw
+// rngLen−rngTap.
 func checkSourceMatches(t *testing.T, seed int64) {
 	t.Helper()
 	var got warpSource
-	got.Seed(seed)
 	want := rand.NewSource(seed).(rand.Source64)
-	for i := 0; i < 2*rngLen; i++ {
-		if g, w := got.Uint64(), want.Uint64(); g != w {
-			t.Fatalf("seed %d: Uint64 draw %d = %#x, math/rand gives %#x", seed, i, g, w)
+	for _, n := range []int{0, 1, rngTap - 1, rngTap, rngTap + 1, rngLen - rngTap - 1, rngLen - rngTap, rngLen - rngTap + 1, 2 * rngLen} {
+		got.Seed(^seed)
+		for i := 0; i < n; i++ {
+			got.Uint64()
+		}
+		got.Seed(seed) // reseeding a used source must reset it completely
+		want.Seed(seed)
+		for i := 0; i < 2*rngLen; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d reseeded after %d draws: Uint64 draw %d = %#x, math/rand gives %#x", seed, n, i, g, w)
+			}
 		}
 	}
-	got.Seed(seed) // reseeding a used source must reset it completely
+	got.Seed(seed)
 	want.Seed(seed)
 	for i := 0; i < 2*rngLen; i++ {
 		if g, w := got.Int63(), want.Int63(); g != w {

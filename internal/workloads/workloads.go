@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"hetsim/internal/core"
 	"hetsim/internal/gpu"
@@ -181,18 +182,48 @@ func (s *Spec) Allocate(rt *gpurt.Runtime, hints []Hint) ([]gpurt.Allocation, er
 
 // Programs builds one WarpProgram per warp, deterministically derived from
 // the spec seed. allocs must be the result of Allocate on the same spec.
-// The programs, with their random sources inline, are allocated as one
-// slab.
+// The programs, with their random sources inline, live in one slab, taken
+// from the slabs ReleasePrograms returned when one is large enough.
 func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
 	cum := cumulativeWeights(s.Structures)
-	slab := make([]warpProgram, s.Warps)
-	progs := make([]gpu.WarpProgram, s.Warps)
-	for w := range slab {
-		slab[w].init(s, allocs, cum, w)
-		progs[w] = &slab[w]
+	slab, _ := slabs.Get().(*programSlab)
+	if slab == nil || len(slab.warps) < s.Warps {
+		slab = &programSlab{warps: make([]warpProgram, s.Warps), progs: make([]gpu.WarpProgram, s.Warps)}
+	}
+	progs := slab.progs[:s.Warps]
+	for w := range progs {
+		slab.warps[w].init(s, allocs, cum, w)
+		progs[w] = &slab.warps[w]
+	}
+	if len(progs) > 0 {
+		slab.warps[0].slab = slab
 	}
 	return progs
 }
+
+// ReleasePrograms hands the slab behind progs, a result of Programs, to
+// the next Programs call. No program may run after it. Programs that no
+// slab holds, such as trace replays, are left alone.
+func ReleasePrograms(progs []gpu.WarpProgram) {
+	if len(progs) == 0 {
+		return
+	}
+	if p, ok := progs[0].(*warpProgram); ok && p.slab != nil {
+		slab := p.slab
+		p.slab = nil // a second release finds nothing to return
+		slabs.Put(slab)
+	}
+}
+
+// programSlab is the storage of one Programs result: the programs and the
+// interface list over them. slabs holds released ones; both slices keep
+// their length, and Programs reslices them to its spec's warp count.
+type programSlab struct {
+	warps []warpProgram
+	progs []gpu.WarpProgram
+}
+
+var slabs sync.Pool // of *programSlab
 
 func cumulativeWeights(sts []Structure) []float64 {
 	cum := make([]float64, len(sts))
@@ -222,21 +253,40 @@ type warpProgram struct {
 	rng      *rand.Rand // over src
 	phase    int
 	gens     []offsetGen // per structure
+	// slab is set on a slab's first program until ReleasePrograms returns
+	// the slab.
+	slab *programSlab
 }
 
+// init sets every field for warp warpID of s. The program may be one a
+// released slab held for another spec, so nothing may depend on a zero
+// value: buffers keep their capacity and are resized, and rng, which only
+// ever wraps this program's own src, is kept.
 func (w *warpProgram) init(s *Spec, allocs []gpurt.Allocation, cum []float64, warpID int) {
 	w.spec, w.allocs, w.cum = s, allocs, cum
-	w.addrs = make([]gpu.Access, s.AccessesPerPhase)
+	w.addrs = resized(w.addrs, s.AccessesPerPhase)
 	if s.WeightDrift > 0 {
-		w.weights = make([]float64, len(s.Structures))
-		w.cumDrift = make([]float64, len(s.Structures))
+		w.weights = resized(w.weights, len(s.Structures))
+		w.cumDrift = resized(w.cumDrift, len(s.Structures))
 	}
 	w.src.Seed(s.Seed*1_000_003 + int64(warpID))
-	w.rng = rand.New(&w.src)
-	w.gens = make([]offsetGen, len(s.Structures))
+	if w.rng == nil {
+		w.rng = rand.New(&w.src)
+	}
+	w.phase = 0
+	w.gens = resized(w.gens, len(s.Structures))
 	for i, st := range s.Structures {
 		w.gens[i] = st.Pattern.generator(st.Size, warpID, s.Warps, w.rng)
 	}
+}
+
+// resized returns b with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resized[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // NextPhase implements gpu.WarpProgram. The returned Addrs alias the

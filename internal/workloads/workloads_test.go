@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"hetsim/internal/core"
@@ -369,6 +371,117 @@ func TestNextPhaseAllocFree(t *testing.T) {
 			t.Errorf("%s: NextPhase allocates %.2f objects per phase, want 0", name, avg)
 		}
 	}
+}
+
+// phaseStream drains progs and returns every access they issue, warp by
+// warp.
+func phaseStream(progs []gpu.WarpProgram) []gpu.Access {
+	var out []gpu.Access
+	for _, p := range progs {
+		for {
+			ph, ok := p.NextPhase()
+			if !ok {
+				break
+			}
+			out = append(out, ph.Addrs...)
+		}
+	}
+	return out
+}
+
+// freshPrograms builds s's programs the way Programs does, but on a new
+// slab, never on one a release handed on.
+func freshPrograms(s *Spec, allocs []gpurt.Allocation) []gpu.WarpProgram {
+	cum := cumulativeWeights(s.Structures)
+	slab := make([]warpProgram, s.Warps)
+	progs := make([]gpu.WarpProgram, s.Warps)
+	for w := range slab {
+		slab[w].init(s, allocs, cum, w)
+		progs[w] = &slab[w]
+	}
+	return progs
+}
+
+// TestProgramsFromReleasedSlab drains and releases one spec's programs,
+// then builds another spec's from the released slab: fewer warps, other
+// structures, drift switched on or off, more or fewer accesses per phase.
+// The first spec's warps draw past the end of on-demand seeding in one
+// case and stop short of it in the other. The reused programs must issue
+// the stream a new slab does.
+func TestProgramsFromReleasedSlab(t *testing.T) {
+	bfs, phased, gaussian := BFS(Train()), Phased(Train()), Gaussian(Train())
+	phased.Shrink(8)
+	gaussian.Shrink(8)
+	narrow := Phased(Train())
+	narrow.Shrink(8)
+	narrow.Warps, narrow.AccessesPerPhase = 200, 12
+	for _, c := range []struct{ first, next Spec }{{phased, gaussian}, {bfs, narrow}} {
+		first, next := c.first, c.next
+		firstAllocs, err := first.Allocate(testRuntime(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextAllocs, err := next.Allocate(testRuntime(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// sync.Pool may miss a slab put on another P, and under the race
+		// detector drops a quarter of them, so retry until one comes back.
+		var reused []gpu.WarpProgram
+		for try := 0; try < 50 && reused == nil; try++ {
+			released := first.Programs(firstAllocs)
+			phaseStream(released)
+			ReleasePrograms(released)
+			if reused = next.Programs(nextAllocs); reused[0] != released[0] {
+				reused = nil
+			}
+		}
+		if reused == nil {
+			t.Fatalf("%s after %s: no programs built on a released slab in 50 tries", next.Name, first.Name)
+		}
+		got := phaseStream(reused)
+		if want := phaseStream(freshPrograms(&next, nextAllocs)); !slices.Equal(got, want) {
+			t.Fatalf("%s after %s: reused slab issues %d accesses, a new slab %d, or they differ",
+				next.Name, first.Name, len(got), len(want))
+		}
+	}
+}
+
+// TestProgramsConcurrentReuse builds, drains and releases programs of four
+// specs from four goroutines at once, so slabs pass between goroutines and
+// between specs, and compares every stream with a serial build.
+func TestProgramsConcurrentReuse(t *testing.T) {
+	names := []string{"bfs", "phased", "gaussian", "xsbench"}
+	specs := make([]Spec, len(names))
+	allocs := make([][]gpurt.Allocation, len(names))
+	want := make([][]gpu.Access, len(names))
+	for i, name := range names {
+		specs[i] = MustBuild(name, Train())
+		specs[i].Shrink(16)
+		var err error
+		if allocs[i], err = specs[i].Allocate(testRuntime(), nil); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = phaseStream(freshPrograms(&specs[i], allocs[i]))
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 8 {
+				i := (g + r) % len(specs)
+				progs := specs[i].Programs(allocs[i])
+				got := phaseStream(progs)
+				ReleasePrograms(progs)
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d, build %d: %s stream differs from the serial build", g, r, names[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 var progsSink []gpu.WarpProgram
