@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race vet check repro-check traffic-cover bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke clean
+.PHONY: all build fmt test race vet check repro-check traffic-cover bench-smoke bench bench-compare bench-sweep bench-serve serve cluster cluster-smoke trace-smoke topology-smoke migration-smoke tune-smoke probe-smoke clean
 
 all: build
 
@@ -21,17 +21,14 @@ test:
 fmt:
 	test -z "$$(gofmt -l .)"
 
-# Race-check the packages that exercise concurrency: the laned event
-# engine and the lane determinism suite (parallel in-run lanes with
-# cross-lane mailbox traffic), the memory system and migration engine
-# (the channel slices of one lane share a page-count shard, and the
-# page-state table is read on every lane's access path), the worker-pool
+# Race-check the packages that exercise concurrency: the worker-pool
 # sweep executor, every figure sweep dispatched through it, the daemon's
 # job queue / two-tier cache, the cluster coordinator's dispatch and
 # heartbeat paths, the autotuner's multi-worker searches, and the
-# telemetry recorder fed by all of them in parallel. Concurrent runs also
-# share two pools: drained event-queue slabs (sim) and released
-# warp-program slabs (workloads).
+# telemetry recorder fed by all of them in parallel. Concurrent runs share
+# two pools: drained event-queue slabs (sim, whose tests run worlds from
+# several goroutines) and released warp-program slabs (workloads); the
+# memory system and migration engine run inside those concurrent runs.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/ ./internal/workloads/
 
@@ -39,7 +36,7 @@ vet:
 	$(GO) vet ./...
 
 check: build fmt vet test race bench-smoke
-	$(GO) run ./cmd/hme2e topology lanes migration tune probe
+	$(GO) run ./cmd/hme2e topology migration tune probe
 
 # Full-fidelity reproduction gate: re-run `hmexp all` and byte-compare its
 # output with the recorded experiments_full.txt, less the `sweep:` lines
@@ -58,7 +55,7 @@ repro-check:
 # `go -C bench`, so no file under bench/ changes) and runs `hmexp
 # -shrink 8 all` and every hetbench workload once at -quick, untraced and
 # at -trace 1 (its layer replay is the only caller of the vm and memsys
-# access paths outside a simulation). Then it runs the seven hme2e
+# access paths outside a simulation). Then it runs the six hme2e
 # scenarios; GOFLAGS makes hme2e's own `go build` produce covered
 # binaries that write to the same GOCOVERDIR. It prints each function no
 # run entered. About 55 s on 2 cores; not part of `make check` or CI.
@@ -70,7 +67,7 @@ traffic-cover:
 	"$$tmp/hmexp" -shrink 8 all > /dev/null && \
 	"$$tmp/hetbench" -quick -seconds 0 > /dev/null && \
 	"$$tmp/hetbench" -quick -seconds 0 -trace 1 -trace-dir "$$tmp/trace" > /dev/null && \
-	GOFLAGS='-cover -coverpkg=hetsim/...' $(GO) run ./cmd/hme2e cluster trace topology lanes migration tune probe > /dev/null && \
+	GOFLAGS='-cover -coverpkg=hetsim/...' $(GO) run ./cmd/hme2e cluster trace topology migration tune probe > /dev/null && \
 	$(GO) tool covdata func -i "$$tmp/cov" | awk '$$NF == "0.0%" { print $$1, $$2 }'
 
 # hetbench smoke test: every benchmark workload at -quick scale, including
@@ -86,7 +83,7 @@ bench-smoke:
 # `go test -bench` text is tee'd so benchstat can diff two snapshots.
 BENCH_SHA := $(shell git rev-parse --short HEAD)
 bench:
-	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkLanedThroughput' -run - -benchmem ./internal/sim/ && \
+	{ $(GO) test -bench 'BenchmarkEngine' -run - -benchmem ./internal/sim/ && \
 	  $(GO) test -bench 'BenchmarkMSHRAllocateFill' -run - -benchmem ./internal/cache/ && \
 	  $(GO) test -bench 'BenchmarkSpaceFirstTouch' -run - -benchmem ./internal/vm/ && \
 	  $(GO) test -bench 'BenchmarkPrograms' -run - -benchmem ./internal/workloads/ && \
@@ -124,10 +121,10 @@ serve:
 
 # End-to-end checks on real binaries, one cmd/hme2e scenario per target
 # (each scenario's doc comment lists its assertions): the same bytes from
-# local, daemon and cluster renders, at any lane count and with probes on,
-# and exit 2 for every refused invocation. Daemons bind 127.0.0.1:0, so
-# `make -j` runs targets side by side; `make check` runs the topology,
-# lanes, migration, tune and probe scenarios in one hme2e process.
+# local, daemon and cluster renders and with probes on, and exit 2 for
+# every refused invocation. Daemons bind 127.0.0.1:0, so `make -j` runs
+# targets side by side; `make check` runs the topology, migration, tune
+# and probe scenarios in one hme2e process.
 #
 # cluster starts a 3-worker hmserved fleet on 127.0.0.1:18081-18083
 # (ctrl-C drains and stops all of them); point hmexp -cluster or
@@ -144,9 +141,6 @@ trace-smoke:
 
 topology-smoke:
 	$(GO) run ./cmd/hme2e topology
-
-lanes-smoke:
-	$(GO) run ./cmd/hme2e lanes
 
 migration-smoke:
 	$(GO) run ./cmd/hme2e migration

@@ -242,27 +242,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim_cycles/op")
 }
 
-// BenchmarkSimulatorThroughputLanes is BenchmarkSimulatorThroughput at
-// several lane counts: the same saturating run split across parallel event
-// lanes. Results are byte-identical per lane count (the lane determinism
-// suite asserts it); the events/sec spread is the tentpole's speedup
-// measurement and is meaningful only on a multi-core host.
-func BenchmarkSimulatorThroughputLanes(b *testing.B) {
-	for _, lanes := range []int{1, 2, 4, 8} {
-		b.Run(benchName("lanes", lanes), func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res, err := Run(RunConfig{Workload: "lbm", Policy: BWAware, Shrink: 4, Lanes: lanes})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += int64(res.Cycles)
-			}
-			b.ReportMetric(float64(cycles)/float64(b.N), "sim_cycles/op")
-		})
-	}
-}
-
 func benchName(prefix string, v int) string {
 	return prefix + "=" + strconv.Itoa(v)
 }

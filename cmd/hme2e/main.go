@@ -2,13 +2,13 @@
 // hmsim, hmexp, hmserved and hmtrace once, then runs the scenarios named
 // on its command line in order:
 //
-//	hme2e topology lanes migration tune probe   # the make check set
-//	hme2e cluster trace                         # multi-daemon fleets
-//	hme2e fleet [n]                             # serve n workers until ctrl-C
+//	hme2e topology migration tune probe   # the make check set
+//	hme2e cluster trace                   # multi-daemon fleets
+//	hme2e fleet [n]                       # serve n workers until ctrl-C
 //
 // Each scenario checks that output bytes stay the same wherever they must
-// — local, through hmserved, across a cluster, at any lane count, with
-// probes on — and that its rows of the refused table exit with status 2.
+// — local, through hmserved, across a cluster, with probes on — and that
+// its rows of the refused table exit with status 2.
 // Its daemons bind 127.0.0.1:0 and are reached at the address they log as
 // bound, so several hme2e runs can share a host. Scratch files live in a
 // temporary directory removed on exit; the trace scenario leaves
@@ -54,7 +54,6 @@ var scenarios = map[string]func(*scenario){
 	"cluster":   cluster,
 	"trace":     trace,
 	"topology":  topology,
-	"lanes":     lanes,
 	"migration": migration,
 	"tune":      tune,
 	"probe":     probe,
@@ -64,21 +63,15 @@ var scenarios = map[string]func(*scenario){
 // 2: bad run options and specs are refused before any simulation starts or
 // any request is sent. URL stands for the scenario daemon's base URL.
 var refused = []struct{ scenario, cmd string }{
-	{"lanes", "hmsim -lanes 0 -workload bfs -shrink 16"},
-	{"lanes", "hmsim -lanes -3 -workload bfs -shrink 16"},
-	{"lanes", "hmsim -lanes two -workload bfs -shrink 16"},
-	{"lanes", "hmexp -lanes 0 fig3"},
-	{"lanes", "hmexp -lanes 1.5 fig3"},
-	{"lanes", "hmserved -lanes 0 -addr " + anyPort},
-	{"lanes", "hmsim -shrink -7 -workload bfs"},
-	{"lanes", "hmsim -shrink 0 -workload bfs"},
-	{"lanes", "hmexp -shrink -5 fig3"},
-	{"lanes", "hmexp -workers -3 fig3"},
-	{"lanes", "hmexp -workloads nosuch fig3"},
-	{"lanes", "hmserved -workers -1 -addr " + anyPort},
 	{"topology", "hmexp -topology hbm9000 fig3"},
 	{"topology", "hmsim -topology hbm9000 -workload bfs"},
 	{"topology", "hmserved -topology hbm9000 -addr " + anyPort},
+	{"topology", "hmsim -shrink -7 -workload bfs"},
+	{"topology", "hmsim -shrink 0 -workload bfs"},
+	{"topology", "hmexp -shrink -5 fig3"},
+	{"topology", "hmexp -workers -3 fig3"},
+	{"topology", "hmexp -workloads nosuch fig3"},
+	{"topology", "hmserved -workers -1 -addr " + anyPort},
 	{"migration", "hmexp -migrate epoch=banana fig3"},
 	{"migration", "hmexp -migrate-policy mystery fig3"},
 	{"migration", "hmexp -migrate alpha=0 -migrate-policy ewma figmig"},
@@ -109,7 +102,7 @@ func main() { os.Exit(drive(os.Args[1:])) }
 func drive(args []string) int {
 	names, fleetSize, err := parseArgs(args)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hme2e: %v\nusage: hme2e scenario... | hme2e fleet [n]\nscenarios: cluster trace topology lanes migration tune probe\n", err)
+		fmt.Fprintf(os.Stderr, "hme2e: %v\nusage: hme2e scenario... | hme2e fleet [n]\nscenarios: cluster trace topology migration tune probe\n", err)
 		return 2
 	}
 	root, err := os.MkdirTemp("", "hme2e")
@@ -426,7 +419,8 @@ func trace(s *scenario) {
 // topology: fig3 on every preset. k40-ddr4 reproduces the default Table 1
 // render and gh200 and cxl-expansion change it; hmserved serves
 // ?topology= byte-identically; figtopo renders; a recorded trace replays
-// on every preset; an unknown preset is refused naming the presets.
+// on every preset; an unknown preset is refused naming the presets, and
+// bad -shrink, -workers and -workloads values are refused too.
 func topology(s *scenario) {
 	def := s.render("fig3", sweep)
 	local := map[string]string{}
@@ -449,21 +443,9 @@ func topology(s *scenario) {
 		s.out("hmsim -json -topology "+p+" -replay", trc)
 	}
 	for _, out := range s.refuse(srv) {
-		s.want(strings.Contains(out, "k40-ddr4"), "an unknown topology's refusal names no presets:\n%s", out)
+		s.want(!strings.Contains(out, "hbm9000") || strings.Contains(out, "k40-ddr4"),
+			"an unknown topology's refusal names no presets:\n%s", out)
 	}
-}
-
-// lanes: hmsim runs and replays and hmexp figures are byte-identical at
-// -lanes 1 and 8.
-func lanes(s *scenario) {
-	run := "hmsim -workload bfs -policy bw-aware -shrink 16 -json -lanes "
-	s.same("hmsim at -lanes 8", s.out(run+"8"), s.out(run+"1"))
-	trc := s.record("")
-	s.same("hmsim replay at -lanes 8", s.out("hmsim -json -lanes 8 -replay", trc), s.out("hmsim -json -lanes 1 -replay", trc))
-	fig := s.out("hmexp -csv -lanes 1 " + sweep + " fig3")
-	s.want(fig != "", "hmexp -csv fig3 printed nothing")
-	s.same("hmexp fig3 at -lanes 8", s.out("hmexp -csv -lanes 8 "+sweep+" fig3"), fig)
-	s.refuse("")
 }
 
 // migration: figmigtopo renders every preset and reruns byte-identically;
@@ -505,14 +487,13 @@ func migration(s *scenario) {
 	s.refuse(srv)
 }
 
-// tune: hmexp -tune prints the same report across processes, lanes,
-// workers, the daemon (POST /v1/tune, then deduplicated) and cluster
+// tune: hmexp -tune prints the same report across processes, workers,
+// the daemon (POST /v1/tune, then deduplicated) and cluster
 // dispatch; the daemon answers a bad tune spec with 422.
 func tune(s *scenario) {
 	report := s.out("hmexp " + tuneOpts + " bfs")
 	s.want(hasLine(report, "  winner"), "hmexp -tune report has no winner line:\n%s", report)
 	s.same("hmexp -tune rerun", s.out("hmexp "+tuneOpts+" bfs"), report)
-	s.same("hmexp -tune at -lanes 8", s.out("hmexp -lanes 8 "+tuneOpts+" bfs"), report)
 	s.same("hmexp -tune at -workers 1", s.out("hmexp -workers 1 "+tuneOpts+" bfs"), report)
 	srv := s.daemon(anyPort, "")
 	s.same("POST /v1/tune", s.out("hmexp -server "+srv+" "+tuneOpts+" bfs"), report)
@@ -525,14 +506,14 @@ func tune(s *scenario) {
 }
 
 // probe: runs, replays and figures are byte-identical with probes on or
-// off (multi-lane too); probe series and trace counter tracks validate
+// off; probe series and trace counter tracks validate
 // with hmtrace counters; hmexp -list names the registry; figdyn renders
 // deterministically; hmserved streams a ?probe= job over /progress and
 // answers a probe out= path with 400.
 func probe(s *scenario) {
 	plain := s.out("hmsim -json " + probeRun)
 	s.same("hmsim -json with -probe on", s.out("hmsim -json -probe on "+probeRun), plain)
-	s.same("hmsim -json at -lanes 4 with a probe", s.out("hmsim -json -lanes 4 -probe interval=1000 "+probeRun), plain)
+	s.same("hmsim -json with a 1000-cycle probe", s.out("hmsim -json -probe interval=1000 "+probeRun), plain)
 	trc := s.record("-probe on")
 	s.same("probed replay", s.out("hmsim -json -probe on -replay", trc), s.out("hmsim -json -replay", trc))
 	dir := s.dir()

@@ -122,7 +122,7 @@ func main() {
 		tuneBud   = flag.Int("tune-budget", heteromem.DefaultTuneBudget, "with -tune, max candidate evaluations per search")
 		tuneStrat = flag.String("tune-strategy", heteromem.DefaultTuneStrategy, "with -tune, search strategy: grid | halving")
 		list      = flag.Bool("list", false, "list every figure identifier with its one-line description and exit")
-		run       = cli.Register(flag.CommandLine, cli.Shrink|cli.Workers|cli.Topology|cli.Lanes|cli.Migrate|cli.Probe|cli.Profile)
+		run       = cli.Register(flag.CommandLine, cli.Shrink|cli.Workers|cli.Topology|cli.Migrate|cli.Probe|cli.Profile)
 	)
 	flag.Parse()
 	if *list {
@@ -477,7 +477,7 @@ func runTune(root *telemetry.Span, wls []string, opts heteromem.Options, coord *
 		} else {
 			to := heteromem.TuneOptions{
 				Strategy: strategy, Budget: budget,
-				Workers: opts.Workers, Lanes: opts.Lanes, Span: sp,
+				Workers: opts.Workers, Span: sp,
 			}
 			if coord != nil {
 				to.Remote = coord.Run

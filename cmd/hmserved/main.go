@@ -94,7 +94,7 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running jobs")
 		fleet    = flag.String("cluster", "", "comma-separated worker base URLs; run as coordinator over this fleet")
 		telem    = flag.Bool("telemetry", false, "record execution spans for every request (structured span logs + telemetry histograms on /metrics); header-traced requests are recorded regardless")
-		run      = cli.Register(flag.CommandLine, cli.Workers|cli.Topology|cli.Lanes|cli.Migrate)
+		run      = cli.Register(flag.CommandLine, cli.Workers|cli.Topology|cli.Migrate)
 	)
 	if dup := duplicateFlags(os.Args[1:]); len(dup) > 0 {
 		fmt.Fprintf(os.Stderr, "hmserved: flag repeated on command line: -%s\n", strings.Join(dup, ", -"))
@@ -131,7 +131,6 @@ func main() {
 		Logger:        logger,
 		Telemetry:     rec,
 		Topology:      opts.Topology,
-		Lanes:         opts.Lanes,
 		Migrate:       opts.Migrate,
 		MigratePolicy: opts.MigratePolicy,
 	}

@@ -50,7 +50,7 @@ func main() {
 		replay   = flag.String("replay", "", "replay a recorded trace instead of a workload")
 		asJSON   = flag.Bool("json", false, "emit the result as JSON")
 		list     = flag.Bool("list", false, "list workloads and exit")
-		run      = cli.Register(flag.CommandLine, cli.Shrink|cli.Topology|cli.Lanes|cli.Migrate|cli.Probe|cli.Profile)
+		run      = cli.Register(flag.CommandLine, cli.Shrink|cli.Topology|cli.Migrate|cli.Probe|cli.Profile)
 	)
 	flag.Parse()
 	opts, probeErr := run.Options()
@@ -91,7 +91,6 @@ func main() {
 		Shrink:         opts.Shrink,
 		EagerPlacement: *eager,
 		Seed:           *seed,
-		Lanes:          opts.Lanes,
 		Migration:      migCfg,
 	}
 	rc.Policy, err = policyByName(*policy)

@@ -1,6 +1,6 @@
 // Package cli declares once the run-option flags that two or more of
-// hetsim's binaries share — -shrink, -workers, -topology, -lanes,
-// -migrate, -migrate-policy, -probe, -cpuprofile and -memprofile — and
+// hetsim's binaries share — -shrink, -workers, -topology, -migrate,
+// -migrate-policy, -probe, -cpuprofile and -memprofile — and
 // reports every error in them, together with each binary's own, before
 // exiting 2. The values are checked by experiments.Options.Validate, the
 // same check the daemon applies to a figure request's query.
@@ -24,7 +24,6 @@ const (
 	Shrink   Set = 1 << iota // -shrink
 	Workers                  // -workers
 	Topology                 // -topology
-	Lanes                    // -lanes
 	Migrate                  // -migrate and -migrate-policy
 	Probe                    // -probe
 	Profile                  // -cpuprofile and -memprofile
@@ -33,14 +32,14 @@ const (
 // Flags holds the shared flags' values. A flag a binary does not declare
 // keeps its default.
 type Flags struct {
-	Shrink, Workers, Lanes                  int
+	Shrink, Workers                         int
 	Topology, Migrate, MigratePolicy, Probe string
 	CPUProfile, MemProfile                  string
 }
 
 // Register declares the flags in set on fs.
 func Register(fs *flag.FlagSet, set Set) *Flags {
-	f := &Flags{Shrink: 1, Lanes: 1}
+	f := &Flags{Shrink: 1}
 	if set&Shrink != 0 {
 		fs.IntVar(&f.Shrink, "shrink", 1, "divide simulated work by this factor for quick runs (1 = full fidelity)")
 	}
@@ -50,9 +49,6 @@ func Register(fs *flag.FlagSet, set Set) *Flags {
 	if set&Topology != 0 {
 		fs.StringVar(&f.Topology, "topology", "", "memory-topology preset: "+strings.Join(topology.Names(), " | ")+
 			" (empty = k40-ddr4, the paper's Table 1 system; hmserved: the default of figure requests)")
-	}
-	if set&Lanes != 0 {
-		fs.IntVar(&f.Lanes, "lanes", 1, "parallel event lanes per simulation (output is byte-identical for any count)")
 	}
 	if set&Migrate != 0 {
 		fs.StringVar(&f.Migrate, "migrate", "", "dynamic page migration: off | on | key=value,... (epoch, pages, lock, minheat, hyst, cooldown, policy, alpha, high, low, wb); hmserved: the default of figure requests")
@@ -77,7 +73,7 @@ func (f *Flags) Options() (experiments.Options, error) {
 		err = fmt.Errorf("-probe: %w", err)
 	}
 	return experiments.Options{
-		Shrink: f.Shrink, Workers: f.Workers, Lanes: f.Lanes, Topology: f.Topology,
+		Shrink: f.Shrink, Workers: f.Workers, Topology: f.Topology,
 		Migrate: f.Migrate, MigratePolicy: f.MigratePolicy, Probe: probe,
 	}, err
 }

@@ -10,9 +10,9 @@ import (
 
 // The shared flag sets of each binary.
 const (
-	hmsim    = Shrink | Topology | Lanes | Migrate | Probe | Profile
-	hmexp    = Shrink | Workers | Topology | Lanes | Migrate | Probe | Profile
-	hmserved = Workers | Topology | Lanes | Migrate
+	hmsim    = Shrink | Topology | Migrate | Probe | Profile
+	hmexp    = Shrink | Workers | Topology | Migrate | Probe | Profile
+	hmserved = Workers | Topology | Migrate
 	hmprof   = Shrink
 )
 
@@ -41,13 +41,9 @@ func TestValidate(t *testing.T) {
 		want int // errors reported; -1 = the flag parse itself fails
 	}{
 		{"hmexp defaults", hmexp, nil, 0},
-		{"hmexp valid everything", hmexp, []string{"-topology", "gh200", "-lanes", "8", "-migrate", "on",
+		{"hmexp valid everything", hmexp, []string{"-topology", "gh200", "-migrate", "on",
 			"-migrate-policy", "ewma", "-probe", "interval=5000,out=s.csv", "-shrink", "8", "-workers", "2"}, 0},
 		{"unknown topology", hmexp, []string{"-topology", "vax"}, 1},
-		{"bad lanes", hmexp, []string{"-lanes", "0"}, 1},
-		{"negative lanes", hmsim, []string{"-lanes", "-3"}, 1},
-		{"non-integer lanes", hmsim, []string{"-lanes", "two"}, -1},
-		{"fractional lanes", hmexp, []string{"-lanes", "1.5"}, -1},
 		{"bad migrate spec", hmexp, []string{"-migrate", "epoch=-1"}, 1},
 		{"unknown migrate policy", hmexp, []string{"-migrate-policy", "fifo"}, 1},
 		{"migrate spec invalid for the policy", hmexp, []string{"-migrate", "alpha=0", "-migrate-policy", "ewma"}, 1},
@@ -60,21 +56,21 @@ func TestValidate(t *testing.T) {
 		{"shrink and workers", hmexp, []string{"-shrink", "-5", "-workers", "-3"}, 2},
 		// The migrate spec and policy share one resolver, so the pair
 		// counts once; every other bad flag reports its own error.
-		{"hmexp everything wrong", hmexp, []string{"-topology", "vax", "-lanes", "0", "-migrate", "epoch=-1",
-			"-migrate-policy", "fifo", "-probe", "format=xml", "-shrink", "0", "-workers", "-1"}, 6},
+		{"hmexp everything wrong", hmexp, []string{"-topology", "vax", "-migrate", "epoch=-1",
+			"-migrate-policy", "fifo", "-probe", "format=xml", "-shrink", "0", "-workers", "-1"}, 5},
 		{"hmsim defaults", hmsim, nil, 0},
-		{"hmsim valid", hmsim, []string{"-topology", "gh200", "-lanes", "4", "-migrate", "on",
+		{"hmsim valid", hmsim, []string{"-topology", "gh200", "-migrate", "on",
 			"-migrate-policy", "ewma", "-probe", "interval=1000,samples=64"}, 0},
-		{"hmsim everything wrong", hmsim, []string{"-topology", "vax", "-lanes", "0", "-migrate", "epoch=-1",
-			"-migrate-policy", "no-such-policy", "-probe", "samples=1", "-shrink", "-7"}, 5},
+		{"hmsim everything wrong", hmsim, []string{"-topology", "vax", "-migrate", "epoch=-1",
+			"-migrate-policy", "no-such-policy", "-probe", "samples=1", "-shrink", "-7"}, 4},
 		{"hmsim declares no -workers", hmsim, []string{"-workers", "2"}, -1},
+		{"hmsim declares no -lanes", hmsim, []string{"-lanes", "2"}, -1},
 		{"hmserved defaults", hmserved, nil, 0},
-		{"hmserved valid", hmserved, []string{"-workers", "4", "-topology", "gh200", "-lanes", "8",
+		{"hmserved valid", hmserved, []string{"-workers", "4", "-topology", "gh200",
 			"-migrate", "on", "-migrate-policy", "ewma"}, 0},
 		{"hmserved everything wrong", hmserved, []string{"-workers", "-1", "-topology", "no-such-topology",
-			"-lanes", "0", "-migrate", "epoch=-1", "-migrate-policy", "no-such-policy"}, 4},
+			"-migrate", "epoch=-1", "-migrate-policy", "no-such-policy"}, 3},
 		{"hmserved bad migrate pair", hmserved, []string{"-migrate", "alpha=0", "-migrate-policy", "ewma"}, 1},
-		{"hmserved invalid lanes", hmserved, []string{"-lanes", "0"}, 1},
 		{"hmserved declares no -shrink", hmserved, []string{"-shrink", "2"}, -1},
 		{"hmprof shrink", hmprof, []string{"-shrink", "16"}, 0},
 		{"hmprof negative shrink", hmprof, []string{"-shrink", "-7"}, 1},

@@ -54,7 +54,7 @@ type (
 	// Result is the outcome of one run.
 	Result = experiments.Result
 	// Options tunes a figure reproduction (workload subset, shrink,
-	// topology preset, parallel event lanes per simulation).
+	// workers, topology preset, migration, probes).
 	Options = experiments.Options
 	// Fig is one reproduced table or figure.
 	Fig = experiments.Figure
@@ -230,7 +230,7 @@ type (
 	// TuneParams is one candidate configuration in the search space.
 	TuneParams = tune.Params
 	// TuneOptions tunes the search itself: strategy, budget, workers,
-	// lanes, caches, and cluster dispatch.
+	// caches, and cluster dispatch.
 	TuneOptions = tune.Options
 	// TuneReport is the search outcome: the winner, the search trace, and
 	// the tuned/default/oracle comparison.
@@ -244,8 +244,8 @@ const (
 )
 
 // Tune searches the placement-policy space for the problem's best
-// configuration. Reports are byte-identical for any worker or lane count,
-// fresh or warm caches, and local or cluster dispatch.
+// configuration. Reports are byte-identical for any worker count, fresh or
+// warm caches, and local or cluster dispatch.
 func Tune(p TuneProblem, o TuneOptions) (TuneReport, error) { return tune.Run(p, o) }
 
 // TuneStrategies lists the built-in search strategies.
@@ -284,7 +284,7 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 
 // ReplayTrace re-executes a recorded access stream under a placement
 // policy. The replay is assembled like any run, so it honours rc's
-// topology and pool capacities (Mem, BOCapacityFrac), Lanes, Migration,
+// topology and pool capacities (Mem, BOCapacityFrac), Migration,
 // EagerPlacement and an attached probe; annotated placement is still
 // excepted, as traces carry no allocations.
 func ReplayTrace(events []TraceEvent, rc RunConfig, replay ReplayConfig) (Result, error) {

@@ -55,13 +55,6 @@ type Options struct {
 	// all-preset sweeps of figtopo and figmigtopo, figdyn's cxl-expansion
 	// chain) ignore it.
 	Topology string
-	// Lanes runs each simulation with this many parallel event lanes
-	// (RunConfig.Lanes): SMs and DRAM channels are partitioned across
-	// threads that drain conservative time windows concurrently. Figure
-	// output is byte-identical for any lane count, and lanes never enter
-	// cache keys, so laned and sequential reproductions share cache
-	// entries. 0 or 1 means sequential.
-	Lanes int
 	// Migrate configures the dynamic page-migration engine for the figures
 	// that run it (figmig, figphase, figmigtopo, figdyn) as a migrate spec
 	// string (see migrate.ParseSpec): "" or "on" means
@@ -122,11 +115,11 @@ func (o Options) mem() (memsys.Config, error) {
 // Validate is the one check of run-option values, shared by every surface
 // that takes them from a user: the CLI flag block (cmd/internal/cli) and
 // the daemon's figure query (internal/serve). It reports every problem at
-// once: unknown workloads, Shrink below 1, Workers below 0, Lanes below 1,
-// an unknown Topology preset, an invalid Probe config, and a Migrate spec
-// that does not resolve together with MigratePolicy (see Migration).
-// Figure functions read a zero Shrink or Lanes as 1; a surface states both
-// explicitly, so Validate treats zero as out of range. It looks names up
+// once: unknown workloads, Shrink below 1, Workers below 0, an unknown
+// Topology preset, an invalid Probe config, and a Migrate spec that does
+// not resolve together with MigratePolicy (see Migration). Figure
+// functions read a zero Shrink as 1; a surface states it explicitly, so
+// Validate treats zero as out of range. It looks names up
 // without building workloads or presets for the defaults, so the daemon
 // can run it on every request.
 func (o Options) Validate() error {
@@ -146,9 +139,6 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		errs = append(errs, fmt.Errorf("workers must be >= 0 (got %d)", o.Workers))
-	}
-	if o.Lanes < 1 {
-		errs = append(errs, fmt.Errorf("lanes must be >= 1 (got %d)", o.Lanes))
 	}
 	if o.Topology != "" {
 		if _, err := topology.Preset(o.Topology); err != nil {
@@ -223,7 +213,7 @@ func (o Options) executor() *Executor {
 	if cache == nil {
 		cache = sweepCache
 	}
-	e := newExecutor(o.Workers, cache, o.Remote).WithSpan(o.Span).WithLanes(o.Lanes)
+	e := newExecutor(o.Workers, cache, o.Remote).WithSpan(o.Span)
 	if o.Probe != nil {
 		e = e.WithProbe(*o.Probe, o.ProbeSink)
 	}

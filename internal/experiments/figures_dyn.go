@@ -23,8 +23,8 @@ const figDynRows = 8
 // occupancy moving as pages climb the bandwidth order (the ewma classifier
 // holds it between its watermarks). Probed runs are uncacheable by design,
 // so the migration arms always execute; the table and headlines are
-// deterministic for any worker or lane count (migration runs execute on
-// one lane, and the sampling grid is lane-invariant regardless).
+// deterministic for any worker count (the sampling grid is a function of
+// the schedule alone).
 // Options.Topology is ignored — the multi-tier chain is the point — and so
 // is Options.MigratePolicy, since both classifiers are the comparison.
 func FigDyn(opts Options) (Figure, error) {

@@ -261,7 +261,7 @@ func TestPrintCDF(t *testing.T) {
 // TestOptionsValidate: the one check of user-stated run options reports
 // every problem at once, and names the unknown workloads in one error.
 func TestOptionsValidate(t *testing.T) {
-	ok := Options{Shrink: 1, Lanes: 1, Workloads: []string{"bfs", "phased"}, Topology: "gh200", Migrate: "on", MigratePolicy: "ewma"}
+	ok := Options{Shrink: 1, Workloads: []string{"bfs", "phased"}, Topology: "gh200", Migrate: "on", MigratePolicy: "ewma"}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
@@ -272,9 +272,9 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal("invalid options accepted")
 	}
 	errs := err.(interface{ Unwrap() []error }).Unwrap()
-	// workloads, shrink 0, workers, lanes 0, topology, probe, migrate pair
-	if len(errs) != 7 {
-		t.Errorf("got %d errors, want 7: %v", len(errs), errs)
+	// workloads, shrink 0, workers, topology, probe, migrate pair
+	if len(errs) != 6 {
+		t.Errorf("got %d errors, want 6: %v", len(errs), errs)
 	}
 	if msg := errs[0].Error(); !strings.Contains(msg, `"nosuch", ""`) || !strings.Contains(msg, "xsbench") {
 		t.Errorf("workload error %q does not name the unknown and the known workloads", msg)

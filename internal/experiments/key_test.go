@@ -18,8 +18,9 @@ import (
 // every key exactly; the relational key tests (equal configs share a key)
 // cannot catch a change that moves all keys at once. Rows that share a
 // want value pin the equivalences as well: implicit vs explicit defaults,
-// the migration policy's empty spelling, the lane count, and the pools a
-// LOCAL run never touches.
+// the migration policy's empty spelling, the ignored lane count (the
+// benchmark harness under bench/ still sets it), and the pools a LOCAL run
+// never touches.
 func TestConfigKeyPinned(t *testing.T) {
 	memOf := func(name string) memsys.Config {
 		top, err := topology.Preset(name)

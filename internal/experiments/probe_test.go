@@ -66,8 +66,8 @@ func TestProbeResultByteIdentity(t *testing.T) {
 	}
 }
 
-// Same identity under a migrating run (extra columns, write-back machinery)
-// and with multiple lanes requested on the unprobed side.
+// Same identity under a migrating run (extra columns, write-back
+// machinery).
 func TestProbeResultByteIdentityMigration(t *testing.T) {
 	rc := probeRC(t, "cxl-expansion")
 	mig := migrate.DefaultConfig()
@@ -97,50 +97,6 @@ func TestProbeResultByteIdentityMigration(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("migrating run's series lacks mig columns: %v", cols)
-	}
-}
-
-// The sampling grid rides the window grid, which is lane-count-invariant:
-// the recorded series must be identical at any -lanes value, except the
-// per-lane event-count columns (their layout depends on the lane count by
-// definition).
-func TestProbeLaneInvariance(t *testing.T) {
-	series := map[int]obs.Snapshot{}
-	for _, lanes := range []int{1, 2, 4} {
-		rc := probeRC(t, "gh200")
-		rc.Lanes = lanes
-		if reason := LaneFallbackReason(rc); reason != "" {
-			t.Fatalf("config falls back to one lane (%s); pick one that parallelizes", reason)
-		}
-		p, err := obs.New(obs.Config{Interval: 200, MaxSamples: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(rc.WithProbe(p)); err != nil {
-			t.Fatal(err)
-		}
-		series[lanes] = p.Snapshot()
-	}
-	base := series[1]
-	keep := make([]int, 0, len(base.Columns))
-	for i, c := range base.Columns {
-		if !strings.HasPrefix(c, "events.lane") {
-			keep = append(keep, i)
-		}
-	}
-	for _, lanes := range []int{2, 4} {
-		s := series[lanes]
-		if len(s.Rows) != len(base.Rows) {
-			t.Fatalf("lanes=%d recorded %d rows, lanes=1 recorded %d", lanes, len(s.Rows), len(base.Rows))
-		}
-		for r := range base.Rows {
-			for _, c := range keep {
-				if s.Rows[r][c] != base.Rows[r][c] {
-					t.Fatalf("lanes=%d row %d col %s = %g, lanes=1 has %g",
-						lanes, r, base.Columns[c], s.Rows[r][c], base.Rows[r][c])
-				}
-			}
-		}
 	}
 }
 
@@ -185,12 +141,10 @@ func TestExecutorWithProbe(t *testing.T) {
 }
 
 // figdyn's table and headlines are a deterministic function of its config:
-// identical for any worker count and any requested lane count (its probed
-// migration arms execute on one lane either way, and the sampling grid is
-// lane-invariant regardless).
+// identical for any worker count.
 func TestFigDynDeterministic(t *testing.T) {
-	render := func(workers, lanes int) string {
-		fig, err := FigDyn(Options{Shrink: 16, Workers: workers, Lanes: lanes, Cache: NewResultCache()})
+	render := func(workers int) string {
+		fig, err := FigDyn(Options{Shrink: 16, Workers: workers, Cache: NewResultCache()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,12 +163,9 @@ func TestFigDynDeterministic(t *testing.T) {
 		}
 		return b.String()
 	}
-	base := render(1, 0)
-	if got := render(4, 0); got != base {
+	base := render(1)
+	if got := render(4); got != base {
 		t.Errorf("figdyn differs across worker counts:\n%s\nvs\n%s", base, got)
-	}
-	if got := render(2, 4); got != base {
-		t.Errorf("figdyn differs when lanes are requested:\n%s\nvs\n%s", base, got)
 	}
 	if !strings.Contains(base, "counter") || !strings.Contains(base, "ewma") {
 		t.Fatalf("figdyn table missing policy arms:\n%s", base)

@@ -12,7 +12,7 @@ package experiments
 
 import (
 	"fmt"
-	"log/slog"
+	"math"
 
 	"hetsim/internal/core"
 	"hetsim/internal/gpu"
@@ -113,18 +113,10 @@ type RunConfig struct {
 	Shrink int
 	Seed   int64
 
-	// Lanes splits the simulation into this many parallel event lanes
-	// (internal/sim World): SM front-ends and DRAM channels are
-	// partitioned across lanes that each drain a conservative time window
-	// concurrently. Output is byte-identical for any lane count, so Lanes
-	// is deliberately excluded from the result-cache identity
-	// (canonicalRC) — a cached lanes=1 result satisfies a lanes=8 request
-	// and vice versa. 0 or 1 means sequential. Runs whose features need a
-	// single thread (migration, background CPU traffic, trace recording,
-	// or a lookahead below one cycle) fall back to one lane; the fallback
-	// is loud — logged once per run, recorded on the run's telemetry span
-	// (sim.lane_fallback) and counted in SweepStats.LaneFallbacks — see
-	// LaneFallbackReason.
+	// Lanes is ignored: it was the count of parallel event lanes, which
+	// were removed. The benchmark harness under bench/ still sets it, so
+	// the field stays until that harness changes; it is not part of the
+	// cache identity (canonicalRC).
 	Lanes int
 
 	// traceWriter, when set (via RecordTrace), records the post-L1 access
@@ -152,12 +144,11 @@ type traceReplay struct {
 
 // resolved returns rc with every default Run applies filled in: the
 // paper's Table 1 memory system and GPU, the TLB and page size folded into
-// the GPU config, 4 kB pages, seed 42, Shrink 1, one lane, an
-// out-of-range BOCapacityFrac as 0 (unconstrained), and the counter
-// classifier for an empty Migration.Policy. Run, the canonical cache key
-// and LaneFallbackReason all read a config through it, so each default
-// lives here once and an explicit default simulates — and hashes — like
-// the implicit one.
+// the GPU config, 4 kB pages, seed 42, Shrink 1, an out-of-range
+// BOCapacityFrac as 0 (unconstrained), and the counter classifier for an
+// empty Migration.Policy. Run, Validate and the canonical cache key all
+// read a config through it, so each default lives here once and an
+// explicit default simulates — and hashes — like the implicit one.
 func (rc RunConfig) resolved() RunConfig {
 	if len(rc.Mem.Zones) == 0 {
 		rc.Mem = memsys.Table1Config()
@@ -186,10 +177,58 @@ func (rc RunConfig) resolved() RunConfig {
 	if rc.Seed == 0 {
 		rc.Seed = 42
 	}
-	if rc.Lanes < 1 {
-		rc.Lanes = 1
-	}
 	return rc
+}
+
+// Validate reports why Run would refuse rc, read with Run's defaults
+// applied: a malformed memory system, GPU or page size, an unknown
+// workload or policy, a ratio outside [0,100], an ORACLE run without a
+// profile, CPU traffic that is negative or not finite, or a hint outside
+// the placement hints. Run calls it first; the daemon calls it before
+// queueing a job, so a malformed request is refused rather than queued to
+// fail.
+func (rc RunConfig) Validate() error {
+	rc = rc.resolved()
+	// Checked before the zone budgets size the address space from rc.Mem
+	// and before vm.NewSpace and gpu.New would panic on a malformed page
+	// size or GPU.
+	if err := rc.Mem.Validate(); err != nil {
+		return err
+	}
+	if err := rc.GPU.Validate(); err != nil {
+		return err
+	}
+	if rc.PageSize&(rc.PageSize-1) != 0 {
+		return fmt.Errorf("experiments: PageSize %d is not a power of two", rc.PageSize)
+	}
+	if rc.PageSize < uint64(rc.Mem.LineBytes) {
+		return fmt.Errorf("experiments: PageSize %d is smaller than the %d-byte cache line", rc.PageSize, rc.Mem.LineBytes)
+	}
+	if rc.replay == nil && !workloads.Known(rc.Workload) {
+		return fmt.Errorf("experiments: unknown workload %q (have %v)", rc.Workload, workloads.AllNames())
+	}
+	switch rc.Policy {
+	case LocalPolicy, InterleavePolicy, BWAwarePolicy, HintedPolicy:
+	case RatioPolicy:
+		if rc.PercentCO < 0 || rc.PercentCO > 100 {
+			return fmt.Errorf("experiments: RatioPolicy PercentCO %d outside [0,100]", rc.PercentCO)
+		}
+	case OraclePolicy:
+		if rc.ProfileCounts == nil {
+			return fmt.Errorf("experiments: OraclePolicy requires ProfileCounts")
+		}
+	default:
+		return fmt.Errorf("experiments: unknown policy %v", rc.Policy)
+	}
+	if !(rc.CPUTrafficGBps >= 0) || math.IsInf(rc.CPUTrafficGBps, 1) {
+		return fmt.Errorf("experiments: CPUTrafficGBps %v is not a finite rate >= 0", rc.CPUTrafficGBps)
+	}
+	for i, h := range rc.Hints {
+		if h > core.HintBW {
+			return fmt.Errorf("experiments: hint %d is %d, not a placement hint (%d..%d)", i, h, core.HintNone, core.HintBW)
+		}
+	}
+	return nil
 }
 
 // WithProbe returns a copy of rc with the flight recorder attached. The
@@ -238,29 +277,9 @@ func SBITFor(cfg memsys.Config) core.SBIT {
 }
 
 // Run executes one workload under one placement policy and returns the
-// measured result.
+// measured result. A config Validate refuses is an error, never a panic.
 func Run(rc RunConfig) (Result, error) {
 	return runTraced(nil, rc)
-}
-
-// LaneFallbackReason reports why rc must run on a single event lane, or ""
-// when it can be laned as requested. Results are byte-identical either
-// way; the reason exists so a run that ignores an explicit Lanes > 1 can
-// say so (log line, sim.lane_fallback span attribute, and the
-// SweepStats.LaneFallbacks counter) instead of doing it silently.
-func LaneFallbackReason(rc RunConfig) string {
-	switch {
-	case rc.Migration != nil:
-		return "migration"
-	case rc.CPUTrafficGBps > 0:
-		return "cpu-traffic"
-	case rc.traceWriter != nil:
-		return "trace-recording"
-	}
-	if memsys.LaneLookahead(rc.resolved().Mem) < 1 {
-		return "lookahead<1"
-	}
-	return ""
 }
 
 // source is where a run's access stream comes from: a workload generator
@@ -332,34 +351,17 @@ func sourceOf(rc RunConfig) (source, error) {
 // the only place a simulation is assembled: workload runs and trace
 // replays differ only in their source.
 func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
+	if err := rc.Validate(); err != nil {
+		return Result{}, err
+	}
 	rc = rc.resolved()
-	// A client-supplied RunConfig is checked here, before the zone budgets
-	// size the address space from rc.Mem and before vm.NewSpace and gpu.New
-	// would panic on a malformed page size or GPU.
-	if err := rc.Mem.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := rc.GPU.Validate(); err != nil {
-		return Result{}, err
-	}
-	if rc.PageSize&(rc.PageSize-1) != 0 {
-		return Result{}, fmt.Errorf("experiments: PageSize %d is not a power of two", rc.PageSize)
-	}
-	if rc.PageSize < uint64(rc.Mem.LineBytes) {
-		return Result{}, fmt.Errorf("experiments: PageSize %d is smaller than the %d-byte cache line", rc.PageSize, rc.Mem.LineBytes)
-	}
 	src, err := sourceOf(rc)
 	if err != nil {
 		return Result{}, err
 	}
 	sbit := SBITFor(rc.Mem)
 	space := vm.NewSpace(rc.PageSize, zoneBudgets(rc, src.footprint))
-
-	policy, err := buildPolicy(rc, sbit, space)
-	if err != nil {
-		return Result{}, err
-	}
-	placer := core.NewPlacer(space, policy, sbit)
+	placer := core.NewPlacer(space, buildPolicy(rc, sbit, space), sbit)
 	var rt *gpurt.Runtime
 	if rc.EagerPlacement {
 		rt = gpurt.New(space, placer)
@@ -371,31 +373,13 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	// Effective lane count: features that mutate shared state outside the
-	// lane protocol (migration locks/remaps, background traffic injected
-	// into channel DRAM from the root actor, trace recording) and configs
-	// whose lookahead collapses below one cycle run sequentially. The
-	// output is byte-identical either way — lanes only change wall-clock
-	// time — but ignoring an explicit -lanes N must be loud: log once per
-	// run, stamp the span, and let the sweep executor count it
-	// (SweepStats.LaneFallbacks).
-	lanes := rc.Lanes
-	if reason := LaneFallbackReason(rc); reason != "" {
-		if lanes > 1 {
-			slog.Warn("experiments: run falls back to one event lane",
-				"reason", reason, "requested_lanes", lanes,
-				"workload", src.name, "policy", policyLabel(rc))
-			if sp != nil {
-				sp.SetAttr("sim.lane_fallback", reason)
-			}
-		}
-		lanes = 1
-	}
-	world := sim.NewWorld(lanes, memsys.LaneLookahead(rc.Mem))
+	world := sim.NewWorld(1, memsys.LaneLookahead(rc.Mem))
 	eng := world.Engine()
-	// Page-table commits are deferred to window barriers so SM lanes can
-	// translate lock-free (eager Malloc-time mappings above committed
-	// directly — deferral starts here, before any simulated fault).
+	// Page-table commits are deferred to window edges: a faulting access
+	// retries one hop later, after the edge that commits its mapping, and
+	// every figure's bytes depend on that schedule. Eager Malloc-time
+	// mappings above committed directly — deferral starts here, before any
+	// simulated fault.
 	space.SetDeferred(true)
 	world.OnWindow(space.FlushPending)
 	mem, err := memsys.New(eng, space, rc.Mem)
@@ -443,7 +427,6 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 	if sp != nil {
 		sp.SetAttr("workload", src.name)
 		sp.SetAttr("policy", policyLabel(rc))
-		sp.SetAttr("sim.lanes", lanes)
 		if mig != nil {
 			sp.SetAttr("migrate.policy", mig.PolicyName())
 			sp.SetAttr("migrate.epochs", migStats.Epochs)
@@ -526,31 +509,26 @@ func policyLabel(rc RunConfig) string {
 	return rc.Policy.String()
 }
 
-// buildPolicy constructs rc's placement policy (rc must be resolved). The
-// oracle fills pools fastest-first, each to its bandwidth share and at most
-// to the capacity space was sized with, so its assignment respects both the
-// footprint-fraction cap on zone 0 and any absolute pool capacities.
-func buildPolicy(rc RunConfig, sbit core.SBIT, space *vm.Space) (core.Policy, error) {
+// buildPolicy constructs rc's placement policy (rc must be resolved and
+// valid). The oracle fills pools fastest-first, each to its bandwidth
+// share and at most to the capacity space was sized with, so its
+// assignment respects both the footprint-fraction cap on zone 0 and any
+// absolute pool capacities.
+func buildPolicy(rc RunConfig, sbit core.SBIT, space *vm.Space) core.Policy {
 	byBW := sbit.ZonesByBandwidth()
 	fast, slow := byBW[0], byBW[len(byBW)-1]
 	switch rc.Policy {
 	case LocalPolicy:
-		return core.Local{Zone: localZone(sbit)}, nil
+		return core.Local{Zone: localZone(sbit)}
 	case InterleavePolicy:
-		return core.NewInterleave(len(sbit.ZoneInfos)), nil
+		return core.NewInterleave(len(sbit.ZoneInfos))
 	case BWAwarePolicy:
-		return core.NewBWAware(sbit, rc.Seed), nil
+		return core.NewBWAware(sbit, rc.Seed)
 	case RatioPolicy:
-		if rc.PercentCO < 0 || rc.PercentCO > 100 {
-			return nil, fmt.Errorf("experiments: RatioPolicy PercentCO %d outside [0,100]", rc.PercentCO)
-		}
 		// The x:y split is inherently two-valued; in an N-pool topology it
 		// splits between the fastest and slowest pools.
-		return core.NewRatioZones(rc.PercentCO, rc.Seed, fast, slow), nil
+		return core.NewRatioZones(rc.PercentCO, rc.Seed, fast, slow)
 	case OraclePolicy:
-		if rc.ProfileCounts == nil {
-			return nil, fmt.Errorf("experiments: OraclePolicy requires ProfileCounts")
-		}
 		shares := make([]float64, len(byBW))
 		caps := make([]int, len(byBW))
 		for i, z := range byBW {
@@ -558,11 +536,9 @@ func buildPolicy(rc RunConfig, sbit core.SBIT, space *vm.Space) (core.Policy, er
 			caps[i] = space.ZoneCapacity(z)
 		}
 		assign := core.BuildOracleAssignmentZones(rc.ProfileCounts, byBW, shares, caps)
-		return core.Oracle{Assignment: assign, Default: slow}, nil
-	case HintedPolicy:
-		return core.NewHintedZones(core.NewBWAware(sbit, rc.Seed), fast, slow), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown policy %v", rc.Policy)
+		return core.Oracle{Assignment: assign, Default: slow}
+	default: // HintedPolicy; Validate refuses every other kind
+		return core.NewHintedZones(core.NewBWAware(sbit, rc.Seed), fast, slow)
 	}
 }
 

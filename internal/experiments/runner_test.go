@@ -283,8 +283,11 @@ func TestTable1SBITMatchesConfig(t *testing.T) {
 }
 
 // TestRunRejectsMalformedMem: a malformed RunConfig — its memory system,
-// GPU, TLB or page size — as a client may send one, is an error from Run
-// and never a panic.
+// GPU, TLB, page size, policy parameters, CPU traffic or hints — as a
+// client may send one, is an error from Run and never a panic. Every row
+// but the zone-span one, which depends on the workload's allocations, is
+// refused by RunConfig.Validate before any simulation state is built (the
+// daemon's copy of these rows is serve.TestSubmitRejectsMalformedConfigs).
 func TestRunRejectsMalformedMem(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -306,12 +309,19 @@ func TestRunRejectsMalformedMem(t *testing.T) {
 		{"ratio above 100", func(rc *RunConfig) { rc.Policy, rc.PercentCO = RatioPolicy, 150 }},
 		{"negative ratio", func(rc *RunConfig) { rc.Policy, rc.PercentCO = RatioPolicy, -5 }},
 		{"allocations past the zone span", func(rc *RunConfig) { rc.PageSize = 1 << 40 }},
+		{"negative CPU traffic", func(rc *RunConfig) { rc.CPUTrafficGBps = -40 }},
+		{"hints outside the placement hints", func(rc *RunConfig) {
+			rc.Policy, rc.Hints = HintedPolicy, []core.Hint{99, 99, 99, 99, 99, 99}
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rc := RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 64, Mem: memsys.Table1Config()}
 			c.mut(&rc)
 			if _, err := Run(rc); err == nil {
 				t.Fatal("Run accepted a malformed RunConfig")
+			}
+			if err := rc.Validate(); err == nil && c.name != "allocations past the zone span" {
+				t.Error("Validate accepted a malformed RunConfig")
 			}
 		})
 	}

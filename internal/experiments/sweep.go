@@ -51,11 +51,10 @@ type RemoteRunner func(sp *telemetry.Span, key string, rc RunConfig) (Result, bo
 // Result slices for any worker count, and cached results are
 // bit-identical to freshly simulated ones.
 type Executor struct {
-	p     pool.Pool[RunConfig, Result]
-	span  *telemetry.Span // parent scope for Map calls; nil when untraced
-	lanes int             // default RunConfig.Lanes applied by WithLanes
-	mu    sync.Mutex
-	st    metrics.SweepStats
+	p    pool.Pool[RunConfig, Result]
+	span *telemetry.Span // parent scope for Map calls; nil when untraced
+	mu   sync.Mutex
+	st   metrics.SweepStats
 }
 
 // NewExecutor returns an executor running up to workers concurrent
@@ -122,25 +121,6 @@ func (e *Executor) WithSpan(sp *telemetry.Span) *Executor {
 	return e
 }
 
-// WithLanes makes subsequent dispatches simulate with n parallel event
-// lanes (RunConfig.Lanes) unless a config carries its own count. Lanes are
-// not part of the cache identity — laned results are byte-identical to
-// sequential ones — so executors with different lane counts share cache
-// entries. Returns e for chaining; n < 2 is a no-op.
-func (e *Executor) WithLanes(n int) *Executor {
-	if n < 2 {
-		return e
-	}
-	e.lanes = n
-	e.p.Run = func(sp *telemetry.Span, rc RunConfig) (Result, error) {
-		if rc.Lanes == 0 {
-			rc.Lanes = n
-		}
-		return runTraced(sp, rc)
-	}
-	return e
-}
-
 // WithProbe attaches a flight recorder to every run this executor
 // dispatches: each config gets its own obs.Probe built from cfg, and when
 // its run completes sink receives the run's label (workload.policy.key8)
@@ -148,8 +128,7 @@ func (e *Executor) WithLanes(n int) *Executor {
 // config executes locally — no cache hits, no fleet offload; WithProbe is
 // for watching dynamics, not for throughput. sink is called from worker
 // goroutines and must be safe for concurrent use; a nil sink records and
-// discards. Call after WithLanes (which replaces the run function this
-// wraps). Returns e for chaining.
+// discards. Returns e for chaining.
 func (e *Executor) WithProbe(cfg obs.Config, sink func(label string, snap obs.Snapshot)) *Executor {
 	run := e.p.Run
 	e.p.Run = func(sp *telemetry.Span, rc RunConfig) (Result, error) {
@@ -190,24 +169,12 @@ func (e *Executor) Map(cfgs []RunConfig) ([]Result, error) {
 	res, st, err := e.p.MapSpan(sweep, cfgs)
 	sweep.End()
 	var accesses, migrated uint64
-	fallbacks := 0
 	for i := range res {
 		if st.Cached[i] {
 			continue
 		}
 		accesses += res[i].Accesses
 		migrated += res[i].Mem.MigratedPages
-		// A run that asked for multiple lanes (explicitly or via
-		// WithLanes) but had to execute sequentially is a lane fallback —
-		// surfaced here so sweeps report it instead of silently ignoring
-		// the request.
-		req := cfgs[i].Lanes
-		if req == 0 {
-			req = e.lanes
-		}
-		if req > 1 && LaneFallbackReason(cfgs[i]) != "" {
-			fallbacks++
-		}
 	}
 	e.mu.Lock()
 	e.st.Add(metrics.SweepStats{
@@ -217,7 +184,6 @@ func (e *Executor) Map(cfgs []RunConfig) ([]Result, error) {
 		Errors:        st.Errors,
 		Workers:       st.Workers,
 		Accesses:      accesses,
-		LaneFallbacks: fallbacks,
 		MigratedPages: migrated,
 		Wall:          st.Wall,
 	})
@@ -284,9 +250,7 @@ func RunAll(cfgs []RunConfig, workers int) ([]Result, metrics.SweepStats, error)
 // policy ignores zeroed and, for a LOCAL run confined to its local pool,
 // the pools it never touches dropped (see canonicalKey). Two RunConfigs
 // with equal canonicalRC drive Run through an identical simulation.
-// RunConfig.Lanes is deliberately absent: laned runs produce
-// byte-identical Results (the lane determinism suite asserts it), so a
-// result computed at any lane count satisfies every lane count.
+// RunConfig.Lanes is absent: Run ignores it.
 type canonicalRC struct {
 	Workload string
 	Dataset  workloads.Dataset

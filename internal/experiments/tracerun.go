@@ -15,7 +15,7 @@ import (
 // RunTrace replays a trace under the given policy and system
 // configuration. The trace is assembled into a simulation exactly as Run
 // assembles a workload, so a replay honours everything rc describes: the
-// memory topology (Mem) and its pool capacities, BOCapacityFrac, Lanes,
+// memory topology (Mem) and its pool capacities, BOCapacityFrac,
 // Migration, EagerPlacement, CPU traffic, and an attached probe
 // (WithProbe). The trace's address range is treated as a single anonymous
 // allocation: annotation-based placement is the one exception (hints

@@ -54,8 +54,8 @@ type WarpProgram interface {
 }
 
 // Memory is the interface to the memory hierarchy below the L1 (package
-// memsys implements it; the trace recorder wraps it). AccessH is called on
-// the issuing SM's lane with that SM's actor as src and its one-entry
+// memsys implements it; the trace recorder wraps it). AccessH is called
+// from the issuing SM's events with that SM's actor as src and its one-entry
 // translation cache as tc; completion fires h.OnEvent(arg) at data-return
 // time, so the warp's memory path allocates nothing.
 type Memory interface {
@@ -125,11 +125,10 @@ func (s Stats) L1HitRate() float64 {
 	return float64(s.L1Hits) / float64(t)
 }
 
-// sm is one streaming multiprocessor. Each SM owns a front-end lane
-// actor: every warp event of the SM fires on that lane, so the SM's
-// caches, issue port, and counter shard are touched by exactly one thread
-// per window. Shards merge in SM index order (see GPU.Stats), making the
-// totals identical for any lane count.
+// sm is one streaming multiprocessor. Each SM owns an actor that
+// schedules every warp event of the SM, so the SM's ID orders its events
+// in the canonical schedule. Per-SM counters merge in SM index order (see
+// GPU.Stats).
 type sm struct {
 	act        *sim.Actor
 	l1         *cache.Cache
@@ -173,9 +172,8 @@ func New(eng *sim.Engine, mem Memory, cfg Config) *GPU {
 	return g
 }
 
-// Stats merges the per-SM counter shards in SM index order and returns the
-// combined copy. Call between runs or after a run, not from concurrent
-// lane events.
+// Stats merges the per-SM counters in SM index order and returns the
+// combined copy.
 func (g *GPU) Stats() Stats {
 	var out Stats
 	for _, s := range g.sms {
@@ -246,8 +244,7 @@ func (g *GPU) Outstanding() int {
 func (g *GPU) startWarp(s *sm, p WarpProgram) {
 	w := &warp{gpu: g, sm: s, prog: p}
 	// Begin at the next cycle boundary; scheduling through the SM's actor
-	// keeps launch-order determinism within the SM and pins the warp's
-	// events to the SM's lane.
+	// keeps launch-order determinism within the SM.
 	s.act.After(0, w, wopNextPhase)
 }
 

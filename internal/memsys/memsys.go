@@ -221,10 +221,8 @@ func (s Stats) AvgLatency() float64 {
 	return float64(s.TotalLatency) / float64(s.Accesses)
 }
 
-// sliceStats is one channel slice's private counter shard. Each slice is
-// written only from its own event lane; Stats() merges shards in
-// configuration order, so the merged totals are bit-identical for any lane
-// count (including one).
+// sliceStats is one channel slice's counters; Stats() merges them in
+// configuration order.
 type sliceStats struct {
 	ZoneStats
 	TotalLatency sim.Time
@@ -235,11 +233,8 @@ type slice struct {
 	l2   *cache.Cache
 	mshr *cache.MSHR
 	dram *dram.Channel
-	act  *sim.Actor // back-end lane actor: all slice state mutates on its lane
+	act  *sim.Actor // the slice's actor: it schedules every slice event
 	st   sliceStats
-	// pageCounts is the page-count shard of the slice's event lane (see
-	// System.pageCounts), shared with the lane's other slices.
-	pageCounts *[]uint64
 }
 
 type zoneHW struct {
@@ -249,37 +244,32 @@ type zoneHW struct {
 
 // System is the simulated memory system below the SM L1s.
 type System struct {
-	cfg   Config
-	eng   *sim.Engine
-	world *sim.World
-	os    *sim.Actor // root actor: page faults resolve on its lane
+	cfg Config
+	eng *sim.Engine
+	os  *sim.Actor // root actor: page faults resolve through it
 	// hop is the modelled request/return interconnect stage between an SM
 	// and an L2 slice (half the L2 pipeline latency). It is the minimum
-	// latency of any cross-actor message and therefore the laned engine's
-	// conservative lookahead; see LaneLookahead.
+	// latency of any cross-actor message and therefore the world's window
+	// size; see LaneLookahead.
 	hop   sim.Time
 	space *vm.Space
 	// zones is indexed by zone ID; nil marks a zone the config omits.
 	zones [vm.MaxZones]*zoneHW
-	// stats holds counters written only from the root lane (migration
-	// traffic); per-channel traffic lives in each slice's shard and is
-	// merged on read.
+	// stats holds the migration traffic counters; per-channel traffic
+	// lives in each slice's counters and is merged on read.
 	stats Stats
 
-	// freeAcc heads one freelist of pooled access records per event lane.
-	// A record is taken and returned on its requester's lane, so the lists
-	// need no locking; records cycle between the pool and the event queues
-	// / MSHR waiter lists.
-	freeAcc []*access
-	// pageCounts[lane][vpage] counts the accesses the lane's channel slices
-	// served from DRAM (post L1+L2 filtering at miss granularity) — the
-	// paper's page hotness metric. Each shard is written only from its own
-	// lane; PageCountsInto sums them.
-	pageCounts [][]uint64
+	// freeAcc heads the freelist of pooled access records; records cycle
+	// between it and the event queue / MSHR waiter lists.
+	freeAcc *access
+	// pageCounts[vpage] counts the accesses the channel slices served from
+	// DRAM (post L1+L2 filtering at miss granularity) — the paper's page
+	// hotness metric.
+	pageCounts []uint64
 
 	// FaultHandler, when set, is invoked on access to an unmapped page
-	// (first-touch placement). It runs on the root lane via the fault
-	// mailbox protocol (see begin). It must map the page or return an
+	// (first-touch placement). It runs as a root-actor event, one hop
+	// after the access (see begin). It must map the page or return an
 	// error; a nil handler makes unmapped accesses panic (eager mode).
 	FaultHandler func(vpage uint64) error
 
@@ -289,7 +279,7 @@ type System struct {
 	// page, so a run without migration keeps it empty and pays one length
 	// check per access. wb is the bounded asynchronous write-back buffer for
 	// demotions (see ConfigureWriteBack). Both change only in migration
-	// runs, which are single-laned.
+	// runs.
 	pages []pageEntry
 	wb    *writeBackBuf
 }
@@ -303,24 +293,19 @@ func New(eng *sim.Engine, space *vm.Space, cfg Config) (*System, error) {
 	}
 	w := sim.WorldOf(eng)
 	s := &System{
-		cfg:        cfg,
-		eng:        eng,
-		world:      w,
-		os:         w.Root(),
-		hop:        cfg.L2Latency / 2,
-		space:      space,
-		freeAcc:    make([]*access, w.Lanes()),
-		pageCounts: make([][]uint64, w.Lanes()),
+		cfg:   cfg,
+		eng:   eng,
+		os:    w.Root(),
+		hop:   cfg.L2Latency / 2,
+		space: space,
 	}
 	for _, zc := range cfg.Zones {
 		hw := &zoneHW{cfg: zc}
 		for i := 0; i < zc.Channels; i++ {
-			act := w.NewActor()
 			sl := &slice{
-				mshr:       cache.NewMSHR(cfg.MSHRsPerSlice),
-				dram:       dram.NewChannel(zc.DRAM),
-				act:        act,
-				pageCounts: &s.pageCounts[act.Lane()],
+				mshr: cache.NewMSHR(cfg.MSHRsPerSlice),
+				dram: dram.NewChannel(zc.DRAM),
+				act:  w.NewActor(),
 			}
 			if !cfg.DisableL2 {
 				sl.l2 = cache.New(cache.Config{
@@ -338,19 +323,18 @@ func New(eng *sim.Engine, space *vm.Space, cfg Config) (*System, error) {
 	return s, nil
 }
 
-// LaneLookahead returns the conservative cross-lane lookahead the memory
-// system supports under cfg: the minimum latency of any message between an
-// SM lane and a channel lane. A value below 1 means the configuration
-// cannot be laned (the runner falls back to one lane).
+// LaneLookahead returns the lookahead the memory system supports under
+// cfg, the window size of its world: the minimum latency of any message
+// between an SM and a channel slice. The name survives from parallel event
+// lanes, which were removed; the benchmark harness under bench/ calls it,
+// so it keeps the name until that harness changes.
 func LaneLookahead(cfg Config) sim.Time { return cfg.L2Latency / 2 }
 
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Stats merges the per-slice counter shards (in configuration order, so
-// the result is bit-identical for any lane count) with the root-lane
-// migration counters and returns the combined copy. Call it between runs
-// or after a run, not from concurrent lane events.
+// Stats merges the per-slice counters, in configuration order, with the
+// migration counters and returns the combined copy.
 func (s *System) Stats() Stats {
 	out := s.stats
 	for _, zc := range s.cfg.Zones {
@@ -375,25 +359,16 @@ func (s *System) Stats() Stats {
 func (s *System) PageCounts() []uint64 { return s.PageCountsInto(nil) }
 
 // PageCountsInto writes the per-virtual-page DRAM access counts accumulated
-// so far — the per-lane shards summed — into dst, reusing its storage when
-// it is large enough, and returns the result. Migration epochs read their
-// counts through it without allocating. Call it between runs or from a
-// root-lane event of a one-lane run, not from concurrent lane events.
+// so far into dst, reusing its storage when it is large enough, and
+// returns the result. Migration epochs read their counts through it
+// without allocating.
 func (s *System) PageCountsInto(dst []uint64) []uint64 {
-	n := 0
-	for _, c := range s.pageCounts {
-		n = max(n, len(c))
-	}
+	n := len(s.pageCounts)
 	if dst == nil || cap(dst) < n {
 		dst = make([]uint64, n)
 	}
 	dst = dst[:n]
-	clear(dst[copy(dst, s.pageCounts[0]):])
-	for _, c := range s.pageCounts[1:] {
-		for i, v := range c {
-			dst[i] += v
-		}
-	}
+	copy(dst, s.pageCounts)
 	return dst
 }
 
@@ -476,7 +451,7 @@ type access struct {
 	sys    *System
 	hw     *zoneHW
 	sl     *slice
-	src    *sim.Actor // requester's actor: completion fires on its lane
+	src    *sim.Actor // requester's actor: it receives the completion
 	va     uint64
 	chAddr uint64
 	vpage  uint64
@@ -487,16 +462,16 @@ type access struct {
 	next   *access // freelist link
 }
 
-// Step codes for access.OnEvent. Each step runs on a fixed lane: retry and
-// complete on the requester's lane, arrive and fill on the slice's lane,
-// fault on the root lane. Lane crossings go through actor Sends, whose
-// minimum delay (the hop) is the laned engine's lookahead.
+// Step codes for access.OnEvent. Each step is addressed to a fixed actor:
+// retry and complete to the requester, arrive and fill to the slice, fault
+// to the root. Crossings between actors go through Sends, whose minimum
+// delay (the hop) is the world's lookahead.
 const (
 	stepRetryLock = iota // lock released / fault resolved; re-enter translation
 	stepArrive           // request reached the L2 slice
 	stepFill             // DRAM line fill completed
 	stepComplete         // data returned; fire the caller's completion
-	stepFault            // unmapped page reached the OS (root lane)
+	stepFault            // unmapped page reached the OS (root actor)
 )
 
 func (a *access) OnEvent(arg uint64) {
@@ -523,7 +498,7 @@ func (a *access) OnEvent(arg uint64) {
 		a.h.OnEvent(a.harg)
 		s.putAccess(a)
 	case stepFault:
-		// Root lane: map the page unless an earlier fault already did (or
+		// Root actor: map the page unless an earlier fault already did (or
 		// reserved a pending mapping awaiting the next window flush), then
 		// bounce the requester back into translation. The reply delay is
 		// at least one window, so a deferred mapping is committed before
@@ -539,8 +514,8 @@ func (a *access) OnEvent(arg uint64) {
 
 // OnFill implements cache.FillWaiter: the line's data is available at the
 // slice at t; the requester sees it after the return hop plus the zone's
-// interconnect latency. Latency is accounted here, on the slice's lane —
-// the completion time is fully determined at fill time.
+// interconnect latency. Latency is accounted here, at the slice — the
+// completion time is fully determined at fill time.
 func (a *access) OnFill(t sim.Time) {
 	s := a.sys
 	complete := t + s.hop + a.hw.cfg.ExtraLatency
@@ -557,17 +532,16 @@ func (a *access) Retry() {
 	st := &a.sl.st
 	st.Accesses--
 	st.BytesMoved -= uint64(a.sys.cfg.LineBytes)
-	a.sl.uncountPage(a.vpage)
+	a.sys.uncountPage(a.vpage)
 	a.sys.sliceAccess(a)
 }
 
 func (s *System) getAccess(src *sim.Actor) *access {
-	lane := src.Lane()
-	a := s.freeAcc[lane]
+	a := s.freeAcc
 	if a == nil {
 		a = &access{sys: s}
 	} else {
-		s.freeAcc[lane] = a.next
+		s.freeAcc = a.next
 		a.next = nil
 	}
 	a.src = src
@@ -575,10 +549,9 @@ func (s *System) getAccess(src *sim.Actor) *access {
 }
 
 func (s *System) putAccess(a *access) {
-	lane := a.src.Lane()
 	a.h, a.hw, a.sl, a.src = nil, nil, nil, nil
-	a.next = s.freeAcc[lane]
-	s.freeAcc[lane] = a
+	a.next = s.freeAcc
+	s.freeAcc = a
 }
 
 // faultHop is the delay of each leg of the fault round trip. It is at
@@ -608,8 +581,8 @@ func (s *System) Access(va uint64, write bool, done func()) {
 // the completion (data return) time. src is the requester's actor (e.g.
 // the issuing SM's); nil means the root actor. tc, when non-nil, is a
 // caller-owned one-entry translation cache (typically per SM) consulted
-// before the page table. AccessH must be called on src's lane — from src's
-// own event handlers or single-threaded setup code.
+// before the page table. AccessH must be called at src's time — from src's
+// own event handlers or from setup code.
 //
 // AccessH panics on unmapped addresses when no FaultHandler is set: the
 // runtime maps all pages at allocation time or on first touch, so a miss
@@ -625,8 +598,8 @@ func (s *System) AccessH(src *sim.Actor, va uint64, write bool, tc *vm.TransCach
 	s.begin(a, tc)
 }
 
-// begin runs the pre-slice stages on the requester's lane: migration-lock
-// check, translation (unmapped pages detour to the OS on the root lane and
+// begin runs the pre-slice stages for the requester: migration-lock check,
+// translation (unmapped pages detour to the OS through the root actor and
 // re-enter here), routing, and the flight to the L2 slice.
 func (s *System) begin(a *access, tc *vm.TransCache) {
 	src := a.src
@@ -639,15 +612,15 @@ func (s *System) begin(a *access, tc *vm.TransCache) {
 		return
 	case PagePendingWriteBack:
 		// The page is already remapped and readable at its new address, so
-		// the access proceeds — only count it. Only migration runs, which
-		// are single-laned, reach this state.
+		// the access proceeds — only count it. Only migration runs reach
+		// this state.
 		s.stats.WriteBackAccesses++
 	}
 	pa, ok := s.space.TranslateCached(tc, a.va)
 	if !ok && s.FaultHandler != nil {
-		// First-touch fault: resolve on the root lane. Page-table commits
-		// happen only at window barriers, so translation re-runs on the
-		// reply rather than inline.
+		// First-touch fault: resolve through the root actor. Page-table
+		// commits happen only at window edges, so translation re-runs on
+		// the reply rather than inline.
 		src.SendAfter(s.os, s.faultHop(), a, stepFault)
 		return
 	}
@@ -682,7 +655,7 @@ func (s *System) sliceAccess(a *access) {
 	// hotness event ("the number of accesses to that page that are served
 	// from DRAM"). Merged misses share a fill but still count: they were
 	// not absorbed by cache capacity.
-	sl.countPage(a.vpage)
+	s.countPage(a.vpage)
 
 	line := a.chAddr / uint64(s.cfg.LineBytes)
 	switch sl.mshr.Allocate(line, a) {
@@ -697,16 +670,15 @@ func (s *System) sliceAccess(a *access) {
 	}
 }
 
-func (sl *slice) countPage(vpage uint64) {
-	c := sl.pageCounts
-	if vpage >= uint64(len(*c)) {
-		*c = grow(*c, vpage)
+func (s *System) countPage(vpage uint64) {
+	if vpage >= uint64(len(s.pageCounts)) {
+		s.pageCounts = grow(s.pageCounts, vpage)
 	}
-	(*c)[vpage]++
+	s.pageCounts[vpage]++
 }
 
-func (sl *slice) uncountPage(vpage uint64) {
-	if c := *sl.pageCounts; vpage < uint64(len(c)) && c[vpage] > 0 {
+func (s *System) uncountPage(vpage uint64) {
+	if c := s.pageCounts; vpage < uint64(len(c)) && c[vpage] > 0 {
 		c[vpage]--
 	}
 }

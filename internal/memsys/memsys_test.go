@@ -525,49 +525,6 @@ func TestEpochPageCountsIsolated(t *testing.T) {
 	}
 }
 
-// TestPageCountsLaneInvariant: page counts are sharded per event lane (the
-// slices of one lane share a shard) and PageCounts sums the shards, so the
-// same pre-mapped accesses must count identically through a one-lane and a
-// four-lane world.
-func TestPageCountsLaneInvariant(t *testing.T) {
-	run := func(lanes int) []uint64 {
-		cfg := Table1Config()
-		w := sim.NewWorld(lanes, LaneLookahead(cfg))
-		space := vm.NewSpace(vm.DefaultPageSize, []vm.ZoneConfig{
-			{Name: "BO", CapacityPages: vm.Unlimited},
-			{Name: "CO", CapacityPages: vm.Unlimited},
-		})
-		for p := uint64(0); p < 64; p++ {
-			if err := space.MapPage(p, vm.ZoneID(p%3/2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sys, err := New(w.Engine(), space, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(7))
-		h := &countHandler{}
-		const n = 4000
-		for i := 0; i < n; i++ {
-			va := uint64(rng.Intn(64))*vm.DefaultPageSize + uint64(rng.Intn(32))*128
-			sys.AccessH(nil, va, rng.Intn(4) == 0, nil, h, 0)
-		}
-		w.Run()
-		if h.n != n {
-			t.Fatalf("lanes=%d: %d of %d accesses completed", lanes, h.n, n)
-		}
-		return sys.PageCounts()
-	}
-	one, four := run(1), run(4)
-	if len(one) != 64 {
-		t.Fatalf("one lane counted %d pages, want 64", len(one))
-	}
-	if !reflect.DeepEqual(one, four) {
-		t.Fatalf("page counts differ:\n1 lane:  %v\n4 lanes: %v", one, four)
-	}
-}
-
 // countHandler is a minimal long-lived completion handler for AccessH.
 type countHandler struct{ n int }
 

@@ -7,14 +7,12 @@ import (
 
 // Flight-recorder sampling surface. The full Stats() merge allocates (it
 // clones latency histograms), which a probe taking a sample at every
-// window barrier cannot afford; the accessors below fill caller-owned
+// window edge cannot afford; the accessors below fill caller-owned
 // storage with the scalar counters a time series needs and nothing else.
-// Like Stats they must be called from single-threaded code — between
-// runs, or from a window hook, where lane shards are quiescent.
 
 // PoolProbe is one memory pool's probe reading: the cumulative traffic
-// counters merged across the pool's channel slices (plus the root-lane
-// migration traffic charged to the pool) and the instantaneous MSHR
+// counters merged across the pool's channel slices (plus the migration
+// traffic charged to the pool) and the instantaneous MSHR
 // occupancy and stall-queue depth.
 type PoolProbe struct {
 	Zone       vm.ZoneID
@@ -31,8 +29,7 @@ type PoolProbe struct {
 }
 
 // FillPoolProbes fills one PoolProbe per configured zone, in configuration
-// order (the same order Stats merges in, so readings are bit-identical for
-// any lane count). It writes min(len(out), len(zones)) entries and
+// order (the same order Stats merges in). It writes min(len(out), len(zones)) entries and
 // performs no allocations.
 func (s *System) FillPoolProbes(out []PoolProbe) {
 	for i, zc := range s.cfg.Zones {
@@ -60,7 +57,7 @@ func (s *System) FillPoolProbes(out []PoolProbe) {
 }
 
 // ProbeCounters is the cross-pool slice of a probe sample: write-back
-// buffer state and migration traffic, all root-lane counters.
+// buffer state and migration traffic.
 type ProbeCounters struct {
 	WriteBackDepth    int // pages queued in the async write-back buffer now
 	WriteBacksQueued  uint64

@@ -286,9 +286,9 @@ func TestEpochSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// Under deferred mapping (laned runs, and every experiments run), a page
-// mapped on first touch waits for a window barrier before it enters the
-// page table, and the first Remap of an epoch commits it early. The
+// Under deferred mapping (every experiments run), a page mapped on first
+// touch waits for a window edge before it enters the page table, and the
+// first Remap of an epoch commits it early. The
 // epoch's one page-table scan runs before that Remap, so a later tier pair
 // must rescan to see the page, exactly as a per-pair scan did. Here the
 // fastest pair's promotion commits a pending page in the full middle pool;

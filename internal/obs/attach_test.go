@@ -46,7 +46,7 @@ func TestAttachColumns(t *testing.T) {
 		"ic.bytes", // DDR4 sits behind the interconnect hop
 		"mshr.used", "mshr.stalled", "mshr.full_stalls",
 		"wb.depth", "wb.queued", "wb.drained",
-		"warps_done", "warps_live", "events", "events.lane0",
+		"warps_done", "warps_live", "events",
 	} {
 		if !slices.Contains(cols, want) {
 			t.Errorf("columns missing %q (got %v)", want, cols)

@@ -4,13 +4,12 @@
 // activity, write-back pressure, MSHR backpressure — can be dumped,
 // streamed, or merged into a Perfetto timeline after (or during) the run.
 //
-// The recorder samples from a sim.World window hook, which runs
-// single-threaded at every lane barrier. The window grid is the global
-// minimum pending time plus the lookahead step — lane-count-invariant by
-// construction (see internal/sim) — so a probed run produces byte-identical
-// series at any -lanes value. When no probe is attached nothing is
-// registered and the simulator hot path is untouched: disabling costs zero
-// branches, not a predicted-not-taken one.
+// The recorder samples from a sim.World window hook, which runs at every
+// window edge. The window grid is the earliest pending time plus the
+// lookahead step, a function of the schedule alone (see internal/sim), so
+// a probed run produces the same series every time. When no probe is
+// attached nothing is registered and the simulator hot path is untouched:
+// disabling costs zero branches, not a predicted-not-taken one.
 package obs
 
 import (
@@ -26,7 +25,7 @@ import (
 type Config struct {
 	// Interval is the sampling grid step in simulated cycles. Samples are
 	// stamped on multiples of Interval; each is taken at the first window
-	// barrier at or after its grid point.
+	// edge at or after its grid point.
 	Interval sim.Time
 	// MaxSamples caps the ring buffer. When a run outlives the ring the
 	// oldest samples are overwritten and reported as dropped.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
@@ -15,16 +14,15 @@ import (
 // run (experiments.RunConfig.WithProbe), and read the recorded series with
 // Snapshot after — or SnapshotSince while — the run executes.
 //
-// Sampling happens inside a window hook: single-threaded, at every lane
-// barrier, on the lane-count-invariant window grid. Each grid point
-// k*Interval is recorded at the first barrier whose frontier has passed
+// Sampling happens inside a window hook, at every window edge. Each grid
+// point k*Interval is recorded at the first edge whose frontier has passed
 // it, stamped with the grid time; the run's end adds one final sample
 // stamped with the end-of-run clock. All sampling state — the ring, the
 // row scratch, the per-pool readings — is preallocated at Attach, so a
-// barrier sample performs no heap allocations.
+// sample performs no heap allocations.
 //
 // Snapshot methods are safe to call concurrently with the run (the
-// /progress endpoint does); the mutex is taken only at barriers and
+// /progress endpoint does); the mutex is taken only at window edges and
 // snapshot reads, never on the event hot path.
 type Probe struct {
 	cfg Config
@@ -41,7 +39,7 @@ type Probe struct {
 	final     bool
 	finalTime sim.Time
 
-	// Hook-side state, touched only from the single-threaded window hook.
+	// Hook-side state, touched only from the window hook.
 	world    *sim.World
 	mem      *memsys.System
 	mig      *migrate.Engine
@@ -52,8 +50,6 @@ type Probe struct {
 	prevBusy []sim.Time
 	icPool   []bool // pools behind an interconnect hop (ExtraLatency > 0)
 	hasIC    bool
-	lanes    int
-	laneBuf  []uint64
 	row      []float64
 }
 
@@ -99,10 +95,6 @@ func (p *Probe) Attach(world *sim.World, mem *memsys.System, mig *migrate.Engine
 		cols = append(cols, "mig.epochs", "mig.promotions", "mig.demotions", "mig.wb_stalls")
 	}
 	cols = append(cols, "warps_done", "warps_live", "events")
-	p.lanes = world.Lanes()
-	for i := 0; i < p.lanes; i++ {
-		cols = append(cols, fmt.Sprintf("events.lane%d", i))
-	}
 
 	p.columns = cols
 	p.ncols = len(cols)
@@ -111,12 +103,11 @@ func (p *Probe) Attach(world *sim.World, mem *memsys.System, mig *migrate.Engine
 	p.row = make([]float64, p.ncols)
 	p.pools = make([]memsys.PoolProbe, len(zones))
 	p.prevBusy = make([]sim.Time, len(zones))
-	p.laneBuf = make([]uint64, p.lanes)
 
 	world.OnWindow(p.onWindow)
 }
 
-// onWindow runs at every barrier. The frontier (global minimum pending
+// onWindow runs at every window edge. The frontier (the earliest pending
 // time) bounds what has fired: every grid point at or before it is due,
 // and when it reaches Forever the run has drained and the final sample
 // closes the series.
@@ -200,12 +191,6 @@ func (p *Probe) record(t sim.Time) {
 	row[i] = float64(p.g.Stats().WarpsCompleted)
 	row[i+1] = float64(p.g.Outstanding())
 	row[i+2] = float64(p.world.Fired())
-	i += 3
-	p.world.FillLaneFired(p.laneBuf)
-	for _, n := range p.laneBuf {
-		row[i] = float64(n)
-		i++
-	}
 
 	p.mu.Lock()
 	slot := int(p.count % uint64(p.capn))

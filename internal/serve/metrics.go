@@ -52,7 +52,6 @@ func (s *Server) snapshot() snapshot {
 		"sim_wall_seconds":     sweep.Wall.Seconds(),
 		"sim_accesses_per_sec": sweep.AccessRate(),
 
-		"sim_lane_fallbacks_total": float64(sweep.LaneFallbacks),
 		"sim_migrated_pages_total": float64(sweep.MigratedPages),
 
 		"tune_jobs_total":  float64(s.tuneRuns),

@@ -61,7 +61,7 @@ func FuzzFigureQuery(f *testing.F) {
 		f.Add(tc.query)
 	}
 	f.Add("migrate=" + url.QueryEscape(migrate.DefaultConfig().Spec()))
-	base := experiments.Options{Shrink: 1, Lanes: 1}
+	base := experiments.Options{Shrink: 1}
 	f.Fuzz(func(t *testing.T, raw string) {
 		q, _ := url.ParseQuery(raw) // as Request.URL.Query: bad pairs dropped
 		o, err := decodeFigureQuery(q, base)

@@ -33,11 +33,6 @@ type Config struct {
 	// system, equivalent to "k40-ddr4"). Must be a known preset
 	// (topology.Preset); hmserved validates it at startup.
 	Topology string
-	// Lanes runs each simulation with this many parallel event lanes
-	// (experiments.RunConfig.Lanes). Results and cache keys are identical
-	// for any lane count — lanes only change the daemon's wall-clock time
-	// per simulation. 0 or 1 means sequential.
-	Lanes int
 	// Migrate is the default migration spec (migrate.ParseSpec) for figure
 	// requests carrying no ?migrate= parameter; "" keeps each migration
 	// figure's defaults.
@@ -157,9 +152,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.Lanes < 1 {
-		cfg.Lanes = 1
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -173,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 		start: time.Now(),
 	}
 	s.figureDefaults = experiments.Options{
-		Shrink: 1, Workers: cfg.SimWorkers, Lanes: cfg.Lanes, Topology: cfg.Topology,
+		Shrink: 1, Workers: cfg.SimWorkers, Topology: cfg.Topology,
 		Migrate: cfg.Migrate, MigratePolicy: cfg.MigratePolicy, Cache: s.cache, Remote: cfg.Remote,
 	}
 	s.rec = cfg.Telemetry
@@ -189,7 +181,7 @@ func New(cfg Config) (*Server, error) {
 		s.cache.SetBackend(disk)
 	}
 	s.runSweep = func(_ context.Context, sp *telemetry.Span, cfgs []experiments.RunConfig) ([]experiments.Result, metrics.SweepStats, error) {
-		e := experiments.NewDistributedExecutor(cfg.SimWorkers, s.cache, cfg.Remote).WithSpan(sp).WithLanes(cfg.Lanes)
+		e := experiments.NewDistributedExecutor(cfg.SimWorkers, s.cache, cfg.Remote).WithSpan(sp)
 		res, err := e.Map(cfgs)
 		return res, e.Stats(), err
 	}
@@ -376,14 +368,19 @@ func submitError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, err.Error())
 }
 
-// handleSubmitRun enqueues a single RunConfig. Idempotent: the job is
-// keyed by the config's canonical hash — unless ?probe= attaches a flight
-// recorder, which makes the submission uncacheable and never deduplicated
-// (each probed job owns its own recorder, streamed via /progress).
+// handleSubmitRun enqueues a single RunConfig; one RunConfig.Validate
+// refuses is a 400, and no job. Idempotent: the job is keyed by the
+// config's canonical hash — unless ?probe= attaches a flight recorder,
+// which makes the submission uncacheable and never deduplicated (each
+// probed job owns its own recorder, streamed via /progress).
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var rc experiments.RunConfig
 	if err := json.NewDecoder(r.Body).Decode(&rc); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding RunConfig: "+err.Error())
+		return
+	}
+	if err := rc.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	probeCfg, err := parseProbe(r)
@@ -418,9 +415,10 @@ type sweepRequest struct {
 	Configs []experiments.RunConfig `json:"configs"`
 }
 
-// handleSubmitSweep enqueues a config grid as one job. ?probe= attaches a
-// flight recorder to every config in the grid; like probed runs, probed
-// sweeps are never deduplicated.
+// handleSubmitSweep enqueues a config grid as one job; a grid holding a
+// config RunConfig.Validate refuses is a 400 naming the config's index,
+// and no job. ?probe= attaches a flight recorder to every config in the
+// grid; like probed runs, probed sweeps are never deduplicated.
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -430,6 +428,12 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	if len(req.Configs) == 0 {
 		writeError(w, http.StatusBadRequest, "sweep has no configs")
 		return
+	}
+	for i, rc := range req.Configs {
+		if err := rc.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("config %d: %v", i, err))
+			return
+		}
 	}
 	probeCfg, err := parseProbe(r)
 	if err != nil {

@@ -48,7 +48,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := tune.Options{
 		Strategy: req.Strategy, Budget: req.Budget, Workers: workers,
-		Lanes: s.cfg.Lanes, Cache: s.cache, Remote: s.cfg.Remote,
+		Cache: s.cache, Remote: s.cfg.Remote,
 	}
 	if err := tune.Validate(req.Problem, opts); err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())

@@ -61,17 +61,13 @@ type queue struct {
 	far []scheduled // overflow min-heap over the canonical order
 }
 
-// push enqueues it. Times before base only arise from a cross-lane Send
-// made outside a run into a lane whose clock is ahead of the sender's; the
-// queue then rebases to keep the canonical order.
+// push enqueues it, which must not be earlier than base: base never
+// passes the engine's clock, and At and Send refuse a time before it.
 func (q *queue) push(it scheduled) {
 	if len(q.nodes) == 0 {
 		q.takeSlab()
 	}
 	q.n++
-	if it.at < q.base {
-		q.rebase(it.at)
-	}
 	switch d := it.at - q.base; {
 	case d >= calSpan:
 		q.farPush(it)
@@ -194,29 +190,6 @@ func (q *queue) advance(t Time) {
 	for len(q.far) > 0 && q.far[0].at-t < calSpan {
 		q.bucketPush(q.alloc(q.farPop()))
 	}
-}
-
-// rebase lowers base to t by parking every calendar and batch event in the
-// overflow heap, then re-advancing from t.
-func (q *queue) rebase(t Time) {
-	for _, i := range q.cur[q.pos:] {
-		q.farPush(q.release(i))
-	}
-	q.cur, q.pos = q.cur[:0], 0
-	for w := range q.occ {
-		for m := q.occ[w]; m != 0; m &= m - 1 {
-			b := w<<6 | bits.TrailingZeros64(m)
-			for i := q.head[b]; i != 0; {
-				next := q.nodes[i].next
-				q.farPush(q.release(i))
-				i = next
-			}
-			q.head[b] = 0
-		}
-		q.occ[w] = 0
-	}
-	q.cal = 0
-	q.advance(t)
 }
 
 // alloc stores it in a free slab slot and returns the slot's index. The

@@ -47,8 +47,7 @@ func (h *refHeap) Pop() interface{} {
 // with the op stream encoded in ops (two bytes per op: opcode, parameter)
 // and fails on the first divergence in pop order, peek or length. Pushes
 // are monotone — never before the last popped time, as the engine's
-// past-time panic guarantees — except for opcode 7, which pushes slightly
-// into the past the way a cross-lane Send made outside a run can.
+// past-time panic guarantees.
 func checkQueueOps(t *testing.T, ops []byte) {
 	t.Helper()
 	var q queue
@@ -73,7 +72,7 @@ func checkQueueOps(t *testing.T, ops []byte) {
 		op, p := ops[i]%8, int(ops[i+1])
 		src := ActorID(p % 5)
 		switch op {
-		case 0, 1, 2, 3:
+		case 0, 1, 2, 3, 7:
 			var d Time
 			switch p % 4 {
 			case 0: // same cycle: lands in the batch if one is open
@@ -82,7 +81,7 @@ func checkQueueOps(t *testing.T, ops []byte) {
 			case 2: // DRAM fill distance
 				d = Time(1000 + p*13%3000)
 			case 3: // straddling the calendar span into the overflow heap
-				d = calSpan - 32 + Time(p>>2)*Time(1+int(op))
+				d = calSpan - 32 + Time(p>>2)*Time(1+int(op%4))
 			}
 			push(now+d, src)
 		case 4, 5:
@@ -95,12 +94,6 @@ func checkQueueOps(t *testing.T, ops []byte) {
 				pop(i / 2)
 			}
 			now = last
-		case 7:
-			at := now - Time(p%64) - 1
-			if at < 0 {
-				at = 0
-			}
-			push(at, src)
 		}
 		if q.n != ref.Len() {
 			t.Fatalf("op %d: queue holds %d events, reference %d", i/2, q.n, ref.Len())
@@ -120,19 +113,14 @@ func checkQueueOps(t *testing.T, ops []byte) {
 // TestHeapAgainstReference drives the calendar queue and a container/heap
 // reference with identical random monotone op streams — same-cycle inserts
 // into an open batch, near and DRAM-distance deltas, deltas beyond the
-// calendar span (overflow heap), RunUntil-style stops, and occasional
-// rebasing pushes — and requires identical pop sequences. (src, seq) is
+// calendar span (overflow heap) and RunUntil-style stops — and requires
+// identical pop sequences. (src, seq) is
 // unique, so the order is strict and any divergence is a queue bug.
 func TestHeapAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 2*(2000+rng.Intn(3000)))
 		rng.Read(ops)
-		for i := 0; i < len(ops); i += 2 {
-			if ops[i]%8 == 7 && rng.Intn(8) != 0 {
-				ops[i] = 0 // keep rebasing pushes rare, as in real runs
-			}
-		}
 		checkQueueOps(t, ops)
 	}
 }
@@ -195,17 +183,13 @@ type progActor struct {
 	idx    int
 	peers  []*progActor
 	budget int
-	log    []string
-	global *[]string // single-lane runs also log globally
+	log    *[]string // the run's global firing log
 	steps  []progStep
 }
 
 func (p *progActor) OnEvent(arg uint64) {
 	rec := fmt.Sprintf("%d@%d/%d", p.idx, p.self.Now(), arg)
-	p.log = append(p.log, rec)
-	if p.global != nil {
-		*p.global = append(*p.global, rec)
-	}
+	*p.log = append(*p.log, rec)
 	if p.budget <= 0 {
 		return
 	}
@@ -267,10 +251,10 @@ func refProg(budget int, stops []Time) []string {
 }
 
 // newProg builds the program's actors on w and schedules the seed events.
-func newProg(w *World, budget int, global *[]string) []*progActor {
+func newProg(w *World, budget int, log *[]string) []*progActor {
 	ps := make([]*progActor, progActors)
 	for i := range ps {
-		ps[i] = &progActor{self: w.NewActor(), idx: i, budget: budget, global: global}
+		ps[i] = &progActor{self: w.NewActor(), idx: i, budget: budget, log: log}
 	}
 	for _, p := range ps {
 		p.peers = ps
@@ -284,9 +268,8 @@ func newProg(w *World, budget int, global *[]string) []*progActor {
 
 // TestEngineAgainstReference runs the actor program through the real
 // engine and requires the reference's schedule: exactly its global firing
-// order on one lane driven by RunUntil stops with root-context injections
-// between them, and exactly its per-actor firing sequences on 1, 2, 4 and 8
-// lanes, where cross-lane events travel through the window mailboxes.
+// order, driven by RunUntil stops with root-context injections between
+// them.
 func TestEngineAgainstReference(t *testing.T) {
 	const budget = 300
 	stops := []Time{0, 5, 900, 4000, 4096, 4097, 9000, 20000}
@@ -318,29 +301,9 @@ func TestEngineAgainstReference(t *testing.T) {
 		t.Fatalf("RunUntil-driven run fired %d extra events", len(got)-len(want))
 	}
 
-	perActor := func(log []string) [][]string {
-		out := make([][]string, progActors)
-		for _, rec := range log {
-			var idx int
-			fmt.Sscanf(rec, "%d@", &idx)
-			out[idx] = append(out[idx], rec)
-		}
-		return out
-	}
-	wantActors := perActor(refProg(budget, nil))
-	for _, lanes := range []int{1, 2, 4, 8} {
-		w := NewWorld(lanes, progLA)
-		ps := newProg(w, budget, nil)
-		w.Run()
-		for i, p := range ps {
-			if !reflect.DeepEqual(p.log, wantActors[i]) {
-				t.Errorf("lanes=%d actor %d: firing sequence diverged from the reference", lanes, i)
-			}
-		}
-	}
 }
 
-// TestRunHandsOnDrainedSlab: World.Run hands a drained lane's record
+// TestRunHandsOnDrainedSlab: World.Run hands a drained queue's record
 // slab, free list included, to the next queue that schedules an event,
 // and a world running on the handed-on slab fires the reference schedule.
 func TestRunHandsOnDrainedSlab(t *testing.T) {
@@ -355,13 +318,13 @@ func TestRunHandsOnDrainedSlab(t *testing.T) {
 			first.Root().At(Time(i), &p, 0)
 		}
 		first.Run()
-		if first.lanes[0].q.nodes != nil {
-			t.Fatal("a drained lane kept its slab")
+		if first.eng.q.nodes != nil {
+			t.Fatal("a drained queue kept its slab")
 		}
 		var got []string
 		second := NewWorld(1, progLA)
 		newProg(second, budget, &got)
-		if second.lanes[0].q.box == nil {
+		if second.eng.q.box == nil {
 			continue
 		}
 		second.Run()
@@ -404,28 +367,6 @@ func TestConcurrentRunsShareSlabs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestCrossLaneSendBehindClock: a Send made between runs may target a lane
-// whose clock has moved past the send time; the destination queue rebases
-// and still fires everything in canonical order.
-func TestCrossLaneSendBehindClock(t *testing.T) {
-	w := NewWorld(2, 1)
-	a, b := w.NewActor(), w.NewActor() // lanes 1 and 0
-	var gotA, gotB []Time
-	recA := handlerFunc(func(uint64) { gotA = append(gotA, a.Now()) })
-	recB := handlerFunc(func(uint64) { gotB = append(gotB, b.Now()) })
-	b.At(3*calSpan, recB, 0)
-	b.At(3*calSpan+5, recB, 0)
-	a.At(10, recA, 0)
-	w.Run()
-	b.At(b.Now()+2*calSpan, recB, 0)
-	a.Send(b, a.Now()+100, recB, 0) // behind b's clock
-	w.Run()
-	want := []Time{3 * calSpan, 3*calSpan + 5, 110, 5*calSpan + 5}
-	if !reflect.DeepEqual(gotB, want) || !reflect.DeepEqual(gotA, []Time{10}) {
-		t.Fatalf("fire times %v and %v, want %v and [10]", gotA, gotB, want)
-	}
 }
 
 // TestHandlerPathAllocFree: steady-state handler scheduling performs no

@@ -4,11 +4,11 @@
 // scheduled events in canonical (time, source actor, per-source seq) order,
 // so two runs with the same inputs produce identical schedules. All
 // higher-level models in this repository (DRAM, caches, SMs) are driven by
-// one Engine — or, in laned mode, by a World of engines that provably fires
-// the same canonical schedule on several OS threads (see lanes.go).
+// one Engine, drained window by window by its World (world.go), whose
+// window hooks commit deferred page-table updates and sample probes.
 //
 // Every event is scheduled through an Actor (At/After/Send/SendAfter in
-// lanes.go) as a long-lived Handler plus a uint64 argument. Scheduling never
+// world.go) as a long-lived Handler plus a uint64 argument. Scheduling never
 // allocates: the (Handler, arg) record is stored inline in the engine's
 // queue slab, so models that keep pooled per-request records (memsys) or
 // per-actor state machines (gpu warps) can schedule millions of events with
@@ -49,7 +49,7 @@ type scheduled struct {
 	at  Time
 	src ActorID // scheduling actor
 	seq uint64  // per-source insertion order; breaks ties deterministically
-	dst *Actor  // actor whose lane fires the event
+	dst *Actor  // actor the event is for
 	h   Handler
 	arg uint64
 }
@@ -57,10 +57,7 @@ type scheduled struct {
 // before is the strict total order events fire in: (time, source actor,
 // per-source seq). (src, seq) is unique, so there are never ties and any
 // correct priority queue yields the same pop sequence — determinism does
-// not depend on queue implementation details. Ordering by actor ID rather
-// than lane makes the canonical schedule independent of how actors are
-// partitioned into lanes, which is what lets laned runs reproduce
-// sequential output byte for byte.
+// not depend on queue implementation details.
 func (s *scheduled) before(o *scheduled) bool {
 	if s.at != o.at {
 		return s.at < o.at
@@ -71,17 +68,15 @@ func (s *scheduled) before(o *scheduled) bool {
 	return s.seq < o.seq
 }
 
-// Engine is a discrete-event simulator. The zero value is ready to use.
-// In a World, each lane is one Engine; a standalone Engine behaves exactly
-// like a one-lane World without barriers (see WorldOf).
+// Engine is a discrete-event simulator. The zero value is ready to use; a
+// standalone Engine behaves like a World without a lookahead (see
+// WorldOf).
 type Engine struct {
 	now   Time
 	q     queue // pending events in canonical order (queue.go)
 	fired uint64
 
-	world *World      // nil until the engine joins (or lazily creates) a World
-	lane  int         // index of this engine within world.lanes
-	out   []scheduled // cross-lane mailbox: sends buffered during a window
+	world *World // nil until the engine joins (or lazily creates) a World
 }
 
 // New returns a fresh Engine with the clock at zero.
@@ -133,8 +128,8 @@ func (e *Engine) drain(last Time) {
 }
 
 // Run fires events until none remain and returns the final clock value.
-// If the engine belongs to a multi-lane World, the whole world runs (see
-// World.Run); the observable schedule is identical either way.
+// If the engine belongs to a World, the world runs it window by window
+// (see World.Run); the schedule is identical either way.
 func (e *Engine) Run() Time {
 	if w := e.world; w != nil {
 		return w.Run()

@@ -7,10 +7,7 @@ import (
 )
 
 // pingPonger bounces messages among a ring of actors with varying hop
-// latencies, recording every firing it observes as (time, arg). Each actor
-// logs only its own firings, so the recorder is race-free under parallel
-// lanes; comparing the per-actor logs across lane counts checks that the
-// canonical schedule is lane-count-invariant.
+// latencies, recording every firing it observes as (time, arg).
 type pingPonger struct {
 	self  *Actor
 	peers []*pingPonger
@@ -31,54 +28,10 @@ func (p *pingPonger) OnEvent(arg uint64) {
 	p.self.SendAfter(dst.self, p.la+Time(arg%5), dst, arg*7+1)
 }
 
-// pingPongTrace runs the ring on an n-lane world and returns each actor's
-// firing log, keyed by actor index.
-func pingPongTrace(lanes int) [][]string {
-	const la = Time(4)
-	w := NewWorld(lanes, la)
-	ring := make([]*pingPonger, 6)
-	for i := range ring {
-		ring[i] = &pingPonger{self: w.NewActor(), la: la, hops: 40}
-	}
-	for i := range ring {
-		ring[i].peers = append(ring[i].peers, ring[(i+1)%len(ring)], ring[(i+3)%len(ring)])
-	}
-	for i, p := range ring {
-		p.self.At(Time(i), p, uint64(i))
-	}
-	w.Run()
-	logs := make([][]string, len(ring))
-	for i, p := range ring {
-		logs[i] = p.log
-	}
-	return logs
-}
-
-// TestLaneScheduleInvariant: the exact per-actor firing sequences of a
-// multi-actor ping-pong are identical for 1, 2, 4, and 8 lanes — the
-// canonical (time, source, seq) order does not depend on how actors map to
-// lanes. (Cross-actor global ordering is pinned at the model level by the
-// byte-identity suite in internal/experiments.)
-func TestLaneScheduleInvariant(t *testing.T) {
-	want := pingPongTrace(1)
-	total := 0
-	for _, l := range want {
-		total += len(l)
-	}
-	if total == 0 {
-		t.Fatal("empty trace")
-	}
-	for _, lanes := range []int{2, 4, 8} {
-		if got := pingPongTrace(lanes); !reflect.DeepEqual(got, want) {
-			t.Errorf("lanes=%d: firing order diverged\n got %v\nwant %v", lanes, got, want)
-		}
-	}
-}
-
-// TestLaneWindowGrid: one-lane worlds with different positive lookaheads
-// drain the same canonical per-actor sequences — the window size changes
-// barrier frequency, never the schedule.
-func TestLaneWindowGrid(t *testing.T) {
+// TestWindowGrid: worlds with different positive lookaheads drain the same
+// canonical per-actor sequences — the window size changes how often the
+// window hooks run, never the schedule.
+func TestWindowGrid(t *testing.T) {
 	trace := func(la Time) [][]string {
 		w := NewWorld(1, la)
 		ring := []*pingPonger{
@@ -106,10 +59,11 @@ type nopHandler struct{}
 
 func (nopHandler) OnEvent(uint64) {}
 
-// TestLookaheadViolationPanics: a cross-actor send inside the conservative
-// window must panic — silently accepting it would corrupt laned schedules.
+// TestLookaheadViolationPanics: a cross-actor send inside the window must
+// panic — accepted, it could reach its destination before the window hooks
+// ran, and a fault retry could translate before its mapping commits.
 func TestLookaheadViolationPanics(t *testing.T) {
-	w := NewWorld(2, 10)
+	w := NewWorld(1, 10)
 	a, b := w.NewActor(), w.NewActor()
 	var h nopHandler
 	a.At(5, handlerFunc(func(uint64) {
@@ -126,7 +80,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 // TestSelfSendIgnoresLookahead: an actor scheduling for itself may use any
 // nonnegative delay, including zero.
 func TestSelfSendIgnoresLookahead(t *testing.T) {
-	w := NewWorld(4, 10)
+	w := NewWorld(1, 10)
 	a := w.NewActor()
 	ran := false
 	a.At(5, handlerFunc(func(uint64) {
@@ -195,52 +149,4 @@ func BenchmarkEngineBatch(b *testing.B) {
 	r.self.At(0, r, 1)
 	e.Run()
 	b.ReportMetric(float64(e.Fired())/b.Elapsed().Seconds(), "events/sec")
-}
-
-// laneBenchActor reschedules itself and periodically pings a peer on
-// another lane, modeling the SM->channel traffic shape. Each actor owns its
-// countdown, so the benchmark is race-free under parallel lanes.
-type laneBenchActor struct {
-	self *Actor
-	peer *laneBenchActor
-	la   Time
-	left int
-}
-
-func (a *laneBenchActor) OnEvent(arg uint64) {
-	if a.left <= 0 {
-		return
-	}
-	a.left--
-	if arg%16 == 15 {
-		a.self.SendAfter(a.peer.self, a.la, a.peer, arg+1)
-		return
-	}
-	a.self.After(1+Time(arg%4), a, arg+1)
-}
-
-// BenchmarkLanedThroughput drives a 16-actor world at several lane counts.
-// On a multi-core host the laned variants overlap lanes on real threads;
-// events/sec per lane count is the tentpole's speedup measurement.
-func BenchmarkLanedThroughput(b *testing.B) {
-	for _, lanes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			const la = Time(8)
-			w := NewWorld(lanes, la)
-			actors := make([]*laneBenchActor, 16)
-			for i := range actors {
-				actors[i] = &laneBenchActor{self: w.NewActor(), la: la, left: b.N / len(actors)}
-			}
-			for i := range actors {
-				actors[i].peer = actors[(i+5)%len(actors)]
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i, a := range actors {
-				a.self.At(Time(i), a, uint64(i))
-			}
-			w.Run()
-			b.ReportMetric(float64(w.Fired())/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
 }

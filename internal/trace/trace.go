@@ -6,7 +6,7 @@
 // against an identical stream, or ship a trace instead of a workload
 // generator. Programs turns a trace into warp programs; experiments.RunTrace
 // runs them through the same assembly as a workload run, so a replay sees
-// the full memory system of its config (topology, pool capacities, lanes,
+// the full memory system of its config (topology, pool capacities,
 // migration, probes).
 //
 // The on-disk format is a magic header followed by one varint per event:

@@ -39,7 +39,7 @@ func newEvaluator(p Problem, o Options, sp *telemetry.Span) (*Evaluator, error) 
 	}
 	return &Evaluator{
 		p: p, ds: ds, mem: p.mem(),
-		exec: exec.WithLanes(o.Lanes), sp: sp,
+		exec: exec, sp: sp,
 	}, nil
 }
 

@@ -47,8 +47,8 @@ func FigTune(opts experiments.Options) (experiments.Figure, error) {
 				Workload: wl, Topology: name, Dataset: opts.Dataset.Name, Shrink: shrink,
 			}, Options{
 				Strategy: "halving", Budget: figTuneBudget,
-				Workers: opts.Workers, Lanes: opts.Lanes,
-				Cache: opts.Cache, Remote: opts.Remote, Span: opts.Span,
+				Workers: opts.Workers,
+				Cache:   opts.Cache, Remote: opts.Remote, Span: opts.Span,
 			})
 			if err != nil {
 				return experiments.Figure{}, err

@@ -21,8 +21,7 @@ type TraceEntry struct {
 // Report is the outcome of one tuning search. Every JSON-visible field is
 // a deterministic function of (Problem, Strategy, Budget, Seed), so the
 // marshaled report — and the Text rendering — is byte-identical for any
-// worker or lane count, fresh or warm caches, and local or cluster
-// dispatch. Sweep carries wall-clock timings and cache-hit counts for
+// worker count, fresh or warm caches, and local or cluster dispatch. Sweep carries wall-clock timings and cache-hit counts for
 // operators; it is deliberately excluded from the JSON wire form (the
 // serving layer reports it through job views and /metrics instead).
 type Report struct {

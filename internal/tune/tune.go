@@ -14,8 +14,7 @@
 // selection breaks ties on the candidate's index in the enumerated space,
 // and the executor's determinism guarantee makes every evaluation a pure
 // function of its RunConfig — so Run returns byte-identical Reports for
-// any worker count, any lane count, fresh or warm caches, and local or
-// cluster dispatch.
+// any worker count, fresh or warm caches, and local or cluster dispatch.
 package tune
 
 import (
@@ -177,9 +176,6 @@ type Options struct {
 	// Workers caps concurrent simulations (0 = GOMAXPROCS). Any worker
 	// count produces an identical Report.
 	Workers int
-	// Lanes runs each simulation with this many parallel event lanes;
-	// results are byte-identical for any count.
-	Lanes int
 	// Cache, when non-nil, routes evaluations through a caller-owned
 	// result cache (the serving layer passes the daemon's two-tier cache).
 	// nil uses the process-wide experiments cache, so repeated local tunes

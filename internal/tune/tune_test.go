@@ -172,10 +172,10 @@ func TestGridIsOneRung(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossWorkersAndLanes: the same search on 1 worker, 8
-// workers, and multi-lane simulations yields byte-identical wire reports
-// (isolated caches keep one variant from serving another's results).
-func TestDeterminismAcrossWorkersAndLanes(t *testing.T) {
+// TestDeterminismAcrossWorkers: the same search on 1, 8 and 4 workers
+// yields byte-identical wire reports (isolated caches keep one variant
+// from serving another's results).
+func TestDeterminismAcrossWorkers(t *testing.T) {
 	for _, strategy := range Strategies() {
 		base := mustRun(t, quickProblem(), Options{
 			Strategy: strategy, Budget: 5, Workers: 1,
@@ -184,7 +184,7 @@ func TestDeterminismAcrossWorkersAndLanes(t *testing.T) {
 		want := wire(t, base)
 		variants := []Options{
 			{Strategy: strategy, Budget: 5, Workers: 8, Cache: experiments.NewResultCache()},
-			{Strategy: strategy, Budget: 5, Workers: 4, Lanes: 4, Cache: experiments.NewResultCache()},
+			{Strategy: strategy, Budget: 5, Workers: 4, Cache: experiments.NewResultCache()},
 		}
 		for i, o := range variants {
 			rep := mustRun(t, quickProblem(), o)

@@ -6,18 +6,16 @@ func errMapped(vpage uint64) error {
 	return fmt.Errorf("%w: vpage %d", ErrMapped, vpage)
 }
 
-// Deferred mapping support for laned simulation (internal/sim lanes).
-//
-// While several event lanes run a time window concurrently, SM lanes read
-// the page table (Translate/TranslateCached) with no lock. The table's
-// backing slices may only change single-threaded, so the OS fault path —
-// which runs on the root lane — does not commit mappings directly: MapPage
-// reserves the physical page immediately (so per-zone capacity and bump
-// addresses are consumed in canonical order) and parks the commit on a
-// pending list that FlushPending applies at the next window barrier, where
-// all lanes are stopped. A page becomes visible to translation only after
-// a barrier, which the fault protocol guarantees happens before the
-// faulting access retries.
+// Deferred mapping: the simulator's page-table commits happen at window
+// edges (internal/sim World), and every figure's bytes depend on that
+// schedule. In deferred mode the OS fault path does not commit mappings
+// directly: MapPage reserves the physical page immediately (so per-zone
+// capacity and bump addresses are consumed in canonical order) and parks
+// the commit on a pending list that FlushPending applies at the next
+// window edge. A page becomes visible to translation only after an edge,
+// which the fault protocol guarantees happens before the faulting access
+// retries one hop later. Committing inline instead would let accesses
+// translate earlier and change the schedule.
 
 // pendingMap is one reserved-but-uncommitted mapping.
 type pendingMap struct {
@@ -73,8 +71,7 @@ func (s *Space) MappedOrPending(vpage uint64) bool {
 func (s *Space) PendingMappings() int { return len(s.pending) }
 
 // FlushPending commits every pending mapping to the page table in reserve
-// order. It must only run while no lane is draining a window: at a window
-// barrier, or before/after a run.
+// order. It runs at a window edge, or before or after a run.
 func (s *Space) FlushPending() {
 	if len(s.pending) == 0 {
 		return

@@ -30,7 +30,7 @@ func (f *freeList) pop() (uint64, bool) {
 // owning zone's free list. The caller is responsible for invalidating any
 // cached lines of the old physical page.
 func (s *Space) Unmap(vpage uint64) error {
-	s.FlushPending() // callers run single-laned (migration forces one lane)
+	s.FlushPending() // pending first-touch mappings commit before the move
 	if vpage >= uint64(len(s.mapped)) || !s.mapped[vpage] {
 		return fmt.Errorf("vm: Unmap(%d): not mapped", vpage)
 	}
@@ -53,7 +53,7 @@ func (s *Space) Remap(vpage uint64, z ZoneID) (oldPA, newPA uint64, err error) {
 	if int(z) >= len(s.zones) {
 		return 0, 0, fmt.Errorf("vm: Remap: zone %d out of range", z)
 	}
-	s.FlushPending() // callers run single-laned (migration forces one lane)
+	s.FlushPending() // pending first-touch mappings commit before the move
 	if vpage >= uint64(len(s.mapped)) || !s.mapped[vpage] {
 		return 0, 0, fmt.Errorf("vm: Remap(%d): not mapped", vpage)
 	}
