@@ -65,7 +65,7 @@ var scenarios = map[string]func(*scenario){
 var refused = []struct{ scenario, cmd string }{
 	{"topology", "hmexp -topology hbm9000 fig3"},
 	{"topology", "hmsim -topology hbm9000 -workload bfs"},
-	{"topology", "hmserved -topology hbm9000 -addr " + anyPort},
+	{"topology", "hmserved -topology gh200 -addr " + anyPort},
 	{"topology", "hmsim -shrink -7 -workload bfs"},
 	{"topology", "hmsim -shrink 0 -workload bfs"},
 	{"topology", "hmexp -shrink -5 fig3"},
@@ -73,21 +73,21 @@ var refused = []struct{ scenario, cmd string }{
 	{"topology", "hmexp -workloads nosuch fig3"},
 	{"topology", "hmserved -workers -1 -addr " + anyPort},
 	{"migration", "hmexp -migrate epoch=banana fig3"},
-	{"migration", "hmexp -migrate-policy mystery fig3"},
-	{"migration", "hmexp -migrate alpha=0 -migrate-policy ewma figmig"},
+	{"migration", "hmexp -migrate policy=mystery fig3"},
+	{"migration", "hmexp -migrate alpha=0,policy=ewma figmig"},
+	{"migration", "hmexp -migrate-policy ewma fig3"},
 	{"migration", "hmexp -shrink 32 -workloads bfs -migrate alpha=0 figmigtopo"},
 	{"migration", "hmexp -migrate alpha=0 figdyn"},
 	{"migration", "hmexp -server URL -migrate alpha=0 figmigtopo"},
 	{"migration", "hmsim -migrate minheat=0 -workload bfs"},
-	{"migration", "hmsim -migrate-policy mystery -workload bfs"},
-	{"migration", "hmsim -migrate alpha=0 -migrate-policy ewma -workload bfs"},
-	{"migration", "hmserved -migrate wb=-1 -addr " + anyPort},
-	{"migration", "hmserved -migrate-policy mystery -addr " + anyPort},
-	{"migration", "hmserved -migrate alpha=0 -migrate-policy ewma -addr " + anyPort},
+	{"migration", "hmsim -migrate policy=mystery -workload bfs"},
+	{"migration", "hmsim -migrate alpha=0,policy=ewma -workload bfs"},
+	{"migration", "hmserved -migrate on -addr " + anyPort},
 	{"tune", "hmexp -tune -tune-strategy anneal bfs"},
 	{"tune", "hmexp -tune -tune-budget 0 bfs"},
 	{"tune", "hmexp -tune-budget 4 fig3"},
 	{"tune", "hmexp -tune-strategy grid fig3"},
+	{"tune", "hmexp -tune -migrate epoch=1000 bfs"},
 	{"tune", "hmsim -policy fifo -workload bfs"},
 	{"tune", "hmsim -dataset huge -workload bfs"},
 	{"probe", "hmsim -probe samples=1 -workload bfs"},
@@ -390,17 +390,18 @@ func tail(text string) string {
 	return strings.Join(lines[max(0, len(lines)-20):], "\n")
 }
 
-// cluster: fig2a rendered across a 2-worker fleet (checked there by
-// -cluster-verify) and through a coordinator daemon over the same fleet
-// matches a local render byte for byte.
+// cluster: fig2a rendered across a 2-worker fleet and through a
+// coordinator daemon over the same fleet matches a local render byte for
+// byte, and the coordinator's /metrics counts the runs the fleet served.
 func cluster(s *scenario) {
 	fleet := s.daemon(anyPort, "") + "," + s.daemon(anyPort, "")
-	viaFleet := s.render("fig2a", "-cluster "+fleet+" -cluster-verify "+sweep)
+	viaFleet := s.render("fig2a", "-cluster "+fleet+" "+sweep)
 	coord := s.daemon(anyPort, "-cluster "+fleet)
 	viaCoord := s.render("fig2a", "-server "+coord+" "+sweep)
 	local := s.render("fig2a", sweep)
 	s.same("fig2a across the fleet", viaFleet, local)
 	s.same("fig2a through a coordinator", viaCoord, local)
+	s.want(s.metric(coord, "hmserved_cluster_remote_total") > 0, "the coordinator's /metrics counts no run served by the fleet")
 }
 
 // trace: a sweep across a 2-worker fleet with -trace-out leaves a
@@ -469,7 +470,8 @@ func migration(s *scenario) {
 	}
 	for _, q := range []string{
 		"fig3?workloads=nosuch",
-		"figmig?migrate=alpha%3D0&migrate-policy=ewma",
+		"figmig?migrate=alpha%3D0%2Cpolicy%3Dewma",
+		"figmig?migrate-policy=ewma",
 		"figmigtopo?shrink=32&workloads=bfs&migrate=alpha%3D0",
 		"figdyn?migrate=alpha%3D0",
 		"fig3?shrink=0",
@@ -540,6 +542,7 @@ func probe(s *scenario) {
 
 	srv := s.daemon(anyPort, "")
 	s.want(strings.Contains(s.request(srv+"/healthz", "", http.StatusOK), "go_version"), "/healthz reports no build identity")
+	s.request(srv+"/debug/vars", "", http.StatusNotFound)
 	body := s.request(srv+"/v1/runs?probe=interval=500,samples=256", `{"Workload":"bfs","Shrink":16,"BOCapacityFrac":0.1}`, http.StatusAccepted)
 	var job struct{ ID string }
 	s.want(json.Unmarshal([]byte(body), &job) == nil && job.ID != "", "probed submission returned no job id: %s", body)

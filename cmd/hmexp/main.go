@@ -12,7 +12,6 @@
 //	hmexp -workers 1 fig3                    # force sequential simulations
 //	hmexp -server http://localhost:8080 fig3 # offload sweeps to hmserved
 //	hmexp -cluster http://w1:8081,http://w2:8082 fig3   # shard sweeps across a fleet
-//	hmexp -cluster http://w1:8081,http://w2:8082 -cluster-verify fig3
 //	hmexp -trace-out sweep.json -shrink 16 fig2a     # Perfetto timeline of the run
 //	hmexp -tune -shrink 8 bfs                # autotune bfs's placement + migration config
 //	hmexp -tune -tune-strategy grid -tune-budget 8 -topology gh200 bfs
@@ -37,10 +36,10 @@
 // With -cluster, figures are rendered locally but each cache-missing
 // simulation is dispatched to the fleet of hmserved workers, routed by
 // rendezvous hashing with retries, failover, and graceful local fallback
-// (an empty or dead fleet just means a slower, purely local run).
-// -cluster-verify additionally re-renders each figure locally and fails
-// unless the two encodings are byte-identical. A dispatch summary is
-// printed to stderr on exit. -server and -cluster are mutually exclusive.
+// (an empty or dead fleet just means a slower, purely local run). A
+// dispatch summary is printed to stderr on exit. -server and -cluster are
+// mutually exclusive. Only -cluster puts the workers' spans into
+// -trace-out: a daemon's figure response carries no spans.
 //
 // With -tune, hmexp autotunes instead of rendering figures: for each
 // workload (positional args, or -workloads, default bfs) it searches the
@@ -48,9 +47,10 @@
 // -tune-budget candidate evaluations and prints the winning configuration,
 // the oracle comparison, and the search trace. -tune-strategy picks the
 // search schedule (successive halving by default; "grid" is its one-rung
-// baseline). -server runs the search on the daemon via POST /v1/tune;
-// -cluster dispatches candidate evaluations across the fleet. Reports are
-// byte-identical on every path.
+// baseline). The search picks migration specs itself, so -migrate is
+// refused with -tune. -server runs the search on the daemon via POST
+// /v1/tune; -cluster dispatches candidate evaluations across the fleet.
+// Reports are byte-identical on every path.
 //
 // With -trace-out, the run's execution telemetry (internal/telemetry) is
 // recorded and written as Chrome trace-event JSON, loadable in Perfetto
@@ -115,9 +115,7 @@ func main() {
 		srvTO     = flag.Duration("server-timeout", 10*time.Minute, "per-request timeout for -server fetches")
 		srvRetry  = flag.Int("server-retries", 2, "retries (with backoff) for transient -server failures")
 		fleet     = flag.String("cluster", "", "comma-separated hmserved worker URLs; shard each figure's simulations across this fleet")
-		cVerify   = flag.Bool("cluster-verify", false, "with -cluster, also render each figure locally and fail unless byte-identical")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of this run to the file (open in Perfetto)")
-		cMetrics  = flag.String("cluster-metrics", "", "with -cluster, serve the coordinator's Prometheus /metrics on this address (e.g. :9090)")
 		doTune    = flag.Bool("tune", false, "autotune placement policy + migration config per workload instead of rendering figures")
 		tuneBud   = flag.Int("tune-budget", heteromem.DefaultTuneBudget, "with -tune, max candidate evaluations per search")
 		tuneStrat = flag.String("tune-strategy", heteromem.DefaultTuneStrategy, "with -tune, search strategy: grid | halving")
@@ -136,8 +134,8 @@ func main() {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}
 	inv := invocation{
-		server: *server, fleet: *fleet, clusterMetrics: *cMetrics, clusterVerify: *cVerify,
-		tune: *doTune, probe: opts.Probe != nil, budget: *tuneBud, strategy: *tuneStrat,
+		server: *server, fleet: *fleet, tune: *doTune, probe: opts.Probe != nil,
+		migrate: opts.Migrate != "", budget: *tuneBud, strategy: *tuneStrat,
 	}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -257,13 +255,6 @@ func main() {
 		}
 		defer coord.Close()
 	}
-	if *cMetrics != "" {
-		go func() {
-			if err := http.ListenAndServe(*cMetrics, coord.MetricsHandler()); err != nil {
-				fmt.Fprintln(os.Stderr, "hmexp: cluster-metrics:", err)
-			}
-		}()
-	}
 
 	client := &http.Client{Timeout: *srvTO}
 
@@ -287,20 +278,16 @@ func main() {
 		return
 	}
 
-	// figure renders one figure: sharded across the fleet in cluster mode
-	// (optionally verified against a local render), locally otherwise. sp
-	// scopes the figure's telemetry (nil when -trace-out is off).
+	// figure renders one figure: sharded across the fleet in cluster mode,
+	// locally otherwise. sp scopes the figure's telemetry (nil when
+	// -trace-out is off).
 	figure := func(sp *telemetry.Span, id string) (heteromem.Fig, error) {
 		fopts := opts
 		fopts.Span = sp
-		switch {
-		case coord != nil && *cVerify:
-			return coord.VerifyFigure(id, fopts)
-		case coord != nil:
+		if coord != nil {
 			return coord.Figure(id, fopts)
-		default:
-			return heteromem.Figure(id, fopts)
 		}
+		return heteromem.Figure(id, fopts)
 	}
 
 	// render prints one figure from its wire form, fetched from the daemon
@@ -401,20 +388,22 @@ func main() {
 }
 
 // invocation holds what validateFlags checks: hmexp's own flags, and
-// whether -probe attaches a recorder. budgetSet and strategySet report
-// whether the -tune-* flags were given (flag.Visit), so setting them
-// without -tune is rejected rather than silently ignored.
+// whether -probe attaches a recorder and -migrate names a spec. budgetSet
+// and strategySet report whether the -tune-* flags were given
+// (flag.Visit), so setting them without -tune is rejected rather than
+// silently ignored.
 type invocation struct {
-	server, fleet, clusterMetrics string
-	clusterVerify, tune, probe    bool
-	budget                        int
-	strategy                      string
-	budgetSet, strategySet        bool
+	server, fleet          string
+	tune, probe, migrate   bool
+	budget                 int
+	strategy               string
+	budgetSet, strategySet bool
 }
 
 // validateFlags checks hmexp's own flags: the -tune-* values and the
-// combinations of -server, -cluster and -probe. cli.Check reports its
-// errors together with the shared run options' before exiting 2.
+// combinations of -tune, -server, -cluster, -probe and -migrate.
+// cli.Check reports its errors together with the shared run options'
+// before exiting 2.
 func validateFlags(in invocation) error {
 	var errs []error
 	if !in.tune && (in.budgetSet || in.strategySet) {
@@ -438,11 +427,8 @@ func validateFlags(in invocation) error {
 	if in.probe && in.tune {
 		errs = append(errs, fmt.Errorf("-probe applies to figure sweeps, not -tune searches"))
 	}
-	if in.clusterVerify && in.fleet == "" {
-		errs = append(errs, fmt.Errorf("-cluster-verify requires -cluster"))
-	}
-	if in.clusterMetrics != "" && in.fleet == "" {
-		errs = append(errs, fmt.Errorf("-cluster-metrics requires -cluster"))
+	if in.migrate && in.tune {
+		errs = append(errs, fmt.Errorf("-migrate applies to figure sweeps; -tune searches migration specs itself"))
 	}
 	return errors.Join(errs...)
 }

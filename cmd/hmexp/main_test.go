@@ -43,7 +43,7 @@ func TestBadOptionsExit2(t *testing.T) {
 	}{
 		{"-workloads nosuch fig3", []string{`unknown workloads "nosuch"`}},
 		{"-server " + ts.URL + " -workloads nosuch fig3", []string{`unknown workloads "nosuch"`}},
-		{"-migrate alpha=0 -migrate-policy ewma figmig", []string{"EWMAAlpha 0"}},
+		{"-migrate alpha=0,policy=ewma figmig", []string{"EWMAAlpha 0"}},
 		{"-shrink 32 -workloads bfs -migrate alpha=0 figmigtopo", []string{"figmigtopo runs both migration classifiers: migrate: EWMAAlpha 0"}},
 		{"-server " + ts.URL + " -migrate alpha=0 fig3 figdyn", []string{"figdyn runs both migration classifiers"}},
 		{"-shrink -5 -workers -3 fig2a", []string{"shrink must be >= 1", "workers must be >= 0"}},
@@ -177,7 +177,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"defaults", invocation{budget: 16, strategy: "halving"}, 0},
 		{"valid tune", invocation{tune: true, budget: 4, strategy: "grid", budgetSet: true, strategySet: true}, 0},
-		{"valid cluster", invocation{fleet: "http://w1", clusterVerify: true, clusterMetrics: ":9090", probe: true}, 0},
+		{"valid cluster", invocation{fleet: "http://w1", probe: true, migrate: true}, 0},
 		{"tune-budget without -tune", invocation{budget: 8, strategy: "halving", budgetSet: true}, 1},
 		{"tune-strategy without -tune", invocation{budget: 16, strategy: "grid", strategySet: true}, 1},
 		{"bad tune budget", invocation{tune: true, budget: 0, strategy: "halving", budgetSet: true}, 1},
@@ -185,10 +185,9 @@ func TestValidateFlags(t *testing.T) {
 		{"-server with -cluster", invocation{server: "http://d", fleet: "http://w1", budget: 16}, 1},
 		{"-probe with -server", invocation{server: "http://d", probe: true, budget: 16}, 1},
 		{"-probe with -tune", invocation{tune: true, probe: true, budget: 16}, 1},
-		{"-cluster-verify without -cluster", invocation{clusterVerify: true, budget: 16}, 1},
-		{"-cluster-metrics without -cluster", invocation{clusterMetrics: ":9090", budget: 16}, 1},
+		{"-migrate with -tune", invocation{tune: true, migrate: true, budget: 16, strategy: "halving"}, 1},
 		{"everything wrong", invocation{tune: true, budget: -1, strategy: "anneal", budgetSet: true, strategySet: true,
-			server: "http://d", fleet: "http://w1", probe: true}, 5},
+			server: "http://d", fleet: "http://w1", probe: true, migrate: true}, 6},
 	}
 	for _, tc := range cases {
 		if err := validateFlags(tc.in); len(cli.Errors(err)) != tc.want {

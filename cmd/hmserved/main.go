@@ -19,11 +19,10 @@
 //	GET    /v1/jobs/{id}     job status + results
 //	GET    /v1/jobs/{id}/progress  NDJSON stream of a probed job's time series (?once=1 for one pass)
 //	DELETE /v1/jobs/{id}     cancel a queued job
-//	GET    /v1/figures/{id}  reproduce a paper figure (?shrink=&workloads=&workers=&topology=&migrate=&migrate-policy=)
+//	GET    /v1/figures/{id}  reproduce a paper figure (?shrink=&workloads=&workers=&topology=&migrate=; any other parameter is a 400)
 //	POST   /v1/tune          autotune a workload's placement + migration config (internal/tune)
 //	GET    /healthz          liveness (503 while draining), build identity, uptime
-//	GET    /metrics          Prometheus text metrics
-//	GET    /debug/vars       the same counters plus build identity, expvar-style JSON
+//	GET    /metrics          every counter, Prometheus text (with -cluster, the coordinator's too)
 //
 // ?probe= on a run or sweep submission (spec: "on" or
 // "interval=N,samples=N") attaches an in-run flight recorder (internal/obs)
@@ -40,11 +39,10 @@
 // worker daemons by rendezvous hashing (with retries, failover, and local
 // fallback), and coordinator metrics join the /metrics export.
 //
-// Misconfiguration — a flag repeated on the command line, a negative
-// drain, zero job workers or queue capacity, or a default run option that
-// a figure request would be refused for (experiments.Options.Validate:
-// an unknown -topology, a -migrate spec that does not resolve with
-// -migrate-policy) — is rejected at startup with exit status 2 rather
+// A figure request states its own run options in its query; the daemon
+// sets only their -workers default. Misconfiguration — a flag repeated on
+// the command line, a negative drain, zero job workers or queue capacity,
+// or negative -workers — is rejected at startup with exit status 2 rather
 // than silently proceeding with the last value to win. The daemon binds
 // -addr before it logs anything about serving: a busy address exits 1, and
 // the "listening" log line carries the bound address (with -addr
@@ -94,7 +92,7 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running jobs")
 		fleet    = flag.String("cluster", "", "comma-separated worker base URLs; run as coordinator over this fleet")
 		telem    = flag.Bool("telemetry", false, "record execution spans for every request (structured span logs + telemetry histograms on /metrics); header-traced requests are recorded regardless")
-		run      = cli.Register(flag.CommandLine, cli.Workers|cli.Topology|cli.Migrate)
+		run      = cli.Register(flag.CommandLine, cli.Workers)
 	)
 	if dup := duplicateFlags(os.Args[1:]); len(dup) > 0 {
 		fmt.Fprintf(os.Stderr, "hmserved: flag repeated on command line: -%s\n", strings.Join(dup, ", -"))
@@ -130,9 +128,6 @@ func main() {
 		QueueCap:      *queueCap,
 		Logger:        logger,
 		Telemetry:     rec,
-		Topology:      opts.Topology,
-		Migrate:       opts.Migrate,
-		MigratePolicy: opts.MigratePolicy,
 	}
 	if *fleet != "" {
 		coord, err := cluster.New(cluster.Config{

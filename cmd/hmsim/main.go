@@ -32,6 +32,7 @@ import (
 	"hetsim"
 	"hetsim/cmd/internal/cli"
 	"hetsim/internal/experiments"
+	"hetsim/internal/migrate"
 	"hetsim/internal/prof"
 	"hetsim/internal/trace"
 	"hetsim/internal/workloads"
@@ -55,7 +56,7 @@ func main() {
 	flag.Parse()
 	opts, probeErr := run.Options()
 	cli.Check("hmsim", probeErr, opts.Validate(), validateFlags(*policy, *dataset, *replay))
-	migCfg, _ := opts.Migration() // validated above
+	migCfg, _ := migrate.ParseSpec(opts.Migrate) // validated above
 	top, _ := heteromem.TopologyPreset(opts.Topology)
 	mem := top.MemsysConfig()
 	stopProf, err := prof.Start(run.CPUProfile, run.MemProfile)

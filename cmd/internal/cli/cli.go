@@ -1,9 +1,9 @@
 // Package cli declares once the run-option flags that two or more of
 // hetsim's binaries share — -shrink, -workers, -topology, -migrate,
-// -migrate-policy, -probe, -cpuprofile and -memprofile — and
-// reports every error in them, together with each binary's own, before
-// exiting 2. The values are checked by experiments.Options.Validate, the
-// same check the daemon applies to a figure request's query.
+// -probe, -cpuprofile and -memprofile — and reports every error in them,
+// together with each binary's own, before exiting 2. The values are
+// checked by experiments.Options.Validate, the same check the daemon
+// applies to a figure request's query.
 package cli
 
 import (
@@ -24,7 +24,7 @@ const (
 	Shrink   Set = 1 << iota // -shrink
 	Workers                  // -workers
 	Topology                 // -topology
-	Migrate                  // -migrate and -migrate-policy
+	Migrate                  // -migrate
 	Probe                    // -probe
 	Profile                  // -cpuprofile and -memprofile
 )
@@ -32,9 +32,9 @@ const (
 // Flags holds the shared flags' values. A flag a binary does not declare
 // keeps its default.
 type Flags struct {
-	Shrink, Workers                         int
-	Topology, Migrate, MigratePolicy, Probe string
-	CPUProfile, MemProfile                  string
+	Shrink, Workers          int
+	Topology, Migrate, Probe string
+	CPUProfile, MemProfile   string
 }
 
 // Register declares the flags in set on fs.
@@ -48,11 +48,10 @@ func Register(fs *flag.FlagSet, set Set) *Flags {
 	}
 	if set&Topology != 0 {
 		fs.StringVar(&f.Topology, "topology", "", "memory-topology preset: "+strings.Join(topology.Names(), " | ")+
-			" (empty = k40-ddr4, the paper's Table 1 system; hmserved: the default of figure requests)")
+			" (empty = k40-ddr4, the paper's Table 1 system)")
 	}
 	if set&Migrate != 0 {
-		fs.StringVar(&f.Migrate, "migrate", "", "dynamic page migration: off | on | key=value,... (epoch, pages, lock, minheat, hyst, cooldown, policy, alpha, high, low, wb); hmserved: the default of figure requests")
-		fs.StringVar(&f.MigratePolicy, "migrate-policy", "", "migration classifier: counter | ewma (overrides the -migrate spec)")
+		fs.StringVar(&f.Migrate, "migrate", "", "dynamic page migration: off | on | key=value,... (epoch, pages, lock, minheat, hyst, cooldown, policy, alpha, high, low, wb)")
 	}
 	if set&Probe != 0 {
 		fs.StringVar(&f.Probe, "probe", "", "attach a flight recorder to every simulation: off | on | interval=N,samples=N,out=PATH,format=json|csv")
@@ -74,7 +73,7 @@ func (f *Flags) Options() (experiments.Options, error) {
 	}
 	return experiments.Options{
 		Shrink: f.Shrink, Workers: f.Workers, Topology: f.Topology,
-		Migrate: f.Migrate, MigratePolicy: f.MigratePolicy, Probe: probe,
+		Migrate: f.Migrate, Probe: probe,
 	}, err
 }
 

@@ -12,7 +12,7 @@ import (
 const (
 	hmsim    = Shrink | Topology | Migrate | Probe | Profile
 	hmexp    = Shrink | Workers | Topology | Migrate | Probe | Profile
-	hmserved = Workers | Topology | Migrate
+	hmserved = Workers
 	hmprof   = Shrink
 )
 
@@ -41,12 +41,12 @@ func TestValidate(t *testing.T) {
 		want int // errors reported; -1 = the flag parse itself fails
 	}{
 		{"hmexp defaults", hmexp, nil, 0},
-		{"hmexp valid everything", hmexp, []string{"-topology", "gh200", "-migrate", "on",
-			"-migrate-policy", "ewma", "-probe", "interval=5000,out=s.csv", "-shrink", "8", "-workers", "2"}, 0},
+		{"hmexp valid everything", hmexp, []string{"-topology", "gh200", "-migrate", "policy=ewma",
+			"-probe", "interval=5000,out=s.csv", "-shrink", "8", "-workers", "2"}, 0},
 		{"unknown topology", hmexp, []string{"-topology", "vax"}, 1},
 		{"bad migrate spec", hmexp, []string{"-migrate", "epoch=-1"}, 1},
-		{"unknown migrate policy", hmexp, []string{"-migrate-policy", "fifo"}, 1},
-		{"migrate spec invalid for the policy", hmexp, []string{"-migrate", "alpha=0", "-migrate-policy", "ewma"}, 1},
+		{"unknown migrate policy", hmexp, []string{"-migrate", "policy=fifo"}, 1},
+		{"migrate spec invalid for the policy", hmexp, []string{"-migrate", "alpha=0,policy=ewma"}, 1},
 		{"migrate spec valid for its own policy", hmexp, []string{"-migrate", "alpha=0"}, 0},
 		{"bad probe spec", hmexp, []string{"-probe", "interval=0"}, 1},
 		{"unknown probe format", hmexp, []string{"-probe", "format=xml"}, 1},
@@ -54,24 +54,23 @@ func TestValidate(t *testing.T) {
 		{"zero shrink", hmsim, []string{"-shrink", "0"}, 1},
 		{"negative workers", hmexp, []string{"-workers", "-3"}, 1},
 		{"shrink and workers", hmexp, []string{"-shrink", "-5", "-workers", "-3"}, 2},
-		// The migrate spec and policy share one resolver, so the pair
-		// counts once; every other bad flag reports its own error.
 		{"hmexp everything wrong", hmexp, []string{"-topology", "vax", "-migrate", "epoch=-1",
-			"-migrate-policy", "fifo", "-probe", "format=xml", "-shrink", "0", "-workers", "-1"}, 5},
+			"-probe", "format=xml", "-shrink", "0", "-workers", "-1"}, 5},
+		{"hmexp declares no -migrate-policy", hmexp, []string{"-migrate-policy", "ewma"}, -1},
 		{"hmsim defaults", hmsim, nil, 0},
-		{"hmsim valid", hmsim, []string{"-topology", "gh200", "-migrate", "on",
-			"-migrate-policy", "ewma", "-probe", "interval=1000,samples=64"}, 0},
-		{"hmsim everything wrong", hmsim, []string{"-topology", "vax", "-migrate", "epoch=-1",
-			"-migrate-policy", "no-such-policy", "-probe", "samples=1", "-shrink", "-7"}, 4},
+		{"hmsim valid", hmsim, []string{"-topology", "gh200", "-migrate", "policy=ewma",
+			"-probe", "interval=1000,samples=64"}, 0},
+		{"hmsim everything wrong", hmsim, []string{"-topology", "vax", "-migrate", "policy=no-such-policy",
+			"-probe", "samples=1", "-shrink", "-7"}, 4},
 		{"hmsim declares no -workers", hmsim, []string{"-workers", "2"}, -1},
 		{"hmsim declares no -lanes", hmsim, []string{"-lanes", "2"}, -1},
+		{"hmsim declares no -migrate-policy", hmsim, []string{"-migrate-policy", "ewma"}, -1},
 		{"hmserved defaults", hmserved, nil, 0},
-		{"hmserved valid", hmserved, []string{"-workers", "4", "-topology", "gh200",
-			"-migrate", "on", "-migrate-policy", "ewma"}, 0},
-		{"hmserved everything wrong", hmserved, []string{"-workers", "-1", "-topology", "no-such-topology",
-			"-migrate", "epoch=-1", "-migrate-policy", "no-such-policy"}, 3},
-		{"hmserved bad migrate pair", hmserved, []string{"-migrate", "alpha=0", "-migrate-policy", "ewma"}, 1},
+		{"hmserved valid", hmserved, []string{"-workers", "4"}, 0},
+		{"hmserved everything wrong", hmserved, []string{"-workers", "-1"}, 1},
 		{"hmserved declares no -shrink", hmserved, []string{"-shrink", "2"}, -1},
+		{"hmserved declares no -topology", hmserved, []string{"-topology", "gh200"}, -1},
+		{"hmserved declares no -migrate", hmserved, []string{"-migrate", "on"}, -1},
 		{"hmprof shrink", hmprof, []string{"-shrink", "16"}, 0},
 		{"hmprof negative shrink", hmprof, []string{"-shrink", "-7"}, 1},
 	}
@@ -102,7 +101,7 @@ func TestErrorsNameOptions(t *testing.T) {
 		want string
 	}{
 		{[]string{"-topology", "hbm9000"}, "k40-ddr4"},
-		{[]string{"-migrate-policy", "mystery"}, "ewma"},
+		{[]string{"-migrate", "policy=mystery"}, "ewma"},
 		{[]string{"-probe", "format=xml"}, "-probe"},
 		{[]string{"-shrink", "-5"}, "shrink"},
 		{[]string{"-workers", "-3"}, "workers"},

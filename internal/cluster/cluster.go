@@ -24,8 +24,9 @@
 // property the persistent disk cache relies on), so any mix of local runs,
 // remote runs, retries, and failovers reassembles — per input index, by
 // the pool executor — into output byte-identical to a purely local run.
-// VerifyFigure asserts exactly that, reusing the serving layer's
-// timing-free figure encoding.
+// EncodeFigure is the timing-free figure encoding the guarantee is stated
+// over: this package's tests compare fleet and local renders through it,
+// and cmd/hme2e's cluster scenario compares their CSVs on real binaries.
 package cluster
 
 import (

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"io"
 	"log/slog"
 	"net/http"
@@ -67,6 +68,32 @@ func fig2aOpts() experiments.Options {
 	return experiments.Options{Shrink: 16, Workloads: []string{"bfs", "stencil", "lbm"}}
 }
 
+// fleetFigure renders id across the fleet, against a fresh result cache so
+// no earlier render can feed it, and fails the test unless its encoding is
+// byte-identical to a purely local render's.
+func fleetFigure(t *testing.T, c *Coordinator, id string, opts experiments.Options) experiments.Figure {
+	t.Helper()
+	opts.Cache = experiments.NewResultCache()
+	fig, err := c.Figure(id, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := experiments.ByID(id)
+	opts.Cache = experiments.NewResultCache()
+	local, err := fn(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeFigure(fig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := EncodeFigure(local); !bytes.Equal(got, want) {
+		t.Fatalf("%s differs between the fleet render and a local one:\nfleet %s\nlocal %s", id, got, want)
+	}
+	return fig
+}
+
 // TestClusterFigureByteIdentity is the acceptance scenario: a sweep
 // dispatched across two in-process hmserved workers produces figure output
 // byte-identical to a purely local run, with every simulation actually
@@ -76,10 +103,7 @@ func TestClusterFigureByteIdentity(t *testing.T) {
 	w2 := testWorker(t, nil)
 	c := newCoordinator(t, testConfig(w1.URL, w2.URL))
 
-	fig, err := c.VerifyFigure("fig2a", fig2aOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := fleetFigure(t, c, "fig2a", fig2aOpts())
 	if fig.ID != "fig2a" || fig.Sweep.Remote != 15 {
 		t.Errorf("fleet render: id %s, %d remote runs (want 15): %+v", fig.ID, fig.Sweep.Remote, fig.Sweep)
 	}
@@ -103,8 +127,8 @@ func TestClusterFigureByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st2 := c.Stats(); st2.Dispatches != st.Dispatches+15 {
-		// VerifyFigure used fresh caches; Figure warms the coordinator
-		// cache, so this render dispatched each config exactly once.
+		// fleetFigure used a fresh cache; this render fills the
+		// coordinator's own, so it dispatched each config exactly once.
 		t.Errorf("dispatches went %d -> %d, want +15", st.Dispatches, st2.Dispatches)
 	}
 }
@@ -138,10 +162,7 @@ func TestWorkerDeathFailover(t *testing.T) {
 	w2 := testWorker(t, nil)
 	c := newCoordinator(t, testConfig(w1.URL, w2.URL))
 
-	fig, err := c.VerifyFigure("fig2a", fig2aOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := fleetFigure(t, c, "fig2a", fig2aOpts())
 	if fig.Sweep.Remote != 15 {
 		t.Errorf("fleet served %d of 15 runs after worker death", fig.Sweep.Remote)
 	}
@@ -163,32 +184,7 @@ func TestWorkerDeathFailover(t *testing.T) {
 func TestAllWorkersDeadLocalFallback(t *testing.T) {
 	cfg := testConfig("http://127.0.0.1:1", "http://127.0.0.1:2")
 	c := newCoordinator(t, cfg)
-	opts := experiments.Options{Shrink: 16, Workloads: []string{"bfs"}}
-
-	fig, err := c.Figure("fig2a", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EncodeFigure(fig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lopts := opts
-	lopts.Cache = experiments.NewResultCache()
-	localFig, err := func() (experiments.Figure, error) {
-		fn, _ := experiments.ByID("fig2a")
-		return fn(lopts)
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := EncodeFigure(localFig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Error("local-fallback figure differs from plain local render")
-	}
+	fig := fleetFigure(t, c, "fig2a", experiments.Options{Shrink: 16, Workloads: []string{"bfs"}})
 	st := c.Stats()
 	if st.Remote != 0 || st.LocalFallbacks != 5 {
 		t.Errorf("stats = %+v, want 0 remote and 5 local fallbacks", st)

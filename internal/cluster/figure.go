@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -34,57 +33,4 @@ func (c *Coordinator) Figure(id string, opts experiments.Options) (experiments.F
 // no matter where (or whether) the simulations ran.
 func EncodeFigure(fig experiments.Figure) ([]byte, error) {
 	return json.Marshal(serve.NewFigureResult(fig))
-}
-
-// VerifyFigure is the merge-stage determinism check: it reproduces the
-// figure twice — once sharded across the fleet, once purely locally, each
-// against a fresh private result cache so neither can feed the other — and
-// asserts the two encodings are byte-identical before returning the
-// cluster-rendered figure. A mismatch means a worker returned a result
-// that differs from local simulation, which violates the cluster's
-// consistency contract and fails loudly rather than silently corrupting a
-// reproduction.
-func (c *Coordinator) VerifyFigure(id string, opts experiments.Options) (experiments.Figure, error) {
-	copts := opts
-	copts.Cache = experiments.NewResultCache()
-	clusterFig, err := c.Figure(id, copts)
-	if err != nil {
-		return experiments.Figure{}, fmt.Errorf("cluster: fleet render of %s: %w", id, err)
-	}
-	clusterBytes, err := EncodeFigure(clusterFig)
-	if err != nil {
-		return experiments.Figure{}, err
-	}
-
-	fn, _ := experiments.ByID(id)
-	lopts := opts
-	lopts.Remote = nil
-	lopts.Cache = experiments.NewResultCache()
-	localFig, err := fn(lopts)
-	if err != nil {
-		return experiments.Figure{}, fmt.Errorf("cluster: local render of %s: %w", id, err)
-	}
-	localBytes, err := EncodeFigure(localFig)
-	if err != nil {
-		return experiments.Figure{}, err
-	}
-
-	if !bytes.Equal(clusterBytes, localBytes) {
-		return experiments.Figure{}, fmt.Errorf(
-			"cluster: figure %s differs between fleet and local render at byte %d (fleet %d bytes, local %d bytes)",
-			id, firstDiff(clusterBytes, localBytes), len(clusterBytes), len(localBytes))
-	}
-	return clusterFig, nil
-}
-
-// firstDiff is the index of the first differing byte (or the shorter
-// length when one is a prefix of the other).
-func firstDiff(a, b []byte) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }

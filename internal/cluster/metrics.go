@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"net/http"
-
-	"hetsim/internal/metrics"
-)
+import "fmt"
 
 // Stats is a point-in-time snapshot of the coordinator's aggregate
 // counters, for tests and CLI summaries.
@@ -46,9 +41,8 @@ func (c *Coordinator) Stats() Stats {
 // MetricsMap renders every coordinator counter — fleet-wide aggregates
 // plus per-worker jobs/errors/retries/in-flight and latency percentiles —
 // as a flat metric map. Keys use Prometheus label syntax for the
-// per-worker series, so plugging this into serve.Config.ExtraMetrics
-// exports the whole thing through a daemon's existing /metrics and
-// /debug/vars endpoints.
+// per-worker series; hmserved -cluster plugs it into
+// serve.Config.ExtraMetrics, which exports it on the daemon's /metrics.
 func (c *Coordinator) MetricsMap() map[string]float64 {
 	st := c.Stats()
 	m := map[string]float64{
@@ -86,19 +80,4 @@ func (c *Coordinator) MetricsMap() map[string]float64 {
 		w.mu.Unlock()
 	}
 	return m
-}
-
-// MetricsHandler serves the coordinator's own Prometheus /metrics endpoint
-// under the hmcluster_ prefix — dispatch, failover, and heartbeat counters
-// plus the per-worker labeled series — so a standalone coordinator (hmexp
-// -cluster, hmserved -cluster before ExtraMetrics wiring) exports the same
-// observability surface as its workers.
-func (c *Coordinator) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprintln(w, "hmcluster_up 1")
-		// Map keys already carry the cluster_ prefix, so "hm" yields
-		// hmcluster_-prefixed series matching the gauge above.
-		metrics.WriteText(w, "hm", c.MetricsMap())
-	})
 }

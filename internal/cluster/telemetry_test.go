@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"hetsim/internal/experiments"
 	"hetsim/internal/metrics"
+	"hetsim/internal/serve"
 	"hetsim/internal/telemetry"
 )
 
@@ -79,9 +79,10 @@ func TestUntracedRunShipsNoSpans(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMetricsHandlerParses: the coordinator's own /metrics
-// endpoint emits valid Prometheus text with per-worker series.
-func TestCoordinatorMetricsHandlerParses(t *testing.T) {
+// TestCoordinatorDaemonMetricsParse: a coordinator daemon (hmserved
+// -cluster) exports the coordinator's counters on its own /metrics, which
+// parses as Prometheus text and carries the per-worker series.
+func TestCoordinatorDaemonMetricsParse(t *testing.T) {
 	w := testWorker(t, nil)
 	c := newCoordinator(t, testConfig(w.URL))
 
@@ -91,16 +92,20 @@ func TestCoordinatorMetricsHandlerParses(t *testing.T) {
 		t.Fatal("dispatch failed")
 	}
 
-	ms := httptest.NewServer(c.MetricsHandler())
-	defer ms.Close()
-	resp, err := ms.Client().Get(ms.URL)
+	srv, err := serve.New(serve.Config{Remote: c.Run, ExtraMetrics: c.MetricsMap, Logger: discard()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := httptest.NewServer(srv.Handler())
+	defer func() {
+		ms.Close()
+		srv.Close()
+	}()
+	resp, err := ms.Client().Get(ms.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("Content-Type = %q", ct)
-	}
 	samples, err := metrics.ParseText(resp.Body)
 	if err != nil {
 		t.Fatalf("/metrics output is not valid Prometheus text: %v", err)
@@ -108,9 +113,6 @@ func TestCoordinatorMetricsHandlerParses(t *testing.T) {
 	byName := map[string]float64{}
 	perWorker := 0
 	for _, s := range samples {
-		if !strings.HasPrefix(s.Name, "hmcluster_") {
-			t.Errorf("sample %q missing hmcluster_ prefix", s.Name)
-		}
 		if s.Labels["worker"] != "" {
 			perWorker++
 		}
@@ -118,13 +120,10 @@ func TestCoordinatorMetricsHandlerParses(t *testing.T) {
 			byName[s.Name] = s.Value
 		}
 	}
-	if byName["hmcluster_up"] != 1 {
-		t.Error("missing hmcluster_up 1")
-	}
-	if byName["hmcluster_remote_total"] != 1 {
-		t.Errorf("hmcluster_remote_total = %v, want 1", byName["hmcluster_remote_total"])
+	if byName["hmserved_cluster_remote_total"] != 1 {
+		t.Errorf("hmserved_cluster_remote_total = %v, want 1", byName["hmserved_cluster_remote_total"])
 	}
 	if perWorker == 0 {
-		t.Error("no per-worker labeled series on the coordinator endpoint")
+		t.Error("no per-worker labeled series on the coordinator daemon's /metrics")
 	}
 }

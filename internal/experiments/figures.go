@@ -58,14 +58,12 @@ type Options struct {
 	// Migrate configures the dynamic page-migration engine for the figures
 	// that run it (figmig, figphase, figmigtopo, figdyn) as a migrate spec
 	// string (see migrate.ParseSpec): "" or "on" means
-	// migrate.DefaultConfig, "k=v,..." overrides it. Invalid specs fail
-	// figure construction. Figures without a migration arm ignore it.
+	// migrate.DefaultConfig, "k=v,..." overrides it, and its policy= key
+	// names the classifier. figmigtopo and figdyn run both classifiers
+	// side by side, so they ignore policy= and need a spec valid under
+	// each (CheckFigure). Invalid specs fail figure construction. Figures
+	// without a migration arm ignore it.
 	Migrate string
-	// MigratePolicy overrides the classifier of the Migrate spec
-	// ("counter" or "ewma"); "" keeps the spec's choice. figmigtopo and
-	// figdyn, which compare both classifiers side by side, ignore it and
-	// need a spec valid for each (CheckFigure).
-	MigratePolicy string
 
 	// Probe, when set, attaches a flight recorder (internal/obs) to every
 	// run of the figure's sweeps; ProbeSink receives each run's label and
@@ -117,11 +115,10 @@ func (o Options) mem() (memsys.Config, error) {
 // the daemon's figure query (internal/serve). It reports every problem at
 // once: unknown workloads, Shrink below 1, Workers below 0, an unknown
 // Topology preset, an invalid Probe config, and a Migrate spec that does
-// not resolve together with MigratePolicy (see Migration). Figure
-// functions read a zero Shrink as 1; a surface states it explicitly, so
-// Validate treats zero as out of range. It looks names up
-// without building workloads or presets for the defaults, so the daemon
-// can run it on every request.
+// not parse (migrate.ParseSpec). Figure functions read a zero Shrink as
+// 1; a surface states it explicitly, so Validate treats zero as out of
+// range. It looks names up without building workloads or presets for the
+// defaults, so the daemon can run it on every request.
 func (o Options) Validate() error {
 	var errs []error
 	var unknown []string
@@ -150,58 +147,35 @@ func (o Options) Validate() error {
 			errs = append(errs, err)
 		}
 	}
-	if _, err := o.Migration(); err != nil {
+	if _, err := migrate.ParseSpec(o.Migrate); err != nil {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
 }
 
-// Migration resolves the Migrate spec together with the MigratePolicy
-// override to one validated engine configuration. It returns nil when
-// neither enables migration (an empty or "off" spec and no policy); a
-// policy alone selects migrate.DefaultConfig with that classifier. A
-// spec valid for one classifier can be invalid for the override (alpha=0
-// is ignored by counter and rejected by ewma), so the pair is checked as
-// one.
-func (o Options) Migration() (*migrate.Config, error) {
-	cfg, err := migrate.ParseSpec(o.Migrate)
-	if err != nil || o.MigratePolicy == "" {
-		return cfg, err
-	}
-	if cfg == nil {
-		def := migrate.DefaultConfig()
-		cfg = &def
-	}
-	cfg.Policy = o.MigratePolicy
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
-}
-
-// migration is Migration for the figures with a migration arm: they exist
-// to show migration, so an unset selection means migrate.DefaultConfig
-// rather than no migration.
+// migration resolves the Migrate spec for the figures with a migration
+// arm: they exist to show migration, so a spec that leaves it off (""
+// or "off") means migrate.DefaultConfig rather than no migration.
 func (o Options) migration() (migrate.Config, error) {
-	cfg, err := o.Migration()
+	cfg, err := migrate.ParseSpec(o.Migrate)
 	if err != nil || cfg == nil {
 		return migrate.DefaultConfig(), err
 	}
 	return *cfg, nil
 }
 
-// classifierArms resolves the Migrate spec once under each classifier, as
-// MigratePolicy overrides, for the figures that compare the two side by
-// side (figmigtopo, figdyn; see CheckFigure). A spec valid for one
-// classifier but not the other (alpha=0 suits counter, not ewma) fails
-// here, before the figure runs a simulation.
+// classifierArms resolves the Migrate spec once and returns a copy under
+// each classifier, for the figures that compare the two side by side
+// (figmigtopo, figdyn; see CheckFigure). A spec valid for one classifier
+// but not the other (alpha=0 suits counter, not ewma) fails here, before
+// the figure runs a simulation.
 func (o Options) classifierArms() (counter, ewma migrate.Config, err error) {
-	o.MigratePolicy = migrate.PolicyCounter
-	if counter, err = o.migration(); err != nil {
-		return counter, ewma, err
+	counter, err = o.migration()
+	ewma = counter
+	counter.Policy, ewma.Policy = migrate.PolicyCounter, migrate.PolicyEWMA
+	if err == nil {
+		err = errors.Join(counter.Validate(), ewma.Validate())
 	}
-	o.MigratePolicy = migrate.PolicyEWMA
-	ewma, err = o.migration()
 	return counter, ewma, err
 }
 

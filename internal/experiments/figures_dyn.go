@@ -26,7 +26,8 @@ const figDynRows = 8
 // deterministic for any worker count (the sampling grid is a function of
 // the schedule alone).
 // Options.Topology is ignored — the multi-tier chain is the point — and so
-// is Options.MigratePolicy, since both classifiers are the comparison.
+// is the Migrate spec's policy= key, since both classifiers are the
+// comparison; the rest of the spec applies to each.
 func FigDyn(opts Options) (Figure, error) {
 	wl := "bfs"
 	if len(opts.Workloads) > 0 {

@@ -16,8 +16,8 @@ import (
 // multi-tier chain (pages climb CXL → DDR4 → GDDR5 one hop per epoch and
 // cold pages drain the other way through the write-back buffer).
 // Options.Topology is ignored — this figure sweeps all presets by
-// construction — and Options.MigratePolicy too, since both classifiers are
-// the comparison.
+// construction — and so is the Migrate spec's policy= key, since both
+// classifiers are the comparison; the rest of the spec applies to each.
 func FigMigTopo(opts Options) (Figure, error) {
 	wls := opts.Workloads
 	if len(wls) == 0 {

@@ -261,18 +261,18 @@ func TestPrintCDF(t *testing.T) {
 // TestOptionsValidate: the one check of user-stated run options reports
 // every problem at once, and names the unknown workloads in one error.
 func TestOptionsValidate(t *testing.T) {
-	ok := Options{Shrink: 1, Workloads: []string{"bfs", "phased"}, Topology: "gh200", Migrate: "on", MigratePolicy: "ewma"}
+	ok := Options{Shrink: 1, Workloads: []string{"bfs", "phased"}, Topology: "gh200", Migrate: "policy=ewma"}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 	bad := Options{Workloads: []string{"bfs", "nosuch", "", "stencil"}, Workers: -1, Topology: "vax",
-		Migrate: "alpha=0", MigratePolicy: "ewma", Probe: &obs.Config{Interval: 0, MaxSamples: 8}}
+		Migrate: "alpha=0,policy=ewma", Probe: &obs.Config{Interval: 0, MaxSamples: 8}}
 	err := bad.Validate()
 	if err == nil {
 		t.Fatal("invalid options accepted")
 	}
 	errs := err.(interface{ Unwrap() []error }).Unwrap()
-	// workloads, shrink 0, workers, topology, probe, migrate pair
+	// workloads, shrink 0, workers, topology, probe, migrate spec
 	if len(errs) != 6 {
 		t.Errorf("got %d errors, want 6: %v", len(errs), errs)
 	}

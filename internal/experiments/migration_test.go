@@ -61,41 +61,40 @@ func TestMigrationDisabledByteIdentical(t *testing.T) {
 	}
 }
 
-// Options.migration resolves the spec + policy override for the figures
-// that grow a migration arm; bad specs must surface as figure errors.
+// Options.migration resolves the spec for the figures that grow a
+// migration arm, and classifierArms runs it under each classifier; bad
+// specs must surface as figure errors.
 func TestOptionsMigration(t *testing.T) {
-	cfg, err := (Options{}).migration()
-	if err != nil {
-		t.Fatal(err)
+	def := migrate.DefaultConfig()
+	for _, spec := range []string{"", "off", "on"} {
+		if cfg, err := (Options{Migrate: spec}).migration(); err != nil || cfg != def {
+			t.Errorf("Migrate %q resolved %+v, %v; want the defaults", spec, cfg, err)
+		}
 	}
-	if def := migrate.DefaultConfig(); cfg != def {
-		t.Errorf("empty options resolved %+v, want defaults", cfg)
-	}
-	cfg, err = (Options{Migrate: "epoch=1000", MigratePolicy: "ewma"}).migration()
+	cfg, err := (Options{Migrate: "epoch=1000,policy=ewma"}).migration()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.EpochCycles != 1000 || cfg.Policy != migrate.PolicyEWMA {
-		t.Errorf("override not applied: %+v", cfg)
+		t.Errorf("spec not applied: %+v", cfg)
 	}
 	if _, err := (Options{Migrate: "epoch=-5"}).migration(); err == nil {
 		t.Error("negative epoch accepted")
 	}
-	// Migration, the resolver behind both, leaves migration off unless the
-	// spec or a policy turns it on, and checks the pair as one.
-	for _, o := range []Options{{}, {Migrate: "off"}} {
-		if cfg, err := o.Migration(); cfg != nil || err != nil {
-			t.Errorf("%+v resolved to %+v, %v; want migration off", o, cfg, err)
-		}
+	counter, ewma, err := (Options{Migrate: "epoch=1000,policy=ewma"}).classifierArms()
+	if err != nil || counter.Policy != migrate.PolicyCounter || ewma.Policy != migrate.PolicyEWMA ||
+		counter.EpochCycles != 1000 || ewma.EpochCycles != 1000 {
+		t.Errorf("classifier arms %+v / %+v, %v; want the spec under each classifier", counter, ewma, err)
 	}
-	if cfg, err := (Options{Migrate: "off", MigratePolicy: "ewma"}).Migration(); err != nil || cfg == nil || cfg.Policy != migrate.PolicyEWMA {
-		t.Errorf("a policy alone resolved to %+v, %v; want the defaults with ewma", cfg, err)
-	}
-	if _, err := (Options{Migrate: "alpha=0"}).Migration(); err != nil {
+	// alpha=0 is ignored by counter and rejected by ewma.
+	if err := (Options{Shrink: 1, Migrate: "alpha=0"}).Validate(); err != nil {
 		t.Errorf("alpha=0 under the counter classifier rejected: %v", err)
 	}
-	if _, err := (Options{Migrate: "alpha=0", MigratePolicy: "ewma"}).Migration(); err == nil {
-		t.Error("alpha=0 under an ewma override accepted")
+	if err := (Options{Shrink: 1, Migrate: "alpha=0,policy=ewma"}).Validate(); err == nil {
+		t.Error("alpha=0 under the ewma classifier accepted")
+	}
+	if _, _, err := (Options{Migrate: "alpha=0"}).classifierArms(); err == nil {
+		t.Error("classifierArms accepted a spec the ewma arm rejects")
 	}
 	if _, err := FigMigration(Options{Shrink: 16, Workloads: []string{"bfs"}, Migrate: "minheat=0"}); err == nil {
 		t.Error("FigMigration accepted an invalid migration spec")

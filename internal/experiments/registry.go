@@ -37,7 +37,7 @@ var figures = []figure{
 	{"figzones", "three-pool BW-AWARE: placement fractions converge to bandwidth shares", FigZones, nil},
 	{"figenergy", "energy and energy-delay product of placement policies, normalized to LOCAL", FigEnergy, nil},
 	{"figphase", "phase-shifting workload: online migration vs every static placement", FigPhase, nil},
-	{"figtlb", "page-size study: 4 kB vs 2 MB placement precision with translation costs", FigTLB, nil},
+	{"figtlb", "page-size study: 4, 16 and 64 kB placement precision with translation costs", FigTLB, nil},
 	{"figcpu", "CPU interference: BW-AWARE under CPU traffic, with a contention-aware SBIT", FigCPU, nil},
 	{"figtopo", "BW-AWARE edge vs LOCAL/INTERLEAVE across all topology presets", FigTopology, nil},
 	{"figmigtopo", "migration classifiers (counter, ewma) across topology presets at 10% capacity", FigMigTopo, checkClassifiers},
@@ -45,8 +45,8 @@ var figures = []figure{
 }
 
 // checkClassifiers is the check of the figures that run every migration
-// classifier side by side: they override MigratePolicy with each in turn,
-// so their Migrate spec must be valid under each (see classifierArms).
+// classifier side by side: they run the Migrate spec under each in turn,
+// so it must be valid under each (see classifierArms).
 func checkClassifiers(o Options) error {
 	if _, _, err := o.classifierArms(); err != nil {
 		return fmt.Errorf("runs both migration classifiers: %w", err)

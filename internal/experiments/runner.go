@@ -181,7 +181,8 @@ func (rc RunConfig) resolved() RunConfig {
 }
 
 // Validate reports why Run would refuse rc, read with Run's defaults
-// applied: a malformed memory system, GPU or page size, an unknown
+// applied: a malformed memory system or GPU, a page size that is not a
+// power of two between the cache line and vm.MaxPageSize, an unknown
 // workload or policy, a ratio outside [0,100], an ORACLE run without a
 // profile, CPU traffic that is negative or not finite, or a hint outside
 // the placement hints. Run calls it first; the daemon calls it before
@@ -203,6 +204,9 @@ func (rc RunConfig) Validate() error {
 	}
 	if rc.PageSize < uint64(rc.Mem.LineBytes) {
 		return fmt.Errorf("experiments: PageSize %d is smaller than the %d-byte cache line", rc.PageSize, rc.Mem.LineBytes)
+	}
+	if rc.PageSize > vm.MaxPageSize {
+		return fmt.Errorf("experiments: PageSize %d is larger than the %d-byte maximum", rc.PageSize, vm.MaxPageSize)
 	}
 	if rc.replay == nil && !workloads.Known(rc.Workload) {
 		return fmt.Errorf("experiments: unknown workload %q (have %v)", rc.Workload, workloads.AllNames())

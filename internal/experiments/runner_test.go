@@ -285,9 +285,9 @@ func TestTable1SBITMatchesConfig(t *testing.T) {
 // TestRunRejectsMalformedMem: a malformed RunConfig — its memory system,
 // GPU, TLB, page size, policy parameters, CPU traffic or hints — as a
 // client may send one, is an error from Run and never a panic. Every row
-// but the zone-span one, which depends on the workload's allocations, is
-// refused by RunConfig.Validate before any simulation state is built (the
-// daemon's copy of these rows is serve.TestSubmitRejectsMalformedConfigs).
+// is refused by RunConfig.Validate before any simulation state is built
+// (the daemon's copy of these rows is
+// serve.TestSubmitRejectsMalformedConfigs).
 func TestRunRejectsMalformedMem(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -309,6 +309,7 @@ func TestRunRejectsMalformedMem(t *testing.T) {
 		{"ratio above 100", func(rc *RunConfig) { rc.Policy, rc.PercentCO = RatioPolicy, 150 }},
 		{"negative ratio", func(rc *RunConfig) { rc.Policy, rc.PercentCO = RatioPolicy, -5 }},
 		{"allocations past the zone span", func(rc *RunConfig) { rc.PageSize = 1 << 40 }},
+		{"pages above the maximum", func(rc *RunConfig) { rc.PageSize = vm.MaxPageSize << 1 }},
 		{"negative CPU traffic", func(rc *RunConfig) { rc.CPUTrafficGBps = -40 }},
 		{"hints outside the placement hints", func(rc *RunConfig) {
 			rc.Policy, rc.Hints = HintedPolicy, []core.Hint{99, 99, 99, 99, 99, 99}
@@ -320,10 +321,14 @@ func TestRunRejectsMalformedMem(t *testing.T) {
 			if _, err := Run(rc); err == nil {
 				t.Fatal("Run accepted a malformed RunConfig")
 			}
-			if err := rc.Validate(); err == nil && c.name != "allocations past the zone span" {
+			if err := rc.Validate(); err == nil {
 				t.Error("Validate accepted a malformed RunConfig")
 			}
 		})
+	}
+	rc := RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 64, PageSize: vm.MaxPageSize}
+	if err := rc.Validate(); err != nil {
+		t.Errorf("Validate refused %d-byte pages, the maximum: %v", rc.PageSize, err)
 	}
 }
 

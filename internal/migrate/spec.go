@@ -11,7 +11,7 @@ import (
 )
 
 // Spec strings are the CLI / HTTP surface of Config: the -migrate flag on
-// hmexp/hmsim/hmserved and the ?migrate= query parameter both accept
+// hmexp and hmsim and the ?migrate= query parameter both accept
 //
 //	""            — migration disabled (also "off", "none", "false", "0")
 //	"on"          — DefaultConfig (also "default", "true", "1")

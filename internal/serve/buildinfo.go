@@ -8,8 +8,8 @@ import (
 
 // BuildInfo identifies the running binary: module version, Go toolchain,
 // and the VCS state the Go linker bakes in (debug.ReadBuildInfo). GET
-// /healthz and /debug/vars report it so operators can tell exactly what a
-// daemon is running without shelling into its host.
+// /healthz reports it so operators can tell exactly what a daemon is
+// running without shelling into its host.
 type BuildInfo struct {
 	Version     string `json:"version"`
 	GoVersion   string `json:"go_version"`

@@ -11,8 +11,8 @@
 //     across processes;
 //   - a bounded job queue with per-job status, idempotent submission by
 //     config hash, and graceful drain on shutdown;
-//   - observability: /healthz, /metrics, expvar-style /debug/vars, and
-//     structured request logging.
+//   - observability: /healthz (liveness, build identity, uptime), /metrics
+//     (every counter, Prometheus text), and structured request logging.
 //
 // Because every simulation is a deterministic function of its canonical
 // config, a response is bit-identical whether its results were simulated

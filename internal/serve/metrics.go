@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"hetsim/internal/metrics"
 )
@@ -18,8 +17,7 @@ func hashString(s string) string {
 }
 
 // snapshot is a consistent point-in-time view of every daemon counter,
-// backing both /metrics (Prometheus text) and /debug/vars (expvar-style
-// JSON).
+// rendered by /metrics.
 type snapshot struct {
 	counters map[string]float64
 	states   map[JobState]int
@@ -99,21 +97,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(b.String()))
-}
-
-// handleVars renders the same counters as an expvar-style JSON document.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot()
-	vars := make(map[string]any, len(snap.counters)+1)
-	for name, v := range snap.counters {
-		vars[name] = v
-	}
-	jobs := make(map[string]int, len(snap.states))
-	for st, n := range snap.states {
-		jobs[string(st)] = n
-	}
-	vars["jobs_by_state"] = jobs
-	vars["build"] = Build()
-	vars["uptime_seconds"] = time.Since(s.start).Seconds()
-	writeJSON(w, http.StatusOK, vars)
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -22,23 +23,26 @@ var figureQueries = []struct {
 }{
 	{"fig3", "shrink=16&workloads=bfs", http.StatusOK},
 	{"fig3", "", http.StatusOK},
-	{"fig3", "shrink=1&workers=0&topology=&migrate=&migrate-policy=", http.StatusOK},
+	{"fig3", "shrink=1&workers=0&topology=&migrate=&workloads=", http.StatusOK},
 	{"fig3", "workloads=bfs,stencil&topology=k40-ddr4&workers=2", http.StatusOK},
-	{"fig3", "migrate=on&migrate-policy=ewma&topology=gh200", http.StatusOK},
+	{"fig3", "migrate=policy%3Dewma&topology=gh200", http.StatusOK},
 	{"figmig", "migrate=off", http.StatusOK},
 	{"figmig", "migrate=policy%3Dewma%2Calpha%3D0.25", http.StatusOK},
 	{"figmig", "migrate=alpha%3D0", http.StatusOK}, // counter ignores alpha
-	{"fig3", "shrink=%2B16&workers=0016&unknown=1", http.StatusOK},
+	{"fig3", "shrink=%2B16&workers=0016", http.StatusOK},
+	{"fig3", "shrink=%2B16&workers=0016&unknown=1", http.StatusBadRequest},
+	{"fig3", "topolgy=gh200", http.StatusBadRequest},
+	{"figmig", "migrate=on&migrate-policy=ewma", http.StatusBadRequest},
 	{"fig3", "workloads=nosuch", http.StatusBadRequest},
 	{"fig3", "workloads=bfs,,stencil", http.StatusBadRequest},
-	{"figmig", "migrate=alpha%3D0&migrate-policy=ewma", http.StatusBadRequest},
+	{"figmig", "migrate=alpha%3D0%2Cpolicy%3Dewma", http.StatusBadRequest},
 	{"figmigtopo", "shrink=32&workloads=bfs&migrate=alpha%3D0", http.StatusBadRequest}, // runs ewma too
-	{"figmigtopo", "migrate=alpha%3D0&migrate-policy=counter", http.StatusBadRequest},
+	{"figmigtopo", "migrate=alpha%3D0%2Cpolicy%3Dcounter", http.StatusBadRequest},
 	{"figdyn", "migrate=alpha%3D0", http.StatusBadRequest},
 	{"figdyn", "migrate=alpha%3D0.5", http.StatusOK},
 	{"figmig", "migrate=epoch%3D-1", http.StatusBadRequest},
 	{"figmig", "migrate=frobnicate%3D1", http.StatusBadRequest},
-	{"figmig", "migrate-policy=fifo", http.StatusBadRequest},
+	{"figmig", "migrate=policy%3Dfifo", http.StatusBadRequest},
 	{"fig3", "shrink=0", http.StatusBadRequest},
 	{"fig3", "shrink=-5", http.StatusBadRequest},
 	{"fig3", "shrink=sixteen", http.StatusBadRequest},
@@ -101,6 +105,10 @@ func TestFigureQueryStatuses(t *testing.T) {
 		if code != tc.status {
 			t.Errorf("%s?%s: status %d, want %d: %s", tc.figure, tc.query, code, tc.status, body)
 		}
+	}
+	_, body := get(t, ts.URL+"/v1/figures/figmig?migrate-policy=ewma&topolgy=gh200")
+	if !strings.Contains(string(body), `unknown parameters \"migrate-policy\", \"topolgy\"`) {
+		t.Errorf("unknown parameters refused without naming them: %s", body)
 	}
 
 	// "on" and the expanded default spec are one figure request.

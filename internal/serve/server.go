@@ -28,19 +28,6 @@ type Config struct {
 	CacheMaxBytes int64
 	// SimWorkers caps concurrent simulations per job (0 = GOMAXPROCS).
 	SimWorkers int
-	// Topology names the memory-topology preset figure requests default to
-	// when they carry no ?topology= parameter ("" = the paper's Table 1
-	// system, equivalent to "k40-ddr4"). Must be a known preset
-	// (topology.Preset); hmserved validates it at startup.
-	Topology string
-	// Migrate is the default migration spec (migrate.ParseSpec) for figure
-	// requests carrying no ?migrate= parameter; "" keeps each migration
-	// figure's defaults.
-	Migrate string
-	// MigratePolicy is the default ?migrate-policy= ("counter" or "ewma");
-	// "" keeps the spec's classifier. hmserved validates it together with
-	// Migrate at startup (experiments.Options.Validate).
-	MigratePolicy string
 	// JobWorkers caps concurrently executing jobs (default 2).
 	JobWorkers int
 	// QueueCap bounds the number of queued-but-not-running jobs
@@ -54,11 +41,11 @@ type Config struct {
 	// internal/cluster) before running locally. Results are bit-identical
 	// either way.
 	Remote experiments.RemoteRunner
-	// ExtraMetrics, when non-nil, is polled on every /metrics and
-	// /debug/vars scrape and merged into the counter set — the hook the
-	// cluster coordinator uses to export per-worker dispatch metrics
-	// through the daemon's existing metrics path. Keys may carry
-	// Prometheus label syntax (`name{label="v"}`).
+	// ExtraMetrics, when non-nil, is polled on every /metrics scrape and
+	// merged into the counter set — the hook the cluster coordinator uses
+	// to export per-worker dispatch metrics through the daemon's existing
+	// metrics path. Keys may carry Prometheus label syntax
+	// (`name{label="v"}`).
 	ExtraMetrics func() map[string]float64
 	// Telemetry, when non-nil, is the daemon's span recorder (see
 	// internal/telemetry): requests arriving with a telemetry.TraceHeader
@@ -164,10 +151,7 @@ func New(cfg Config) (*Server, error) {
 		queue: make(chan *Job, cfg.QueueCap),
 		start: time.Now(),
 	}
-	s.figureDefaults = experiments.Options{
-		Shrink: 1, Workers: cfg.SimWorkers, Topology: cfg.Topology,
-		Migrate: cfg.Migrate, MigratePolicy: cfg.MigratePolicy, Cache: s.cache, Remote: cfg.Remote,
-	}
+	s.figureDefaults = experiments.Options{Shrink: 1, Workers: cfg.SimWorkers, Cache: s.cache, Remote: cfg.Remote}
 	s.rec = cfg.Telemetry
 	if s.rec == nil {
 		s.rec = telemetry.NewRecorder()
@@ -277,7 +261,6 @@ func (s *Server) buildMux() {
 	mux.HandleFunc("POST /v1/cluster/run", s.handleClusterRun)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux = mux
 }
 

@@ -318,8 +318,8 @@ func TestClusterRunDraining(t *testing.T) {
 	}
 }
 
-// TestExtraMetrics: Config.ExtraMetrics entries appear on /metrics (with
-// label syntax intact) and /debug/vars.
+// TestExtraMetrics: Config.ExtraMetrics entries appear on /metrics, with
+// label syntax intact.
 func TestExtraMetrics(t *testing.T) {
 	_, ts := testServer(t, Config{ExtraMetrics: func() map[string]float64 {
 		return map[string]float64{
@@ -333,14 +333,6 @@ func TestExtraMetrics(t *testing.T) {
 	_, body := get(t, ts.URL+"/metrics")
 	if !strings.Contains(string(body), `hmserved_cluster_worker_jobs_total{worker="a"} 7`) {
 		t.Errorf("labeled extra metric missing from /metrics:\n%s", body)
-	}
-	_, body = get(t, ts.URL+"/debug/vars")
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := vars["cluster_workers_alive"]; !ok {
-		t.Error("/debug/vars missing extra metric")
 	}
 }
 
@@ -483,21 +475,35 @@ func waitDraining(t *testing.T, s *Server) {
 	}
 }
 
-// TestVars: /debug/vars serves the counters as JSON.
-func TestVars(t *testing.T) {
+// TestMetricsCounters: /metrics is the one export of the daemon's
+// counters: it parses, and carries the job, disk-tier and per-state job
+// series; GET /debug/vars is not served.
+func TestMetricsCounters(t *testing.T) {
 	_, ts := testServer(t, Config{CacheDir: t.TempDir()})
-	code, body := get(t, ts.URL+"/debug/vars")
+	code, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
+		t.Fatalf("/metrics status %d", code)
 	}
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatal(err)
+	samples, err := metrics.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/metrics is not valid Prometheus text: %v", err)
 	}
-	for _, k := range []string{"jobs_submitted_total", "cache_disk_entries", "jobs_by_state"} {
-		if _, ok := vars[k]; !ok {
-			t.Errorf("/debug/vars missing %q", k)
+	have := map[string]bool{}
+	for _, s := range samples {
+		have[s.Name+s.Labels["state"]] = true
+	}
+	for _, k := range []string{"hmserved_jobs_submitted_total", "hmserved_cache_disk_entries"} {
+		if !have[k] {
+			t.Errorf("/metrics missing %s", k)
 		}
+	}
+	for _, st := range []JobState{JobQueued, JobRunning, JobDone, JobFailed, JobCanceled} {
+		if !have["hmserved_jobs"+string(st)] {
+			t.Errorf("/metrics missing hmserved_jobs{state=%q}", st)
+		}
+	}
+	if code, _ := get(t, ts.URL+"/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars: status %d, want 404", code)
 	}
 }
 

@@ -56,31 +56,3 @@ func TestFigureKeyTopology(t *testing.T) {
 		t.Log("note: default and k40-ddr4 share a figure key")
 	}
 }
-
-// TestDaemonDefaultTopology: a daemon started with Config.Topology applies
-// it to requests that carry no ?topology= parameter.
-func TestDaemonDefaultTopology(t *testing.T) {
-	_, tsGH := testServer(t, Config{Topology: "gh200"})
-	_, tsDef := testServer(t, Config{})
-
-	code, gh := get(t, tsGH.URL+"/v1/figures/fig2a?shrink=16&workloads=bfs")
-	if code != http.StatusOK {
-		t.Fatalf("gh200-default daemon: status %d: %s", code, gh)
-	}
-	code, def := get(t, tsDef.URL+"/v1/figures/fig2a?shrink=16&workloads=bfs")
-	if code != http.StatusOK {
-		t.Fatalf("default daemon: status %d: %s", code, def)
-	}
-	if string(gh) == string(def) {
-		t.Error("gh200-default daemon served the Table 1 figure")
-	}
-
-	// An explicit parameter overrides the daemon default.
-	code, k40 := get(t, tsGH.URL+"/v1/figures/fig2a?shrink=16&workloads=bfs&topology=k40-ddr4")
-	if code != http.StatusOK {
-		t.Fatalf("override on gh200 daemon: status %d: %s", code, k40)
-	}
-	if string(k40) != string(def) {
-		t.Error("explicit k40-ddr4 on a gh200-default daemon diverged from the Table 1 figure")
-	}
-}

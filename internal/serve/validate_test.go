@@ -17,9 +17,8 @@ import (
 
 // TestSubmitRejectsMalformedConfigs: /v1/runs, and /v1/sweeps with the
 // config second in its grid, answer 400 to every malformed config of
-// experiments.TestRunRejectsMalformedMem that RunConfig.Validate refuses
-// (all but the zone-span row, which fails only when the workload
-// allocates), and queue no job.
+// experiments.TestRunRejectsMalformedMem, all of which RunConfig.Validate
+// refuses, and queue no job.
 func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	valid, err := json.Marshal(experiments.RunConfig{Workload: "bfs", Shrink: 64})
@@ -45,6 +44,8 @@ func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 		{"empty TLB", func(rc *experiments.RunConfig) { rc.TLB = &tlb.Config{} }},
 		{"ratio above 100", func(rc *experiments.RunConfig) { rc.Policy, rc.PercentCO = experiments.RatioPolicy, 150 }},
 		{"negative ratio", func(rc *experiments.RunConfig) { rc.Policy, rc.PercentCO = experiments.RatioPolicy, -5 }},
+		{"allocations past the zone span", func(rc *experiments.RunConfig) { rc.PageSize = 1 << 40 }},
+		{"pages above the maximum", func(rc *experiments.RunConfig) { rc.PageSize = vm.MaxPageSize << 1 }},
 		{"negative CPU traffic", func(rc *experiments.RunConfig) { rc.CPUTrafficGBps = -40 }},
 		{"hints outside the placement hints", func(rc *experiments.RunConfig) {
 			rc.Policy, rc.Hints = experiments.HintedPolicy, []core.Hint{99, 99, 99, 99, 99, 99}

@@ -45,6 +45,12 @@ const (
 // frames past it, into the zone field.
 const ZoneSpan = 1 << zoneShift
 
+// MaxPageSize is the largest page size a run may use. A zone span holds
+// 1,024 pages of it, so page-rounded allocations stay inside the span
+// well past the most any workload makes (6); replays, whose footprint
+// comes from the trace, are still bounded by the allocator's own check.
+const MaxPageSize = 1 << 30
+
 // Unlimited marks a zone with effectively infinite capacity.
 const Unlimited = int(^uint(0) >> 1)
 

@@ -11,8 +11,9 @@ import "math/rand"
 // rand.NewSource allocates a fresh 4.9 kB register each time. Here Seed
 // only normalizes the seed, and the first draw to read a register word
 // computes it as 48271ⁿ·x₀ mod (2³¹−1) from a power table built once: a
-// warp that draws k < 334 numbers computes about 2k words. The register
-// lives inline in the warp's program, and since every word is computed
+// warp that draws k < 334 numbers computes about 2k words. The first draw
+// allocates the register, so programs built but never run hold none, and
+// a reseeded source keeps its register: since every word is computed
 // before it is read, a reused register needs no reset. The streams are
 // bit-identical to rand.NewSource's (TestWarpSourceMatchesMathRand pins
 // them), so every rand.Rand method over it — Float64, Intn, Int63n,
@@ -22,7 +23,7 @@ type warpSource struct {
 	// x is the normalized seed while draws still read words Seed did not
 	// compute, and 0 once they are all computed.
 	x   uint64
-	vec [rngLen]uint64
+	vec *[rngLen]uint64 // nil until the first draw
 }
 
 const (
@@ -145,6 +146,9 @@ func (r *warpSource) Uint64() uint64 {
 // k ≤ rngTap; for later k it is the feed word draw k−rngTap computed and
 // updated. Draw 334 reads feed index 0, after which every word exists.
 func (r *warpSource) seedWords() {
+	if r.vec == nil {
+		r.vec = new([rngLen]uint64)
+	}
 	r.vec[r.feed] = seededWord(r.feed, r.x)
 	if r.tap >= rngLen-rngTap {
 		r.vec[r.tap] = seededWord(r.tap, r.x)

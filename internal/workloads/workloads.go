@@ -182,8 +182,9 @@ func (s *Spec) Allocate(rt *gpurt.Runtime, hints []Hint) ([]gpurt.Allocation, er
 
 // Programs builds one WarpProgram per warp, deterministically derived from
 // the spec seed. allocs must be the result of Allocate on the same spec.
-// The programs, with their random sources inline, live in one slab, taken
-// from the slabs ReleasePrograms returned when one is large enough.
+// The programs live in one slab, taken from the slabs ReleasePrograms
+// returned when one is large enough, and a reused program keeps the
+// random-source register an earlier run's draws allocated.
 func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
 	cum := cumulativeWeights(s.Structures)
 	slab, _ := slabs.Get().(*programSlab)

@@ -402,6 +402,28 @@ func freshPrograms(s *Spec, allocs []gpurt.Allocation) []gpu.WarpProgram {
 	return progs
 }
 
+// TestProgramsAllocateRegistersOnFirstDraw: building programs allocates no
+// 4.9 kB random-source register, so a caller that builds a system and
+// never runs it (hetbench's set-up) pays for none; a warp's first phase
+// allocates its own.
+func TestProgramsAllocateRegistersOnFirstDraw(t *testing.T) {
+	spec := BFS(Train())
+	allocs, err := spec.Allocate(testRuntime(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := freshPrograms(&spec, allocs)
+	for i, p := range progs {
+		if p.(*warpProgram).src.vec != nil {
+			t.Fatalf("warp %d holds a register before its first draw", i)
+		}
+	}
+	progs[0].NextPhase()
+	if progs[0].(*warpProgram).src.vec == nil || progs[1].(*warpProgram).src.vec != nil {
+		t.Fatal("a warp's first phase must allocate its register and only its own")
+	}
+}
+
 // TestProgramsFromReleasedSlab drains and releases one spec's programs,
 // then builds another spec's from the released slab: fewer warps, other
 // structures, drift switched on or off, more or fewer accesses per phase.
