@@ -25,12 +25,16 @@ fmt:
 # sweep executor, every figure sweep dispatched through it, the daemon's
 # job queue / two-tier cache, the cluster coordinator's dispatch and
 # heartbeat paths, the autotuner's multi-worker searches, and the
-# telemetry recorder fed by all of them in parallel. Concurrent runs share
-# two pools: drained event-queue slabs (sim, whose tests run worlds from
-# several goroutines) and released warp-program slabs (workloads); the
-# memory system and migration engine run inside those concurrent runs.
+# telemetry recorder fed by all of them in parallel. Concurrent runs hand
+# their hardware to one another through package-level pools: drained
+# event-queue slabs and released engines (sim), memory-system part sets
+# (memsys: slices with their L2 tag arrays, MSHR files and DRAM channels,
+# access records, page-count tables), SM sets with L1s and warp contexts
+# (gpu), page tables (vm) and warp-program slabs (workloads). cache and
+# dram hold the reset of each reused tag array, MSHR file and channel;
+# experiments' hand-over tests pass parts between four goroutines.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/ ./internal/workloads/
+	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/cache/ ./internal/dram/ ./internal/vm/ ./internal/gpu/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/ ./internal/workloads/
 
 vet:
 	$(GO) vet ./...

@@ -108,19 +108,39 @@ type Cache struct {
 
 // New returns a cache for cfg, panicking on invalid geometry (a programming
 // error, not a runtime condition).
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return Reuse(nil, cfg) }
+
+// Reuse returns a cache for cfg that simulates exactly like New(cfg). When
+// old's tag array can hold cfg's geometry, the cache is old, reset: the
+// array resliced and cleared, the counters zeroed, and the generator of a
+// Random cache reseeded from cfg.Seed. Otherwise old is dropped and a new
+// cache is built. old must not be used afterwards.
+func Reuse(old *Cache, cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	c := &Cache{
+	c := old
+	if c == nil || cap(c.ways) < nsets*cfg.Ways {
+		c = &Cache{ways: make([]uint64, nsets*cfg.Ways)}
+	} else {
+		c.ways = c.ways[:nsets*cfg.Ways]
+		clear(c.ways)
+	}
+	*c = Cache{
 		cfg:      cfg,
-		ways:     make([]uint64, nsets*cfg.Ways),
+		ways:     c.ways,
 		setMask:  uint64(nsets - 1),
 		lineBits: uint(log2(cfg.LineBytes)),
+		rng:      c.rng,
 	}
-	if cfg.Replace == Random {
+	switch {
+	case cfg.Replace != Random:
+		c.rng = nil
+	case c.rng == nil:
 		c.rng = rand.New(rand.NewSource(cfg.Seed + 1))
+	default:
+		c.rng.Seed(cfg.Seed + 1)
 	}
 	return c
 }

@@ -440,35 +440,71 @@ func TestCacheMatchesReference(t *testing.T) {
 	for _, rep := range []Replacement{LRU, FIFO, Random} {
 		for ways := 1; ways <= 16; ways++ {
 			cfg := Config{SizeBytes: 4 * 128 * ways, LineBytes: 128, Ways: ways, Replace: rep, Seed: int64(ways)}
-			got, want := New(cfg), newRefCache(cfg)
-			rng := rand.New(rand.NewSource(int64(ways)*31 + int64(rep)))
-			lines := 3 * 4 * ways
-			for op := 0; op < 4000; op++ {
-				addr := uint64(rng.Intn(lines))*128 + uint64(rng.Intn(128))
-				if rng.Intn(2) == 0 {
-					addr += 1<<40 - uint64(lines)*128
+			checkAgainstReference(t, New(cfg), cfg)
+		}
+	}
+}
+
+// TestReuseMatchesReference: a cache Reuse builds in the tag array of one
+// that ran another geometry and policy — valid and dirty lines, counters,
+// a Random generator partway through its stream — behaves like a new one,
+// against the reference model. A tag array too small for the new geometry
+// is replaced.
+func TestReuseMatchesReference(t *testing.T) {
+	for _, rep := range []Replacement{LRU, FIFO, Random} {
+		for ways := 1; ways <= 16; ways++ {
+			cfg := Config{SizeBytes: 4 * 128 * ways, LineBytes: 128, Ways: ways, Replace: rep, Seed: int64(ways)}
+			for _, prev := range []Config{
+				{SizeBytes: 8 * 128 * 16, LineBytes: 128, Ways: 16, Replace: Random, Seed: 99},
+				{SizeBytes: 4 * 128 * ways, LineBytes: 128, Ways: ways, Replace: rep, Seed: int64(ways)},
+				{SizeBytes: 128, LineBytes: 128, Ways: 1},
+			} {
+				old := New(prev)
+				rng := rand.New(rand.NewSource(int64(ways)))
+				for op := 0; op < 500; op++ {
+					addr := uint64(rng.Intn(64)) * 128
+					old.Insert(addr, rng.Intn(2) == 0)
+					old.Lookup(addr+128, true)
 				}
-				write := rng.Intn(3) == 0
-				switch k := rng.Intn(8); {
-				case k < 4:
-					if g, w := got.Lookup(addr, write), want.Lookup(addr, write); g != w {
-						t.Fatalf("%v %d-way op %d: Lookup(%#x, %v) = %v, reference %v", rep, ways, op, addr, write, g, w)
-					}
-				case k < 7:
-					if g, w := got.Insert(addr, write), want.Insert(addr, write); g != w {
-						t.Fatalf("%v %d-way op %d: Insert(%#x, %v) = %+v, reference %+v", rep, ways, op, addr, write, g, w)
-					}
-				default:
-					gp, gd := got.Invalidate(addr)
-					wp, wd := want.Invalidate(addr)
-					if gp != wp || gd != wd {
-						t.Fatalf("%v %d-way op %d: Invalidate(%#x) = %v, %v, reference %v, %v", rep, ways, op, addr, gp, gd, wp, wd)
-					}
-				}
-				if got.Stats() != want.stats {
-					t.Fatalf("%v %d-way op %d: stats %+v, reference %+v", rep, ways, op, got.Stats(), want.stats)
-				}
+				checkAgainstReference(t, Reuse(old, cfg), cfg)
 			}
+		}
+	}
+}
+
+// checkAgainstReference drives got, a cache for cfg, and a new reference
+// cache with one random Lookup/Insert/Invalidate sequence and fails on the
+// first result or counter that differs.
+func checkAgainstReference(t *testing.T, got *Cache, cfg Config) {
+	t.Helper()
+	rep, ways := cfg.Replace, cfg.Ways
+	want := newRefCache(cfg)
+	rng := rand.New(rand.NewSource(int64(ways)*31 + int64(rep)))
+	lines := 3 * 4 * ways
+	for op := 0; op < 4000; op++ {
+		addr := uint64(rng.Intn(lines))*128 + uint64(rng.Intn(128))
+		if rng.Intn(2) == 0 {
+			addr += 1<<40 - uint64(lines)*128
+		}
+		write := rng.Intn(3) == 0
+		switch k := rng.Intn(8); {
+		case k < 4:
+			if g, w := got.Lookup(addr, write), want.Lookup(addr, write); g != w {
+				t.Fatalf("%v %d-way op %d: Lookup(%#x, %v) = %v, reference %v", rep, ways, op, addr, write, g, w)
+			}
+		case k < 7:
+			if g, w := got.Insert(addr, write), want.Insert(addr, write); g != w {
+				t.Fatalf("%v %d-way op %d: Insert(%#x, %v) = %+v, reference %+v", rep, ways, op, addr, write, g, w)
+			}
+		default:
+			gp, gd := got.Invalidate(addr)
+			wp, wd := want.Invalidate(addr)
+			if gp != wp || gd != wd {
+				t.Fatalf("%v %d-way op %d: Invalidate(%#x) = %v, %v, reference %v, %v", rep, ways, op, addr, gp, gd, wp, wd)
+			}
+		}
+		if got.Stats() != want.stats {
+			t.Fatalf("%v %d-way op %d: stats %+v, reference %+v", rep, ways, op, got.Stats(), want.stats)
 		}
 	}
 }

@@ -87,11 +87,35 @@ type MSHRStats struct {
 }
 
 // NewMSHR returns a file with the given entry capacity.
-func NewMSHR(capacity int) *MSHR {
+func NewMSHR(capacity int) *MSHR { return ReuseMSHR(nil, capacity) }
+
+// ReuseMSHR returns a file that behaves exactly like NewMSHR(capacity),
+// built in old's storage when old is non-nil: the line index is cleared
+// (and rebuilt if it is too small for capacity), every slot's waiter list,
+// the walked list and the stall FIFO are emptied, and the counters are
+// zeroed. The slot and waiter arrays keep their capacity, so a file that
+// served a run allocates nothing in the next. old must not be used
+// afterwards.
+func ReuseMSHR(old *MSHR, capacity int) *MSHR {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: MSHR capacity %d, must be positive", capacity))
 	}
-	return &MSHR{capacity: capacity, index: newLineIndex(capacity)}
+	if old == nil {
+		return &MSHR{capacity: capacity, index: newLineIndex(capacity, nil)}
+	}
+	m := old
+	for i := range m.slots {
+		m.slots[i] = mshrEntry{waiters: m.slots[i].waiters[:0]}
+	}
+	clear(m.stalled)
+	*m = MSHR{
+		capacity: capacity,
+		index:    newLineIndex(capacity, m.index.buckets),
+		slots:    m.slots,
+		walked:   m.walked[:0],
+		stalled:  m.stalled[:0],
+	}
+	return m
 }
 
 // Used reports how many entries are live.
@@ -235,13 +259,21 @@ type lineBucket struct {
 
 func (b lineBucket) slot() int { return int(b.ref) - 1 }
 
-func newLineIndex(capacity int) lineIndex {
+// newLineIndex returns an empty index for a file of capacity entries, in
+// buckets' storage when it is large enough.
+func newLineIndex(capacity int, buckets []lineBucket) lineIndex {
 	n, shift := 1, uint(64)
 	for n < 2*capacity {
 		n <<= 1
 		shift--
 	}
-	return lineIndex{buckets: make([]lineBucket, n), mask: n - 1, shift: shift}
+	if cap(buckets) < n {
+		buckets = make([]lineBucket, n)
+	} else {
+		buckets = buckets[:n]
+		clear(buckets)
+	}
+	return lineIndex{buckets: buckets, mask: n - 1, shift: shift}
 }
 
 // home is line's preferred bucket. Pending lines are often consecutive, so

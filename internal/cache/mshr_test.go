@@ -395,41 +395,72 @@ func collidingLines(x *lineIndex, perHome int) []uint64 {
 func TestMSHRMatchesReferenceModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 5, 16, 128} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(capacity)))
-			var gotLog, wantLog []string
-			m := NewMSHR(capacity)
-			ref := &refMSHR{capacity: capacity, pending: map[uint64][]int{}, log: &wantLog}
-			lines := collidingLines(&m.index, max(2, capacity/2))
-			for op, id, seen := 0, 0, 0; op < 20_000; op++ {
-				if len(ref.pending) > 0 && rng.Intn(5) < 2 {
-					var live []uint64
-					for l := range ref.pending {
-						live = append(live, l)
-					}
-					slices.Sort(live)
-					line := live[rng.Intn(len(live))]
-					m.Fill(line, sim.Time(op))
-					ref.fill(line, sim.Time(op))
-				} else {
-					id++
-					line := lines[rng.Intn(len(lines))]
-					got := m.Allocate(line, logWaiter{id, &gotLog})
-					if want := ref.allocate(line, id); got != want {
-						t.Fatalf("op %d: Allocate(%d) = %v, model says %v", op, line, got, want)
-					}
-					if got == Full {
-						hit := rng.Intn(3) == 0
-						m.Stall(line, &diffRetry{m: m, line: line, id: id, hit: hit, log: &gotLog})
-						ref.stalled = append(ref.stalled, &diffRetry{line: line, id: id, hit: hit})
-					}
-				}
-				if !slices.Equal(gotLog[seen:], wantLog[seen:]) {
-					t.Fatalf("op %d: events diverged:\n got %v\nwant %v", op, gotLog[seen:], wantLog[seen:])
-				}
-				seen = len(gotLog)
-				checkAgainstModel(t, op, m, ref)
-			}
+			checkAgainstRefMSHR(t, NewMSHR(capacity), capacity)
 		})
+	}
+}
+
+// TestReuseMSHRMatchesReferenceModel: a file ReuseMSHR builds in the
+// storage of one left mid-run — entries live, requests stalled, waiter
+// arrays grown, counters set — with the same, a smaller or a larger
+// capacity behaves like a new one against the reference model.
+func TestReuseMSHRMatchesReferenceModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5, 16, 128} {
+		for _, prev := range []int{capacity, 3, 256} {
+			t.Run(fmt.Sprint(prev, "->", capacity), func(t *testing.T) {
+				old := NewMSHR(prev)
+				nop := FillFunc(func(sim.Time) {})
+				for line := uint64(0); line < uint64(2*prev); line++ {
+					for range 3 {
+						if old.Allocate(line, nop) == Full {
+							old.Stall(line, RetryFunc(func() {}))
+						}
+					}
+				}
+				old.Fill(0, 10)
+				checkAgainstRefMSHR(t, ReuseMSHR(old, capacity), capacity)
+			})
+		}
+	}
+}
+
+// checkAgainstRefMSHR drives m, an empty file of the given capacity, and
+// the reference model through one random Allocate/Stall/Fill sequence and
+// fails on the first event, outcome or counter that differs.
+func checkAgainstRefMSHR(t *testing.T, m *MSHR, capacity int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(capacity)))
+	var gotLog, wantLog []string
+	ref := &refMSHR{capacity: capacity, pending: map[uint64][]int{}, log: &wantLog}
+	lines := collidingLines(&m.index, max(2, capacity/2))
+	for op, id, seen := 0, 0, 0; op < 20_000; op++ {
+		if len(ref.pending) > 0 && rng.Intn(5) < 2 {
+			var live []uint64
+			for l := range ref.pending {
+				live = append(live, l)
+			}
+			slices.Sort(live)
+			line := live[rng.Intn(len(live))]
+			m.Fill(line, sim.Time(op))
+			ref.fill(line, sim.Time(op))
+		} else {
+			id++
+			line := lines[rng.Intn(len(lines))]
+			got := m.Allocate(line, logWaiter{id, &gotLog})
+			if want := ref.allocate(line, id); got != want {
+				t.Fatalf("op %d: Allocate(%d) = %v, model says %v", op, line, got, want)
+			}
+			if got == Full {
+				hit := rng.Intn(3) == 0
+				m.Stall(line, &diffRetry{m: m, line: line, id: id, hit: hit, log: &gotLog})
+				ref.stalled = append(ref.stalled, &diffRetry{line: line, id: id, hit: hit})
+			}
+		}
+		if !slices.Equal(gotLog[seen:], wantLog[seen:]) {
+			t.Fatalf("op %d: events diverged:\n got %v\nwant %v", op, gotLog[seen:], wantLog[seen:])
+		}
+		seen = len(gotLog)
+		checkAgainstModel(t, op, m, ref)
 	}
 }
 

@@ -129,17 +129,29 @@ type Channel struct {
 
 // NewChannel returns a channel for cfg. It panics on an invalid
 // configuration, which always indicates a programming error in the caller.
-func NewChannel(cfg Config) *Channel {
+func NewChannel(cfg Config) *Channel { return ReuseChannel(nil, cfg) }
+
+// ReuseChannel returns a channel for cfg that times exactly like
+// NewChannel(cfg). When old's bank array can hold cfg.Banks banks, the
+// channel is old, reset: every bank closed with no pending tRC window, the
+// bus free, the counters and energy zeroed. Otherwise old is dropped and a
+// new channel is built. old must not be used afterwards.
+func ReuseChannel(old *Channel, cfg Config) *Channel {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	banks := make([]bank, cfg.Banks)
-	for i := range banks {
-		banks[i].openRow = -1
-		// A fresh bank has no pending tRC window.
-		banks[i].lastActivate = -sim.Time(cfg.Timing.RC)
+	var banks []bank
+	if old != nil && cap(old.banks) >= cfg.Banks {
+		banks = old.banks[:cfg.Banks]
+	} else {
+		old, banks = new(Channel), make([]bank, cfg.Banks)
 	}
-	return &Channel{cfg: cfg, burst: cfg.burstCycles(), burstFrac: cfg.burstFrac(), banks: banks}
+	for i := range banks {
+		// A fresh bank has no pending tRC window.
+		banks[i] = bank{openRow: -1, lastActivate: -sim.Time(cfg.Timing.RC)}
+	}
+	*old = Channel{cfg: cfg, burst: cfg.burstCycles(), burstFrac: cfg.burstFrac(), banks: banks}
+	return old
 }
 
 // Stats returns a copy of the accumulated counters.

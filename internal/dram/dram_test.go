@@ -322,3 +322,37 @@ func TestRefreshCostsBandwidth(t *testing.T) {
 		t.Fatalf("refresh did not slow the stream: %d vs %d", withRef, base)
 	}
 }
+
+// TestReuseChannelTimesLikeNew: a channel ReuseChannel builds in the bank
+// array of one that ran another configuration — rows open, banks busy,
+// the bus booked ahead, refresh on, counters and energy accumulated —
+// times a random access stream exactly like a new channel, with fewer or
+// as many banks as before; with more, the array is replaced.
+func TestReuseChannelTimesLikeNew(t *testing.T) {
+	busy := testConfig()
+	busy.Banks = 32
+	busy.Timing.REFI, busy.Timing.RFC = 500, 40
+	busy.Energy = GDDR5Energy()
+	for _, banks := range []int{4, 16, 32, 64} {
+		old := NewChannel(busy)
+		for i := range 300 {
+			old.Access(sim.Time(i), uint64(i*4093)*128, i%3 == 0)
+		}
+		cfg := testConfig()
+		cfg.Banks = banks
+		got, want := ReuseChannel(old, cfg), NewChannel(cfg)
+		rng := rand.New(rand.NewSource(int64(banks)))
+		now := sim.Time(0)
+		for i := range 2000 {
+			now += sim.Time(rng.Intn(8))
+			addr, write := uint64(rng.Intn(1<<16))*128, rng.Intn(4) == 0
+			if g, w := got.Access(now, addr, write), want.Access(now, addr, write); g != w {
+				t.Fatalf("%d banks, access %d: done at %d, a new channel at %d", banks, i, g, w)
+			}
+		}
+		if got.Stats() != want.Stats() || got.EnergyNJ() != want.EnergyNJ() || got.BusFree() != want.BusFree() {
+			t.Fatalf("%d banks: stats %+v energy %v bus %d, a new channel %+v %v %d",
+				banks, got.Stats(), got.EnergyNJ(), got.BusFree(), want.Stats(), want.EnergyNJ(), want.BusFree())
+		}
+	}
+}

@@ -184,7 +184,8 @@ func (rc RunConfig) resolved() RunConfig {
 // applied: a malformed memory system or GPU, a page size that is not a
 // power of two between the cache line and vm.MaxPageSize, an unknown
 // workload or policy, a ratio outside [0,100], an ORACLE run without a
-// profile, CPU traffic that is negative or not finite, or a hint outside
+// profile or with an empty one, a migration config migrate.New would
+// refuse, CPU traffic that is negative or not finite, or a hint outside
 // the placement hints. Run calls it first; the daemon calls it before
 // queueing a job, so a malformed request is refused rather than queued to
 // fail.
@@ -218,11 +219,16 @@ func (rc RunConfig) Validate() error {
 			return fmt.Errorf("experiments: RatioPolicy PercentCO %d outside [0,100]", rc.PercentCO)
 		}
 	case OraclePolicy:
-		if rc.ProfileCounts == nil {
-			return fmt.Errorf("experiments: OraclePolicy requires ProfileCounts")
+		if len(rc.ProfileCounts) == 0 {
+			return fmt.Errorf("experiments: OraclePolicy requires a non-empty ProfileCounts")
 		}
 	default:
 		return fmt.Errorf("experiments: unknown policy %v", rc.Policy)
+	}
+	if rc.Migration != nil {
+		if err := rc.Migration.Validate(); err != nil {
+			return err
+		}
 	}
 	if !(rc.CPUTrafficGBps >= 0) || math.IsInf(rc.CPUTrafficGBps, 1) {
 		return fmt.Errorf("experiments: CPUTrafficGBps %v is not a finite rate >= 0", rc.CPUTrafficGBps)
@@ -459,7 +465,14 @@ func runTraced(sp *telemetry.Span, rc RunConfig) (Result, error) {
 		GPUStats:    g.Stats(),
 		Footprint:   src.footprint,
 	}
-	workloads.ReleasePrograms(progs) // the run is over; its slab serves the next
+	// The run is over and every counter is read: its hardware and program
+	// slab serve the next run. A probe took its last sample inside
+	// g.Run, so it reads none of them again.
+	workloads.ReleasePrograms(progs)
+	g.Release()
+	mem.Release()
+	space.Release()
+	world.Release()
 	return res, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"hetsim/internal/core"
 	"hetsim/internal/gpu"
 	"hetsim/internal/memsys"
+	"hetsim/internal/migrate"
 	"hetsim/internal/tlb"
 	"hetsim/internal/topology"
 	"hetsim/internal/vm"
@@ -311,6 +312,8 @@ func TestRunRejectsMalformedMem(t *testing.T) {
 		{"allocations past the zone span", func(rc *RunConfig) { rc.PageSize = 1 << 40 }},
 		{"pages above the maximum", func(rc *RunConfig) { rc.PageSize = vm.MaxPageSize << 1 }},
 		{"negative CPU traffic", func(rc *RunConfig) { rc.CPUTrafficGBps = -40 }},
+		{"empty ORACLE profile", func(rc *RunConfig) { rc.Policy, rc.ProfileCounts = OraclePolicy, []uint64{} }},
+		{"migration with no epoch", func(rc *RunConfig) { rc.Migration = &migrate.Config{} }},
 		{"hints outside the placement hints", func(rc *RunConfig) {
 			rc.Policy, rc.Hints = HintedPolicy, []core.Hint{99, 99, 99, 99, 99, 99}
 		}},

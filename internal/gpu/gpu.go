@@ -12,6 +12,7 @@ package gpu
 
 import (
 	"fmt"
+	"sync"
 
 	"hetsim/internal/cache"
 	"hetsim/internal/sim"
@@ -140,6 +141,9 @@ type sm struct {
 	live       int // warps launched on this SM and not yet finished
 	finishedAt sim.Time
 	stats      Stats
+	// idle holds warp contexts no program runs on; startWarp takes one
+	// before it makes a new context.
+	idle []*warp
 }
 
 // GPU executes warp programs against a memory system.
@@ -148,11 +152,25 @@ type GPU struct {
 	eng *sim.Engine
 	mem Memory
 	sms []*sm
+	// spare is the box the SMs came in, kept to hand them on (Release);
+	// nil for a GPU built from new SMs.
+	spare *parts
 }
+
+// parts is the hardware a released GPU hands to the next New: its SMs,
+// each with its L1 and its warp contexts.
+type parts struct {
+	sms []*sm
+}
+
+// spares holds released SM sets; each New takes at most one set.
+var spares sync.Pool // of *parts
 
 // New builds a GPU. It panics on invalid configuration. The engine's World
 // gains one actor per SM; construct the memory system first so channel
-// actors precede SM actors in the canonical order.
+// actors precede SM actors in the canonical order. The SMs are the ones a
+// released GPU handed on (Release), reset, if there are any, and otherwise
+// new.
 func New(eng *sim.Engine, mem Memory, cfg Config) *GPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -161,15 +179,44 @@ func New(eng *sim.Engine, mem Memory, cfg Config) *GPU {
 		cfg.PageSize = 4096
 	}
 	g := &GPU{cfg: cfg, eng: eng, mem: mem}
+	var spare []*sm
+	if p, _ := spares.Get().(*parts); p != nil {
+		// SMs this config does not take are dropped with the list.
+		g.spare, spare, p.sms = p, p.sms, nil
+	}
 	w := sim.WorldOf(eng)
 	for i := 0; i < cfg.SMs; i++ {
-		s := &sm{act: w.NewActor(), l1: cache.New(cfg.L1)}
+		var s *sm
+		if i < len(spare) {
+			s = spare[i]
+		} else {
+			s = new(sm)
+		}
+		// Every field is reset; the L1 is reused where it fits, and idle
+		// warp contexts are reset as startWarp takes them.
+		*s = sm{act: w.NewActor(), l1: cache.Reuse(s.l1, cfg.L1), idle: s.idle}
 		if cfg.TLB != nil {
 			s.tlb = tlb.New(*cfg.TLB)
 		}
 		g.sms = append(g.sms, s)
 	}
 	return g
+}
+
+// Release hands the GPU's SMs, with their L1s and warp contexts, to the
+// next New, which resets them. Call it once the run has drained and the
+// counters have been read; the GPU must not be used afterwards.
+func (g *GPU) Release() {
+	p := g.spare
+	if p == nil {
+		p = new(parts)
+	}
+	for _, s := range g.sms {
+		s.act, s.pending = nil, nil // the world and programs stay behind
+		p.sms = append(p.sms, s)
+	}
+	*g = GPU{}
+	spares.Put(p)
 }
 
 // Stats merges the per-SM counters in SM index order and returns the
@@ -241,8 +288,22 @@ func (g *GPU) Outstanding() int {
 	return n
 }
 
+// startWarp runs p on one of s's idle warp contexts, or on a new one.
 func (g *GPU) startWarp(s *sm, p WarpProgram) {
-	w := &warp{gpu: g, sm: s, prog: p}
+	var w *warp
+	if n := len(s.idle); n > 0 {
+		w, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		w = new(warp)
+	}
+	w.start(g, s, p)
+}
+
+// start resets the context w to run p from its first phase. Every event a
+// context schedules has fired by the time its program finishes, so a
+// finished context can take the next program.
+func (w *warp) start(g *GPU, s *sm, p WarpProgram) {
+	*w = warp{gpu: g, sm: s, prog: p}
 	// Begin at the next cycle boundary; scheduling through the SM's actor
 	// keeps launch-order determinism within the SM.
 	s.act.After(0, w, wopNextPhase)
@@ -425,8 +486,9 @@ func (w *warp) finish() {
 	if len(s.pending) > 0 {
 		next := s.pending[0]
 		s.pending = s.pending[1:]
-		w.gpu.startWarp(s, next)
+		w.start(w.gpu, s, next)
 		return
 	}
 	s.resident--
+	s.idle = append(s.idle, w)
 }

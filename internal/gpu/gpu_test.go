@@ -353,3 +353,40 @@ func TestConfigValidatesTLB(t *testing.T) {
 		t.Fatal("invalid TLB config accepted")
 	}
 }
+
+// TestReleasedGPURunsLikeNew: a GPU built right after another released its
+// SMs — L1s warm and dirty, warp contexts finished, counters set, TLBs —
+// runs a workload with more warps than contexts exactly like a GPU built
+// with the pool emptied first: the same finish time, counters and memory
+// traffic. The rounds change the SM count, the contexts per SM, the L1 and
+// the TLB, so SMs are reused, dropped and added, L1s reused and replaced.
+func TestReleasedGPURunsLikeNew(t *testing.T) {
+	run := func(cfg Config) (*GPU, sim.Time, Stats, fakeMem) {
+		mem := &fakeMem{latency: 50}
+		g := New(sim.New(), mem, cfg)
+		var progs []WarpProgram
+		for w := range 3 * cfg.SMs * cfg.WarpsPerSM {
+			addrs := []Access{{VA: uint64(w%5) * 128}, {VA: uint64(w) * 4096, Write: w%3 == 0}, {VA: 1 << 20}}
+			progs = append(progs, phasesOf(1+w%4, sim.Time(w%7), addrs, 2))
+		}
+		g.Launch(progs)
+		end := g.Run()
+		return g, end, g.Stats(), *mem
+	}
+	tlbCfg := tlb.Config{Entries: 4, WalkLatencyCycles: 30}
+	cfgs := []Config{smallConfig(), smallConfig(), smallConfig()}
+	cfgs[1].SMs, cfgs[1].WarpsPerSM, cfgs[1].TLB, cfgs[1].PageSize = 3, 2, &tlbCfg, 4096
+	cfgs[2].SMs, cfgs[2].L1 = 1, cache.Config{SizeBytes: 8192, LineBytes: 128, Ways: 8}
+	for round := range 2 * len(cfgs) {
+		cfg := cfgs[round%len(cfgs)]
+		g, end, st, mem := run(cfg)
+		for spares.Get() != nil {
+		}
+		_, wantEnd, wantSt, wantMem := run(cfg)
+		if end != wantEnd || st != wantSt || mem != wantMem {
+			t.Fatalf("round %d: end %d, stats %+v, memory %+v; a new GPU: %d, %+v, %+v",
+				round, end, st, mem, wantEnd, wantSt, wantMem)
+		}
+		g.Release()
+	}
+}

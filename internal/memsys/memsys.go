@@ -10,6 +10,7 @@ package memsys
 
 import (
 	"fmt"
+	"sync"
 
 	"hetsim/internal/cache"
 	"hetsim/internal/dram"
@@ -282,11 +283,32 @@ type System struct {
 	// runs.
 	pages []pageEntry
 	wb    *writeBackBuf
+
+	// spare is the box the system's parts came in, kept to hand them on
+	// (Release); nil for a system built from new parts.
+	spare *parts
 }
+
+// parts is the hardware a released System hands to the next New: its
+// channel slices in configuration order, the freelist of its access
+// records, and the storage of its page-count and page-state tables.
+type parts struct {
+	slices     []*slice
+	freeAcc    *access
+	pageCounts []uint64
+	pages      []pageEntry
+}
+
+// spares holds released part sets. Each New takes at most one whole set,
+// so a run's spare is never kept beside the parts that replace it.
+var spares sync.Pool // of *parts
 
 // New assembles a memory system over an engine and an address space. The
 // engine's World gains one actor per DRAM channel, in zone configuration
-// order — construction order is part of the canonical event schedule.
+// order — construction order is part of the canonical event schedule. The
+// system is built in the parts a released system handed on (Release), if
+// there are any, and otherwise from new ones; either way it simulates
+// alike.
 func New(eng *sim.Engine, space *vm.Space, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -299,28 +321,76 @@ func New(eng *sim.Engine, space *vm.Space, cfg Config) (*System, error) {
 		hop:   cfg.L2Latency / 2,
 		space: space,
 	}
+	var spare []*slice
+	if p, _ := spares.Get().(*parts); p != nil {
+		// Slices this config does not take are dropped with the list.
+		s.spare, spare, p.slices = p, p.slices, nil
+		s.pageCounts, s.pages = p.pageCounts[:0], p.pages[:0]
+		s.freeAcc = p.freeAcc
+		for a := s.freeAcc; a != nil; a = a.next {
+			a.sys = s
+		}
+	}
 	for _, zc := range cfg.Zones {
 		hw := &zoneHW{cfg: zc}
 		for i := 0; i < zc.Channels; i++ {
-			sl := &slice{
-				mshr: cache.NewMSHR(cfg.MSHRsPerSlice),
-				dram: dram.NewChannel(zc.DRAM),
-				act:  w.NewActor(),
+			var sl *slice
+			if len(spare) > 0 {
+				sl, spare = spare[0], spare[1:]
+			} else {
+				sl = new(slice)
 			}
-			if !cfg.DisableL2 {
-				sl.l2 = cache.New(cache.Config{
-					SizeBytes: cfg.L2SliceBytes,
-					LineBytes: cfg.LineBytes,
-					Ways:      cfg.L2Ways,
-					Replace:   cfg.L2Replace,
-					Seed:      int64(i),
-				})
-			}
+			sl.reset(w.NewActor(), cfg, zc.DRAM, i)
 			hw.slices = append(hw.slices, sl)
 		}
 		s.zones[zc.Zone] = hw
 	}
 	return s, nil
+}
+
+// reset makes sl channel i of a zone with DRAM config dc under cfg, for
+// actor act, reusing its L2 tag array, MSHR file and DRAM channel where
+// they fit (see cache.Reuse, cache.ReuseMSHR and dram.ReuseChannel) and
+// zeroing its counters.
+func (sl *slice) reset(act *sim.Actor, cfg Config, dc dram.Config, i int) {
+	var l2 *cache.Cache
+	if !cfg.DisableL2 {
+		l2 = cache.Reuse(sl.l2, cache.Config{
+			SizeBytes: cfg.L2SliceBytes,
+			LineBytes: cfg.LineBytes,
+			Ways:      cfg.L2Ways,
+			Replace:   cfg.L2Replace,
+			Seed:      int64(i),
+		})
+	}
+	*sl = slice{
+		l2:   l2,
+		mshr: cache.ReuseMSHR(sl.mshr, cfg.MSHRsPerSlice),
+		dram: dram.ReuseChannel(sl.dram, dc),
+		act:  act,
+	}
+}
+
+// Release hands the system's hardware to the next New, which resets every
+// part it takes: the channel slices with their L2 tag arrays, MSHR files
+// and DRAM channels, the pooled access records (re-pointed at the new
+// system), and the storage of the page-count and page-state tables. Call
+// it once the run has drained and every counter has been read; the system
+// must not be used afterwards.
+func (s *System) Release() {
+	p := s.spare
+	if p == nil {
+		p = new(parts)
+	}
+	for _, zc := range s.cfg.Zones {
+		for _, sl := range s.zones[zc.Zone].slices {
+			sl.act = nil // the world is not handed on with the slice
+			p.slices = append(p.slices, sl)
+		}
+	}
+	p.freeAcc, p.pageCounts, p.pages = s.freeAcc, s.pageCounts, s.pages
+	*s = System{}
+	spares.Put(p)
 }
 
 // LaneLookahead returns the lookahead the memory system supports under

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"hetsim/internal/cache"
 	"hetsim/internal/sim"
 	"hetsim/internal/vm"
 )
@@ -595,5 +597,55 @@ func TestAccessSteadyStateAllocFree(t *testing.T) {
 	// heap, MSHR map, histogram buckets) that settle during warm-up.
 	if avg > 0.5 {
 		t.Fatalf("steady-state AccessH burst allocates %.2f objects per 64 accesses, want ~0", avg)
+	}
+}
+
+// TestReleasedSystemServesLikeNew: a system built right after another
+// released its parts — L2s holding dirty lines, MSHR counters set, DRAM
+// rows open, access records pooled, pages counted and locked — serves an
+// access stream exactly like a system built with the pool emptied first:
+// the same completion time, counters, page counts and energy. The rounds
+// change the channel count, the MSHR capacity, the L2 (Random replacement,
+// none) and the DRAM banks, so parts are reused, dropped and added.
+func TestReleasedSystemServesLikeNew(t *testing.T) {
+	cfgs := []Config{Table1Config(), Table1Config(), Table1Config(), Table1Config()}
+	cfgs[1].MSHRsPerSlice, cfgs[1].L2Replace = 2, cache.Random
+	cfgs[1].Zones = cfgs[1].Zones[:1]
+	cfgs[2].DisableL2 = true
+	cfgs[3].Zones = slices.Clone(cfgs[3].Zones)
+	cfgs[3].Zones[1].Channels, cfgs[3].Zones[1].DRAM.Banks = 6, 32
+	run := func(cfg Config) (*System, sim.Time, string) {
+		eng, space, sys := buildSystem(t, cfg, vm.Unlimited, vm.Unlimited)
+		for p := uint64(0); p < 64; p++ {
+			if err := space.MapPage(p, vm.ZoneID(p%uint64(len(cfg.Zones)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.LockPage(7, 300)
+		done := 0
+		for i := 0; i < 2000; i++ {
+			va := uint64(i*37%64)*vm.DefaultPageSize + uint64(i%32)*128
+			sys.Access(va, i%3 == 0, func() { done++ })
+		}
+		end := eng.Run()
+		var perSlice []string
+		for _, zc := range cfg.Zones {
+			for ch := 0; ch < zc.Channels; ch++ {
+				cs, ms, ds := sys.SliceStats(zc.Zone, ch)
+				perSlice = append(perSlice, fmt.Sprint(cs, ms, ds))
+			}
+		}
+		return sys, end, fmt.Sprint(done, sys.Stats(), sys.PageCounts(), sys.TotalEnergyNJ(), perSlice)
+	}
+	for round := range 2 * len(cfgs) {
+		cfg := cfgs[round%len(cfgs)]
+		sys, end, got := run(cfg)
+		for spares.Get() != nil {
+		}
+		_, wantEnd, want := run(cfg)
+		if end != wantEnd || got != want {
+			t.Fatalf("round %d: ended at %d with\n%s\na new system ended at %d with\n%s", round, end, got, wantEnd, want)
+		}
+		sys.Release()
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"hetsim/internal/experiments"
 	"hetsim/internal/gpu"
 	"hetsim/internal/memsys"
+	"hetsim/internal/migrate"
 	"hetsim/internal/tlb"
 	"hetsim/internal/vm"
 )
@@ -47,6 +48,8 @@ func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 		{"allocations past the zone span", func(rc *experiments.RunConfig) { rc.PageSize = 1 << 40 }},
 		{"pages above the maximum", func(rc *experiments.RunConfig) { rc.PageSize = vm.MaxPageSize << 1 }},
 		{"negative CPU traffic", func(rc *experiments.RunConfig) { rc.CPUTrafficGBps = -40 }},
+		{"empty ORACLE profile", func(rc *experiments.RunConfig) { rc.Policy, rc.ProfileCounts = experiments.OraclePolicy, []uint64{} }},
+		{"migration with no epoch", func(rc *experiments.RunConfig) { rc.Migration = &migrate.Config{} }},
 		{"hints outside the placement hints", func(rc *experiments.RunConfig) {
 			rc.Policy, rc.Hints = experiments.HintedPolicy, []core.Hint{99, 99, 99, 99, 99, 99}
 		}},

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Calendar geometry: one bucket per cycle over a window of calSpan cycles,
 // with one occupancy bit per bucket. Bandwidth-saturated runs keep most
@@ -40,9 +37,9 @@ type node struct {
 // the canonical (time, src, seq) order exactly — the same sequence any
 // correct priority queue over that strict total order yields. The zero
 // value is an empty queue; once the slab, batch and heap have grown to the
-// run's peak, pushes and pops allocate nothing. A drained queue hands its
-// slab on (handOff), so the next run's queue starts from the last run's
-// peak rather than regrowing from empty.
+// run's peak, pushes and pops allocate nothing. A released world hands its
+// engine on, queue included (World.Release), so the next run's queue
+// starts from the last run's peak rather than regrowing from empty.
 type queue struct {
 	n    int  // pending events across all tiers
 	base Time // first cycle of the calendar window; no pending event is earlier
@@ -54,9 +51,8 @@ type queue struct {
 	head [calSpan]int32   // bucket for cycle t is head[t&calMask]
 	occ  [calWords]uint64 // bit b set iff bucket b is non-empty
 
-	nodes []node   // record slab; nodes[0] is unused so index 0 means "none"
-	free  int32    // free-list head within nodes
-	box   *slabBox // what nodes came in through slabs, reused to hand them on
+	nodes []node // record slab; nodes[0] is unused so index 0 means "none"
+	free  int32  // free-list head within nodes
 
 	far []scheduled // overflow min-heap over the canonical order
 }
@@ -65,7 +61,7 @@ type queue struct {
 // passes the engine's clock, and At and Send refuse a time before it.
 func (q *queue) push(it scheduled) {
 	if len(q.nodes) == 0 {
-		q.takeSlab()
+		q.nodes = append(q.nodes, node{}) // the unused slot 0
 	}
 	q.n++
 	switch d := it.at - q.base; {
@@ -193,7 +189,7 @@ func (q *queue) advance(t Time) {
 }
 
 // alloc stores it in a free slab slot and returns the slot's index. The
-// queue must have a slab (push takes one).
+// queue must have a slab (push starts one).
 func (q *queue) alloc(it scheduled) int32 {
 	if i := q.free; i != 0 {
 		q.free = q.nodes[i].next
@@ -202,50 +198,6 @@ func (q *queue) alloc(it scheduled) int32 {
 	}
 	q.nodes = append(q.nodes, node{ev: it})
 	return int32(len(q.nodes) - 1)
-}
-
-// slabBox carries a drained queue's slab, with its free list, through
-// slabs. Every record in it is released, so it holds no callback
-// references. A queue keeps the box its slab came in, so handing the slab
-// on again allocates nothing.
-type slabBox struct {
-	nodes []node
-	free  int32
-}
-
-var slabs sync.Pool // of *slabBox
-
-// takeSlab gives a queue without a slab the one a drained queue handed on,
-// if slabs holds one, or else a new slab holding only the unused slot 0.
-func (q *queue) takeSlab() {
-	if b, _ := slabs.Get().(*slabBox); b != nil {
-		q.nodes, q.free, q.box = b.nodes, b.free, b
-		b.nodes = nil
-		return
-	}
-	q.nodes = append(q.nodes, node{})
-}
-
-// handOffMin is the smallest slab, in records, a drained queue hands on.
-// A smaller one regrows in a few appends, and a caller that drains the
-// engine after every access would pay more for the hand-over than it
-// saves.
-const handOffMin = 1 << 10
-
-// handOff passes the slab of a drained queue on to the next queue that
-// schedules an event, so each run does not regrow one from empty. The
-// queue stays usable: its next push takes a slab again.
-func (q *queue) handOff() {
-	if q.n != 0 || len(q.nodes) < handOffMin {
-		return
-	}
-	b := q.box
-	if b == nil {
-		b = &slabBox{}
-	}
-	b.nodes, b.free = q.nodes, q.free
-	q.nodes, q.free, q.box = nil, 0, nil
-	slabs.Put(b)
 }
 
 // release frees slab slot i and returns the record it held, dropping the

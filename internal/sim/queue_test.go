@@ -303,43 +303,64 @@ func TestEngineAgainstReference(t *testing.T) {
 
 }
 
-// TestRunHandsOnDrainedSlab: World.Run hands a drained queue's record
-// slab, free list included, to the next queue that schedules an event,
-// and a world running on the handed-on slab fires the reference schedule.
-func TestRunHandsOnDrainedSlab(t *testing.T) {
+// bigSlab is a schedule size whose drained slab holds more records than
+// the actor program of refProg ever has pending.
+const bigSlab = 2048
+
+// TestReleasedWorldFiresReferenceSchedule: a world built on the engine a
+// released world handed on — its clock, event count and calendar window
+// advanced, its slab grown and its free list scrambled by a run whose
+// events spanned the calendar and the overflow heap — starts at time 0
+// with no events fired and fires the reference schedule. A world with
+// events pending keeps its engine.
+func TestReleasedWorldFiresReferenceSchedule(t *testing.T) {
 	const budget = 300
 	want := refProg(budget, nil)
 	var p pinger
-	// sync.Pool may miss a slab put on another P, and under the race
+	pending := NewWorld(1, progLA)
+	pending.Root().At(5, &p, 0)
+	pending.Release()
+	if pending.eng == nil {
+		t.Fatal("a world with a pending event gave up its engine")
+	}
+	// sync.Pool may miss an engine put on another P, and under the race
 	// detector drops a quarter of them, so retry until one is handed on.
 	for try := 0; try < 50; try++ {
 		first := NewWorld(1, progLA)
-		for i := range 2 * handOffMin {
-			first.Root().At(Time(i), &p, 0)
+		for i := range bigSlab {
+			first.Root().At(Time(i%calSpan), &p, 0)
+			if i%16 == 0 {
+				first.Root().At(Time(2*calSpan+i), &p, 0) // overflow heap
+			}
 		}
 		first.Run()
-		if first.eng.q.nodes != nil {
-			t.Fatal("a drained queue kept its slab")
-		}
-		var got []string
+		e := first.eng
+		first.Release()
 		second := NewWorld(1, progLA)
-		newProg(second, budget, &got)
-		if second.eng.q.box == nil {
+		if second.eng != e {
 			continue
 		}
+		if second.Now() != 0 || second.Fired() != 0 || second.Front() != Forever {
+			t.Fatalf("a world on a handed-on engine starts at %d with %d events fired, front %d", second.Now(), second.Fired(), second.Front())
+		}
+		if len(e.q.nodes) <= bigSlab {
+			t.Fatalf("the handed-on engine's slab has %d records, want the drained run's %d and slot 0", len(e.q.nodes), bigSlab)
+		}
+		var got []string
+		newProg(second, budget, &got)
 		second.Run()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run on a handed-on slab fired %d events, the reference %d, or in another order", len(got), len(want))
+			t.Fatalf("run on a handed-on engine fired %d events, the reference %d, or in another order", len(got), len(want))
 		}
 		return
 	}
-	t.Fatal("no queue took a handed-on slab in 50 tries")
+	t.Fatal("no world took a handed-on engine in 50 tries")
 }
 
 // TestConcurrentRunsShareSlabs runs worlds from four goroutines at once,
-// as sweep workers do. Each goroutine drains a schedule large enough to
-// hand its slab on, then runs the actor program on whatever slab its queue
-// takes, which must fire the reference schedule.
+// as sweep workers do. Each goroutine drains a large schedule and releases
+// its world, then runs the actor program on whatever engine and slab its
+// next world takes, which must fire the reference schedule.
 func TestConcurrentRunsShareSlabs(t *testing.T) {
 	const budget = 300
 	want := refProg(budget, nil)
@@ -351,10 +372,11 @@ func TestConcurrentRunsShareSlabs(t *testing.T) {
 			var p pinger
 			for r := range 5 {
 				big := NewWorld(1, progLA)
-				for i := range 2 * handOffMin {
+				for i := range bigSlab {
 					big.Root().At(Time(i), &p, 0)
 				}
 				big.Run()
+				big.Release()
 				var got []string
 				w := NewWorld(1, progLA)
 				newProg(w, budget, &got)
@@ -363,6 +385,7 @@ func TestConcurrentRunsShareSlabs(t *testing.T) {
 					t.Errorf("goroutine %d, run %d: fired %d events, the reference %d, or in another order", g, r, len(got), len(want))
 					return
 				}
+				w.Release()
 			}
 		}()
 	}

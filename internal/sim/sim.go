@@ -49,7 +49,6 @@ type scheduled struct {
 	at  Time
 	src ActorID // scheduling actor
 	seq uint64  // per-source insertion order; breaks ties deterministically
-	dst *Actor  // actor the event is for
 	h   Handler
 	arg uint64
 }

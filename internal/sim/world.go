@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // ActorID identifies one scheduling source in a World. ID 0 is the root
 // context: setup code and components without an actor of their own (the
@@ -35,7 +38,7 @@ func (a *Actor) At(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: actor %d event scheduled at %d, before now=%d", a.id, t, e.now))
 	}
-	e.q.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), dst: a, h: h, arg: arg})
+	e.q.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), h: h, arg: arg})
 }
 
 // After schedules h.OnEvent(arg) d cycles from now.
@@ -55,7 +58,7 @@ func (a *Actor) Send(dst *Actor, t Time, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: actor %d send scheduled at %d, before now=%d", a.id, t, e.now))
 	}
-	e.q.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), dst: dst, h: h, arg: arg})
+	e.q.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), h: h, arg: arg})
 }
 
 // SendAfter schedules h.OnEvent(arg) for dst d cycles from now.
@@ -81,9 +84,40 @@ type World struct {
 // lookahead is the minimum latency of any cross-actor message: for the
 // memory system, the interconnect crossing cost (memsys.LaneLookahead).
 // n is ignored: the benchmark harness under bench/ still passes an event
-// lane count, and the parameter stays until it stops.
+// lane count, and the parameter stays until it stops. The world's engine
+// is one a released world handed on (Release), if there is one.
 func NewWorld(n int, lookahead Time) *World {
-	return newWorld(&Engine{}, max(lookahead, 0))
+	e, _ := engines.Get().(*Engine)
+	if e == nil {
+		e = &Engine{}
+	} else {
+		e.now, e.fired = 0, 0
+		e.q.base = 0
+	}
+	return newWorld(e, max(lookahead, 0))
+}
+
+// engines holds the engines of released worlds. A drained engine's queue
+// is empty in every tier — its calendar buckets, occupancy bitmap, batch
+// and overflow heap — and every record of its slab is on the free list,
+// holding no callback references; so only the clock, the event count and
+// the window base need resetting. Which slots a run's events occupy never
+// affects the fire order, which depends only on the scheduling calls.
+var engines sync.Pool // of *Engine
+
+// Release hands the world's engine to the next NewWorld: its calendar
+// arrays, and its queue's slab, batch and heap at the run's peak size.
+// Call it after Run, once nothing reads the clock or the event count;
+// neither the world nor its actors may be used afterwards. A world with
+// events still pending keeps its engine.
+func (w *World) Release() {
+	e := w.eng
+	if e.q.n != 0 {
+		return
+	}
+	e.world = nil
+	*w = World{}
+	engines.Put(e)
 }
 
 func newWorld(e *Engine, lookahead Time) *World {
@@ -149,8 +183,7 @@ func (w *World) runHooks() {
 }
 
 // Run drains the engine window by window, running the hooks at every
-// window edge, and returns the final clock value. The drained queue's
-// event slab goes to the next queue that needs one (see queue.handOff).
+// window edge, and returns the final clock value.
 func (w *World) Run() Time {
 	e := w.eng
 	// The window stride is at least one cycle even with zero lookahead, so
@@ -161,6 +194,5 @@ func (w *World) Run() Time {
 		e.drain(t + step - 1)
 		w.runHooks()
 	}
-	e.q.handOff()
 	return e.now
 }

@@ -12,6 +12,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // DefaultPageSize is the paper's 4 kB page granularity.
@@ -84,6 +85,22 @@ type Space struct {
 	// invalidates every outstanding cache at once.
 	gen   uint64
 	zones []zoneState
+	tables
+	// used counts live pages per zone; free holds released physical pages
+	// for reuse by Remap/MapPage.
+	used [MaxZones]int
+	free [MaxZones]freeList
+	// deferred is deferred-mapping mode (see deferred.go).
+	deferred bool
+
+	// spare is the box the space's tables came in, kept to hand them on
+	// (Release); nil for a space built with new tables.
+	spare *tables
+}
+
+// tables is a Space's page-table storage, which a released space hands
+// to the next NewSpace.
+type tables struct {
 	// table maps dense virtual page numbers to physical page addresses
 	// (PA of the page's first byte). Virtual pages are allocated densely
 	// from 0 by the runtime, so a slice suffices and keeps translation
@@ -92,21 +109,20 @@ type Space struct {
 	// zoneOf mirrors table with the owning zone, for profiling.
 	zoneOf []ZoneID
 	mapped []bool
-	// used counts live pages per zone; free holds released physical pages
-	// for reuse by Remap/MapPage.
-	used [MaxZones]int
-	free [MaxZones]freeList
-	// Deferred-mapping state (see deferred.go): while deferred, MapPage
-	// reserves physical pages immediately but parks the table commit in
-	// pending until FlushPending runs at a window barrier.
-	deferred   bool
+	// While deferred, MapPage reserves physical pages immediately but
+	// parks the table commit in pending until FlushPending runs at a
+	// window barrier.
 	pending    []pendingMap
 	pendingSet map[uint64]struct{}
 }
 
+// spares holds released tables; each NewSpace takes at most one set.
+var spares sync.Pool // of *tables
+
 // NewSpace returns an address space over the given zones. pageSize must be
 // a power of two; zones must number in [1, MaxZones]. It panics on invalid
-// configuration (programming error).
+// configuration (programming error). The space's page table is built in
+// the storage a released space handed on (Release), if there is any.
 func NewSpace(pageSize uint64, zones []ZoneConfig) *Space {
 	if pageSize == 0 || pageSize&(pageSize-1) != 0 {
 		panic(fmt.Sprintf("vm: page size %d not a power of two", pageSize))
@@ -125,7 +141,37 @@ func NewSpace(pageSize uint64, zones []ZoneConfig) *Space {
 	for s := pageSize; s > 1; s >>= 1 {
 		shift++
 	}
-	return &Space{pageSize: pageSize, pageShift: shift, zones: zs}
+	s := &Space{pageSize: pageSize, pageShift: shift, zones: zs}
+	if t, _ := spares.Get().(*tables); t != nil {
+		// extend relies on [len, cap) never having been written, so the
+		// arrays are cleared over their whole capacity.
+		clear(t.table[:cap(t.table)])
+		clear(t.zoneOf[:cap(t.zoneOf)])
+		clear(t.mapped[:cap(t.mapped)])
+		clear(t.pendingSet)
+		s.tables = tables{
+			table:      t.table[:0],
+			zoneOf:     t.zoneOf[:0],
+			mapped:     t.mapped[:0],
+			pending:    t.pending[:0],
+			pendingSet: t.pendingSet,
+		}
+		s.spare = t
+	}
+	return s
+}
+
+// Release hands the space's page-table storage to the next NewSpace,
+// which clears it. Call it once nothing translates through the space or
+// reads its tables; the space must not be used afterwards.
+func (s *Space) Release() {
+	t := s.spare
+	if t == nil {
+		t = new(tables)
+	}
+	*t = s.tables
+	*s = Space{}
+	spares.Put(t)
 }
 
 // PageSize returns the page size in bytes.

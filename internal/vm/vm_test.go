@@ -353,3 +353,69 @@ func BenchmarkSpaceFirstTouch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/page")
 }
+
+// TestReleasedTablesReadEmpty: a space built right after another released
+// its tables — pages mapped in both zones, mappings still pending, one
+// remapped — reads as new: nothing mapped or pending, and the same
+// mappings give the same translations as in a new space. Repeated, so the
+// taking space gets the released tables whenever the pool hands them back.
+func TestReleasedTablesReadEmpty(t *testing.T) {
+	const span = 3000
+	for round := range 4 {
+		old := twoZone(Unlimited, Unlimited)
+		old.SetDeferred(true)
+		for p := uint64(0); p < span; p += 3 {
+			if err := old.MapPage(p, ZoneID(p%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old.FlushPending()
+		if _, _, err := old.Remap(3, ZoneBO); err != nil {
+			t.Fatal(err)
+		}
+		for p := uint64(1); p < 300; p += 3 {
+			if err := old.MapPage(p, ZoneCO); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old.Release()
+
+		got := twoZone(Unlimited, Unlimited)
+		for spares.Get() != nil {
+		}
+		want := twoZone(Unlimited, Unlimited)
+		if got.TableSpan() != 0 || got.MappedPages() != 0 || got.PendingMappings() != 0 {
+			t.Fatalf("round %d: span %d, %d mapped, %d pending, want an empty space",
+				round, got.TableSpan(), got.MappedPages(), got.PendingMappings())
+		}
+		for p := uint64(0); p < span; p++ {
+			if got.MappedOrPending(p) {
+				t.Fatalf("round %d: page %d of the released space reads as mapped", round, p)
+			}
+		}
+		for _, s := range []*Space{got, want} {
+			for p := uint64(0); p < span/2; p += 2 {
+				if err := s.MapPage(p, ZoneID(p%4/2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.SetDeferred(true)
+			for p := uint64(span / 2); p < span+100; p += 5 {
+				if err := s.MapPage(p, ZoneCO); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.FlushPending()
+		}
+		if got.TableSpan() != want.TableSpan() {
+			t.Fatalf("round %d: TableSpan %d, a new space %d", round, got.TableSpan(), want.TableSpan())
+		}
+		for p := uint64(0); p < span+200; p++ {
+			gp, gok := got.Translate(p * DefaultPageSize)
+			wp, wok := want.Translate(p * DefaultPageSize)
+			if gp != wp || gok != wok {
+				t.Fatalf("round %d: page %d translates to %#x,%v, in a new space %#x,%v", round, p, gp, gok, wp, wok)
+			}
+		}
+	}
+}

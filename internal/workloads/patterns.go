@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hetsim/internal/gpu"
@@ -103,15 +104,29 @@ func (p Pattern) touchFrac() float64 {
 }
 
 // offsetGen produces successive byte offsets within one structure for one
-// warp. Implementations are deterministic given the warp's seeded rng.
-type offsetGen interface {
-	next(rng *rand.Rand) uint64
+// warp, deterministically given the warp's seeded rng. It is one value for
+// every pattern kind, so a program holds its generators inline and a
+// reused program sets them up without allocating.
+type offsetGen struct {
+	kind  PatternKind
+	lines uint64 // lines the pattern touches
+	// Sequential and Strided walk from cursor, stride lines a step.
+	cursor, stride uint64
+	// Zipf and ScatteredZipf draw one of pages pages from zipf, the
+	// structure's distribution, which all its warps share.
+	zipf  *zipfDist
+	pages uint64
+	// GatherScatter deals out pending, the coalesced transactions of one
+	// lanes-wide instruction, before it draws the next.
+	lanes   int
+	pending []uint64
 }
 
 const pageBytes = 4096
 
-// generator builds the offset generator for a structure of size bytes.
-func (p Pattern) generator(size uint64, warpID, warps int, rng *rand.Rand) offsetGen {
+// touchedLines is how many lines of a structure of size bytes the pattern
+// touches.
+func (p Pattern) touchedLines(size uint64) uint64 {
 	lines := size / LineBytes
 	if lines == 0 {
 		lines = 1
@@ -120,98 +135,125 @@ func (p Pattern) generator(size uint64, warpID, warps int, rng *rand.Rand) offse
 	if touched == 0 {
 		touched = 1
 	}
+	return touched
+}
+
+// zipfPages is how many pages the Zipf kinds draw from in a structure of
+// size bytes.
+func (p Pattern) zipfPages(size uint64) uint64 {
+	return max(p.touchedLines(size)*LineBytes/pageBytes, 1)
+}
+
+// zipf returns the page distribution of the Zipf kinds over a structure of
+// size bytes.
+func (p Pattern) zipf(size uint64) zipfDist {
+	return newZipfDist(p.zipfS(), 1, p.zipfPages(size)-1)
+}
+
+// generator sets g to warp warpID's offset generator over a structure of
+// size bytes, one of warps warps. z is the structure's p.zipf(size); only
+// the Zipf kinds read it.
+func (p Pattern) generator(g *offsetGen, size uint64, warpID, warps int, z *zipfDist) {
+	touched := p.touchedLines(size)
+	*g = offsetGen{kind: p.Kind, lines: touched}
 	switch p.Kind {
-	case Sequential:
-		start := uint64(warpID) * touched / uint64(maxInt(warps, 1))
-		return &seqGen{lines: touched, cursor: start, stride: 1}
-	case Strided:
-		start := uint64(warpID) * touched / uint64(maxInt(warps, 1))
-		return &seqGen{lines: touched, cursor: start, stride: uint64(p.strideLines())}
-	case Uniform:
-		return uniformGen{lines: touched}
+	case Sequential, Strided:
+		g.cursor = uint64(warpID) * touched / uint64(maxInt(warps, 1))
+		g.stride = 1
+		if p.Kind == Strided {
+			g.stride = uint64(p.strideLines())
+		}
 	case GatherScatter:
-		return &gatherGen{lines: touched, lanes: p.lanes()}
+		g.lanes = p.lanes()
 	case Zipf, ScatteredZipf:
-		pages := touched * LineBytes / pageBytes
-		if pages == 0 {
-			pages = 1
-		}
-		z := rand.NewZipf(rng, p.zipfS(), 1, pages-1)
-		if z == nil {
-			// pages-1 == 0: single page degenerates to uniform lines.
-			return uniformGen{lines: touched}
-		}
-		return &zipfGen{
-			zipf:    z,
-			pages:   pages,
-			lines:   touched,
-			scatter: p.Kind == ScatteredZipf,
-		}
+		g.zipf, g.pages = z, p.zipfPages(size)
 	default:
-		return uniformGen{lines: touched}
+		g.kind = Uniform
 	}
-}
-
-type seqGen struct {
-	lines  uint64
-	cursor uint64
-	stride uint64
-}
-
-func (g *seqGen) next(*rand.Rand) uint64 {
-	off := (g.cursor % g.lines) * LineBytes
-	g.cursor += g.stride
-	return off
-}
-
-type uniformGen struct{ lines uint64 }
-
-func (g uniformGen) next(rng *rand.Rand) uint64 {
-	return uint64(rng.Int63n(int64(g.lines))) * LineBytes
-}
-
-type zipfGen struct {
-	zipf    *rand.Zipf
-	pages   uint64
-	lines   uint64
-	scatter bool
 }
 
 const linesPerPage = pageBytes / LineBytes
 
-func (g *zipfGen) next(rng *rand.Rand) uint64 {
-	page := g.zipf.Uint64()
-	if g.scatter {
-		page = mix(page) % g.pages
-	}
-	line := page*linesPerPage + uint64(rng.Intn(linesPerPage))
-	if line >= g.lines {
-		line = g.lines - 1
-	}
-	return line * LineBytes
-}
-
-// gatherGen models one warp instruction per lane group: it draws Lanes
-// random lane addresses, coalesces them with the GPU's coalescing rule,
-// and then deals the resulting transactions out one next() at a time.
-type gatherGen struct {
-	lines   uint64
-	lanes   int
-	pending []uint64
-}
-
-func (g *gatherGen) next(rng *rand.Rand) uint64 {
-	if len(g.pending) == 0 {
-		laneAddrs := make([]uint64, g.lanes)
-		span := int64(g.lines * LineBytes)
-		for i := range laneAddrs {
-			laneAddrs[i] = uint64(rng.Int63n(span))
+func (g *offsetGen) next(rng *rand.Rand) uint64 {
+	switch g.kind {
+	case Sequential, Strided:
+		off := (g.cursor % g.lines) * LineBytes
+		g.cursor += g.stride
+		return off
+	case Zipf, ScatteredZipf:
+		page := g.zipf.draw(rng)
+		if g.kind == ScatteredZipf {
+			page = mix(page) % g.pages
 		}
-		g.pending = gpu.Coalesce(laneAddrs, LineBytes)
+		line := page*linesPerPage + uint64(rng.Intn(linesPerPage))
+		if line >= g.lines {
+			line = g.lines - 1
+		}
+		return line * LineBytes
+	case GatherScatter:
+		// One warp instruction per lane group: draw the lane addresses,
+		// coalesce them with the GPU's coalescing rule, and deal the
+		// transactions out one next() at a time.
+		if len(g.pending) == 0 {
+			laneAddrs := make([]uint64, g.lanes)
+			span := int64(g.lines * LineBytes)
+			for i := range laneAddrs {
+				laneAddrs[i] = uint64(rng.Int63n(span))
+			}
+			g.pending = gpu.Coalesce(laneAddrs, LineBytes)
+		}
+		off := g.pending[0]
+		g.pending = g.pending[1:]
+		return off
+	default: // Uniform
+		return uint64(rng.Int63n(int64(g.lines))) * LineBytes
 	}
-	off := g.pending[0]
-	g.pending = g.pending[1:]
-	return off
+}
+
+// zipfDist is math/rand's Zipf distribution less its generator: draw takes
+// the warp's rng, so a generator holds the distribution inline rather than
+// allocating a rand.Zipf. Its arithmetic is rand.Zipf's (rejection-
+// inversion sampling, Hörmann and Derflinger 1996) operation for
+// operation, so the draws are bit-identical (TestZipfMatchesMathRand).
+type zipfDist struct {
+	imax, v, q, s, oneminusQ, oneminusQinv, hxm, hx0minusHxm float64
+}
+
+// newZipfDist is rand.NewZipf(r, s, v, imax) for s > 1 and v >= 1.
+func newZipfDist(s, v float64, imax uint64) zipfDist {
+	z := zipfDist{imax: float64(imax), v: v, q: s}
+	z.oneminusQ = 1.0 - z.q
+	z.oneminusQinv = 1.0 / z.oneminusQ
+	z.hxm = z.h(z.imax + 0.5)
+	z.hx0minusHxm = z.h(0.5) - math.Exp(math.Log(z.v)*(-z.q)) - z.hxm
+	z.s = 1 - z.hinv(z.h(1.5)-math.Exp(-z.q*math.Log(z.v+1.0)))
+	return z
+}
+
+func (z *zipfDist) h(x float64) float64 {
+	return math.Exp(z.oneminusQ*math.Log(z.v+x)) * z.oneminusQinv
+}
+
+func (z *zipfDist) hinv(x float64) float64 {
+	return math.Exp(z.oneminusQinv*math.Log(z.oneminusQ*x)) - z.v
+}
+
+// draw is rand.Zipf.Uint64 over r.
+func (z *zipfDist) draw(r *rand.Rand) uint64 {
+	k := 0.0
+	for {
+		u := r.Float64()
+		ur := z.hxm + u*z.hx0minusHxm
+		x := z.hinv(ur)
+		k = math.Floor(x + 0.5)
+		if k-x <= z.s {
+			break
+		}
+		if ur >= z.h(k+0.5)-math.Exp(-math.Log(k+z.v)*z.q) {
+			break
+		}
+	}
+	return uint64(k)
 }
 
 // mix is a fixed 64-bit permutation (splitmix64 finalizer) that decorrelates

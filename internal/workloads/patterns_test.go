@@ -9,6 +9,15 @@ import (
 	"hetsim/internal/sim"
 )
 
+// newGen returns warp warpID's generator over a structure of size bytes,
+// one of warps warps, set up as Programs sets it up.
+func newGen(p Pattern, size uint64, warpID, warps int) *offsetGen {
+	z := p.zipf(size)
+	g := new(offsetGen)
+	p.generator(g, size, warpID, warps, &z)
+	return g
+}
+
 // helpers shared with workloads_test.go
 func simEngine() *sim.Engine { return sim.New() }
 func gpuL1() cache.Config {
@@ -19,8 +28,8 @@ func TestSequentialPartitionsByWarp(t *testing.T) {
 	p := Pattern{Kind: Sequential}
 	rng := rand.New(rand.NewSource(1))
 	size := uint64(1 * mb)
-	g0 := p.generator(size, 0, 4, rng)
-	g1 := p.generator(size, 1, 4, rng)
+	g0 := newGen(p, size, 0, 4)
+	g1 := newGen(p, size, 1, 4)
 	o0 := g0.next(rng)
 	o1 := g1.next(rng)
 	if o0 != 0 {
@@ -38,7 +47,7 @@ func TestSequentialPartitionsByWarp(t *testing.T) {
 func TestSequentialWraps(t *testing.T) {
 	p := Pattern{Kind: Sequential}
 	rng := rand.New(rand.NewSource(1))
-	g := p.generator(2*LineBytes, 0, 1, rng)
+	g := newGen(p, 2*LineBytes, 0, 1)
 	offs := []uint64{g.next(rng), g.next(rng), g.next(rng)}
 	if offs[2] != offs[0] {
 		t.Fatalf("2-line structure did not wrap: %v", offs)
@@ -48,7 +57,7 @@ func TestSequentialWraps(t *testing.T) {
 func TestStridedUsesStride(t *testing.T) {
 	p := Pattern{Kind: Strided, StrideLines: 4}
 	rng := rand.New(rand.NewSource(1))
-	g := p.generator(1*mb, 0, 1, rng)
+	g := newGen(p, 1*mb, 0, 1)
 	a := g.next(rng)
 	b := g.next(rng)
 	if b-a != 4*LineBytes {
@@ -60,7 +69,7 @@ func TestUniformStaysInBounds(t *testing.T) {
 	p := Pattern{Kind: Uniform}
 	rng := rand.New(rand.NewSource(2))
 	size := uint64(256 * 1024)
-	g := p.generator(size, 0, 1, rng)
+	g := newGen(p, size, 0, 1)
 	for i := 0; i < 10000; i++ {
 		off := g.next(rng)
 		if off >= size {
@@ -76,7 +85,7 @@ func TestZipfSkewsTowardHead(t *testing.T) {
 	p := Pattern{Kind: Zipf, ZipfS: 1.4}
 	rng := rand.New(rand.NewSource(3))
 	size := uint64(4 * mb) // 1024 pages
-	g := p.generator(size, 0, 1, rng)
+	g := newGen(p, size, 0, 1)
 	const n = 20000
 	headPages := size / pageBytes / 10 // hottest 10% of address space
 	head := 0
@@ -100,7 +109,7 @@ func TestScatteredZipfDecorrelatesAddress(t *testing.T) {
 		p := Pattern{Kind: kind, ZipfS: 1.4}
 		rng := rand.New(rand.NewSource(3))
 		size := uint64(4 * mb)
-		g := p.generator(size, 0, 1, rng)
+		g := newGen(p, size, 0, 1)
 		counts := make(map[uint64]int)
 		for i := 0; i < 20000; i++ {
 			counts[g.next(rng)/pageBytes]++
@@ -139,7 +148,7 @@ func TestTouchFracLimitsRange(t *testing.T) {
 	p := Pattern{Kind: Uniform, TouchFrac: 0.5}
 	rng := rand.New(rand.NewSource(4))
 	size := uint64(1 * mb)
-	g := p.generator(size, 0, 1, rng)
+	g := newGen(p, size, 0, 1)
 	for i := 0; i < 5000; i++ {
 		if off := g.next(rng); off >= size/2 {
 			t.Fatalf("TouchFrac=0.5 produced offset %d beyond %d", off, size/2)
@@ -151,7 +160,7 @@ func TestTinyStructuresDoNotPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, kind := range []PatternKind{Sequential, Strided, Uniform, Zipf, ScatteredZipf} {
 		p := Pattern{Kind: kind}
-		g := p.generator(64, 0, 1, rng) // smaller than one line
+		g := newGen(p, 64, 0, 1) // smaller than one line
 		for i := 0; i < 100; i++ {
 			if off := g.next(rng); off != 0 {
 				t.Fatalf("kind %v: tiny structure offset %d, want 0", kind, off)
@@ -163,7 +172,7 @@ func TestTinyStructuresDoNotPanic(t *testing.T) {
 func TestSinglePageZipfDegradesToUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := Pattern{Kind: Zipf}
-	g := p.generator(pageBytes, 0, 1, rng) // exactly one page
+	g := newGen(p, pageBytes, 0, 1) // exactly one page
 	for i := 0; i < 1000; i++ {
 		if off := g.next(rng); off >= pageBytes {
 			t.Fatalf("offset %d beyond single page", off)
@@ -180,7 +189,7 @@ func TestPropertyGeneratorsInBounds(t *testing.T) {
 		warp := int(warpRaw) % warps
 		kind := PatternKind(kindRaw % 6)
 		rng := rand.New(rand.NewSource(int64(sizeRaw)))
-		g := Pattern{Kind: kind}.generator(size, warp, warps, rng)
+		g := newGen(Pattern{Kind: kind}, size, warp, warps)
 		for i := 0; i < 200; i++ {
 			off := g.next(rng)
 			if off >= size || off%LineBytes != 0 {
@@ -191,6 +200,24 @@ func TestPropertyGeneratorsInBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestZipfMatchesMathRand pins zipfDist to math/rand's Zipf: over the same
+// source, every draw is equal, for the skews the workloads use and the
+// page counts of one page up to a large structure.
+func TestZipfMatchesMathRand(t *testing.T) {
+	for _, s := range []float64{1.0001, 1.15, 1.2, 1.3, 1.4, 1.5, 2.5} {
+		for _, imax := range []uint64{0, 1, 2, 31, 1023, 3071, 1 << 20} {
+			z := newZipfDist(s, 1, imax)
+			gr, wr := rand.New(rand.NewSource(int64(imax)+7)), rand.New(rand.NewSource(int64(imax)+7))
+			want := rand.NewZipf(wr, s, 1, imax)
+			for i := 0; i < 2000; i++ {
+				if g, w := z.draw(gr), want.Uint64(); g != w {
+					t.Fatalf("s=%v imax=%d: draw %d = %d, math/rand gives %d", s, imax, i, g, w)
+				}
+			}
+		}
 	}
 }
 
@@ -213,15 +240,14 @@ func TestGatherScatterTransactions(t *testing.T) {
 	p := Pattern{Kind: GatherScatter, Lanes: 32}
 	rng := rand.New(rand.NewSource(9))
 	size := uint64(8 * mb)
-	g := p.generator(size, 0, 1, rng)
+	g := newGen(p, size, 0, 1)
 	// Drain several warp instructions; offsets must be line aligned and in
 	// bounds, and distinct within one instruction's burst.
 	for instr := 0; instr < 50; instr++ {
 		seen := map[uint64]bool{}
 		first := g.next(rng)
 		seen[first] = true
-		gg := g.(*gatherGen)
-		burst := len(gg.pending) + 1
+		burst := len(g.pending) + 1
 		if burst < 2 || burst > 32 {
 			t.Fatalf("gather burst = %d transactions, want 2..32", burst)
 		}

@@ -186,14 +186,29 @@ func (s *Spec) Allocate(rt *gpurt.Runtime, hints []Hint) ([]gpurt.Allocation, er
 // returned when one is large enough, and a reused program keeps the
 // random-source register an earlier run's draws allocated.
 func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
-	cum := cumulativeWeights(s.Structures)
 	slab, _ := slabs.Get().(*programSlab)
 	if slab == nil || len(slab.warps) < s.Warps {
-		slab = &programSlab{warps: make([]warpProgram, s.Warps), progs: make([]gpu.WarpProgram, s.Warps)}
+		slab = newProgramSlab(s.Warps)
 	}
+	return slab.fill(s, allocs)
+}
+
+func newProgramSlab(warps int) *programSlab {
+	return &programSlab{warps: make([]warpProgram, warps), progs: make([]gpu.WarpProgram, warps)}
+}
+
+// fill builds s's programs in the slab, which holds at least s.Warps.
+func (slab *programSlab) fill(s *Spec, allocs []gpurt.Allocation) []gpu.WarpProgram {
+	cum := cumulativeWeights(s.Structures)
+	slab.zipfs = resized(slab.zipfs, len(s.Structures))
+	for i, st := range s.Structures {
+		slab.zipfs[i] = st.Pattern.zipf(st.Size)
+	}
+	slab.gens = resized(slab.gens, s.Warps*len(s.Structures))
+	slab.addrs = resized(slab.addrs, s.Warps*s.AccessesPerPhase)
 	progs := slab.progs[:s.Warps]
 	for w := range progs {
-		slab.warps[w].init(s, allocs, cum, w)
+		slab.warps[w].init(s, allocs, cum, slab, w)
 		progs[w] = &slab.warps[w]
 	}
 	if len(progs) > 0 {
@@ -217,11 +232,17 @@ func ReleasePrograms(progs []gpu.WarpProgram) {
 }
 
 // programSlab is the storage of one Programs result: the programs and the
-// interface list over them. slabs holds released ones; both slices keep
-// their length, and Programs reslices them to its spec's warp count.
+// interface list over them; each structure's Zipf page distribution,
+// which the structure's generators share; and every program's generators
+// and phase buffer, one window of gens and addrs per program. slabs holds
+// released ones; the program slices keep their length, and Programs
+// reslices them to its spec's warp count.
 type programSlab struct {
 	warps []warpProgram
 	progs []gpu.WarpProgram
+	zipfs []zipfDist
+	gens  []offsetGen
+	addrs []gpu.Access
 }
 
 var slabs sync.Pool // of *programSlab
@@ -251,7 +272,7 @@ type warpProgram struct {
 	weights  []float64
 	cumDrift []float64
 	src      warpSource
-	rng      *rand.Rand // over src
+	rng      rand.Rand // over src
 	phase    int
 	gens     []offsetGen // per structure
 	// slab is set on a slab's first program until ReleasePrograms returns
@@ -259,25 +280,24 @@ type warpProgram struct {
 	slab *programSlab
 }
 
-// init sets every field for warp warpID of s. The program may be one a
-// released slab held for another spec, so nothing may depend on a zero
-// value: buffers keep their capacity and are resized, and rng, which only
-// ever wraps this program's own src, is kept.
-func (w *warpProgram) init(s *Spec, allocs []gpurt.Allocation, cum []float64, warpID int) {
+// init sets every field for warp warpID of s, in slab, which Programs
+// has sized for s. The program may be one a released slab held for
+// another spec, so nothing may depend on a zero value: the drift buffers
+// keep their capacity and are resized.
+func (w *warpProgram) init(s *Spec, allocs []gpurt.Allocation, cum []float64, slab *programSlab, warpID int) {
 	w.spec, w.allocs, w.cum = s, allocs, cum
-	w.addrs = resized(w.addrs, s.AccessesPerPhase)
+	n, m := len(s.Structures), s.AccessesPerPhase
+	w.addrs = slab.addrs[warpID*m : (warpID+1)*m : (warpID+1)*m]
 	if s.WeightDrift > 0 {
-		w.weights = resized(w.weights, len(s.Structures))
-		w.cumDrift = resized(w.cumDrift, len(s.Structures))
+		w.weights = resized(w.weights, n)
+		w.cumDrift = resized(w.cumDrift, n)
 	}
 	w.src.Seed(s.Seed*1_000_003 + int64(warpID))
-	if w.rng == nil {
-		w.rng = rand.New(&w.src)
-	}
+	w.rng = *rand.New(&w.src)
 	w.phase = 0
-	w.gens = resized(w.gens, len(s.Structures))
+	w.gens = slab.gens[warpID*n : (warpID+1)*n : (warpID+1)*n]
 	for i, st := range s.Structures {
-		w.gens[i] = st.Pattern.generator(st.Size, warpID, s.Warps, w.rng)
+		st.Pattern.generator(&w.gens[i], st.Size, warpID, s.Warps, &slab.zipfs[i])
 	}
 }
 
@@ -304,7 +324,7 @@ func (w *warpProgram) NextPhase() (gpu.Phase, bool) {
 	for i := range addrs {
 		si := w.pickStructure()
 		st := &w.spec.Structures[si]
-		off := w.gens[si].next(w.rng)
+		off := w.gens[si].next(&w.rng)
 		addrs[i] = gpu.Access{
 			VA:    w.allocs[si].Base + off,
 			Write: st.WriteFrac > 0 && w.rng.Float64() < st.WriteFrac,

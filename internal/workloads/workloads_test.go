@@ -392,14 +392,7 @@ func phaseStream(progs []gpu.WarpProgram) []gpu.Access {
 // freshPrograms builds s's programs the way Programs does, but on a new
 // slab, never on one a release handed on.
 func freshPrograms(s *Spec, allocs []gpurt.Allocation) []gpu.WarpProgram {
-	cum := cumulativeWeights(s.Structures)
-	slab := make([]warpProgram, s.Warps)
-	progs := make([]gpu.WarpProgram, s.Warps)
-	for w := range slab {
-		slab[w].init(s, allocs, cum, w)
-		progs[w] = &slab[w]
-	}
-	return progs
+	return newProgramSlab(s.Warps).fill(s, allocs)
 }
 
 // TestProgramsAllocateRegistersOnFirstDraw: building programs allocates no
