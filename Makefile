@@ -26,13 +26,14 @@ fmt:
 # job queue / two-tier cache, the cluster coordinator's dispatch and
 # heartbeat paths, the autotuner's multi-worker searches, and the
 # telemetry recorder fed by all of them in parallel. Concurrent runs hand
-# their hardware to one another through package-level pools: drained
-# event-queue slabs and released engines (sim), memory-system part sets
-# (memsys: slices with their L2 tag arrays, MSHR files and DRAM channels,
-# access records, page-count tables), SM sets with L1s and warp contexts
-# (gpu), page tables (vm) and warp-program slabs (workloads). cache and
-# dram hold the reset of each reused tag array, MSHR file and channel;
-# experiments' hand-over tests pass parts between four goroutines.
+# their hardware to one another through package-level pools: released
+# engines with their event queues' link and payload slabs (sim),
+# memory-system part sets (memsys: slices with their L2 tag arrays, MSHR
+# files and DRAM channels, access records, page-count tables), SM sets
+# with L1s and warp contexts (gpu), page tables (vm) and warp-program
+# slabs with their RNG registers (workloads). cache and dram hold the
+# reset of each reused tag array, MSHR file and channel; experiments'
+# hand-over tests pass parts between four goroutines.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/cache/ ./internal/dram/ ./internal/vm/ ./internal/gpu/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/ ./internal/workloads/
 
@@ -102,8 +103,10 @@ bench:
 # Benchmark guardrail: take a fresh snapshot and diff it against the
 # committed baseline, failing on regressions beyond BENCH_THRESHOLD
 # percent on ns/op. CI runs this non-blocking (shared runners are noisy);
-# locally it is the quick "did I slow the simulator down" check.
-BENCH_BASELINE ?= BENCH_127d4e7.json
+# locally it is the quick "did I slow the simulator down" check. The
+# baseline is the newest committed snapshot; older BENCH_*.json files stay
+# as history.
+BENCH_BASELINE ?= BENCH_01e67f4.json
 BENCH_THRESHOLD ?= 25
 bench-compare: bench
 	$(GO) run ./cmd/benchjson compare -threshold $(BENCH_THRESHOLD) \

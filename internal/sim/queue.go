@@ -12,65 +12,95 @@ const (
 	calWords = calSpan / 64
 )
 
-// node is one slot of the queue's record slab: a queued event plus the slab
-// index of the next node in the same bucket (or free list); 0 ends a list.
-type node struct {
-	ev   scheduled
-	next int32
+// slotMask selects the slot half of a packed src<<32 | slot word.
+const slotMask = 1<<32 - 1
+
+// rec is the payload of one queued event, read once, when it fires.
+type rec struct {
+	h   Handler
+	arg uint64
+}
+
+// farEvent is one overflow-heap entry: the event's time, its place among
+// the overflow pushes, and its packed src<<32 | slot key.
+type farEvent struct {
+	at  Time
+	n   uint64
+	key uint64
+}
+
+// before orders overflow entries by (time, push order).
+func (f *farEvent) before(o *farEvent) bool {
+	return f.at < o.at || f.at == o.at && f.n < o.n
 }
 
 // queue is the engine's monotone calendar queue (R. Brown, "Calendar
 // Queues", CACM 1988), specialized to a clock that never goes backwards.
 //
-// Every pending event lives in exactly one of three tiers:
+// Every queued event holds one slot: link[slot] is src<<32 | next slot,
+// which is all the bucket walk, the batch sort and the free list read,
+// and recs[slot] is the (Handler, arg) payload, read once when the event
+// fires. Slot 0 is unused, so next slot 0 ends a list. A slot stores no
+// time and no sequence number; every pending event is in one of three
+// tiers:
 //
-//   - cur: the batch at time base, drained from base's bucket and sorted by
-//     (src, seq). cur[pos:] are still pending; same-cycle events scheduled
-//     while the batch fires are insertion-sorted into it.
-//   - the calendar: one intrusive list per cycle in [base, base+calSpan),
-//     threaded through the node slab, with an occupancy bitmap so the next
-//     non-empty cycle is a bits.TrailingZeros64 scan.
-//   - far: a binary min-heap of events at or after base+calSpan. They move
-//     into the calendar as base advances.
+//   - cur: the batch at time base, as src<<32 | slot keys in source
+//     order. cur[pos:] are still pending; same-cycle events scheduled
+//     while the batch fires are inserted after every pending key of their
+//     source and of lower sources.
+//   - the calendar: one list per cycle in [base, base+calSpan), threaded
+//     through link, with an occupancy bitmap so the next non-empty cycle
+//     is a bits.TrailingZeros64 scan.
+//   - far: a binary min-heap of events at or after base+calSpan, ordered
+//     by (time, push order). They move into the calendar as base
+//     advances.
 //
-// Each bucket holds a single cycle and the batch is sorted, so pops follow
-// the canonical (time, src, seq) order exactly — the same sequence any
-// correct priority queue over that strict total order yields. The zero
-// value is an empty queue; once the slab, batch and heap have grown to the
-// run's peak, pushes and pops allocate nothing. A released world hands its
-// engine on, queue included (World.Release), so the next run's queue
-// starts from the last run's peak rather than regrowing from empty.
+// The fire order is the canonical (time, src, seq), where seq is an
+// event's place among its source's scheduling calls, although no slot
+// stores seq: each bucket holds a single cycle, and a source's events for
+// one cycle reach that cycle's bucket in scheduling order. Those still in
+// far when the cycle enters the window arrive first, in push order, when
+// the advance that opens the window moves them; any later push for the
+// cycle goes to the bucket (or the open batch) directly. Buckets are LIFO
+// lists, so a batch is reversed into scheduling order and stably sorted by
+// source alone. The zero value is an empty queue; once the slab, batch
+// and heap have grown to the run's peak, pushes and pops allocate
+// nothing. A released world hands its engine on, queue included
+// (World.Release), so the next run's queue starts from the last run's
+// peak rather than regrowing from empty.
 type queue struct {
 	n    int  // pending events across all tiers
 	base Time // first cycle of the calendar window; no pending event is earlier
 
-	cur []int32 // slab indices of the batch at base, in (src, seq) order
-	pos int     // cur[pos:] are pending
+	cur []uint64 // src<<32 | slot keys of the batch at base, in source order
+	pos int      // cur[pos:] are pending
 
 	cal  int              // events in calendar buckets
-	head [calSpan]int32   // bucket for cycle t is head[t&calMask]
+	head [calSpan]uint32  // first slot of the bucket for cycle t, head[t&calMask]
 	occ  [calWords]uint64 // bit b set iff bucket b is non-empty
 
-	nodes []node // record slab; nodes[0] is unused so index 0 means "none"
-	free  int32  // free-list head within nodes
+	link []uint64 // per slot: src<<32 | next slot in its bucket or the free list
+	recs []rec    // per slot: the payload; h is nil on free slots
+	free uint32   // free-list head
 
-	far []scheduled // overflow min-heap over the canonical order
+	far       []farEvent // overflow min-heap
+	farPushes uint64     // overflow pushes so far: the next entry's n
 }
 
-// push enqueues it, which must not be earlier than base: base never
-// passes the engine's clock, and At and Send refuse a time before it.
-func (q *queue) push(it scheduled) {
-	if len(q.nodes) == 0 {
-		q.nodes = append(q.nodes, node{}) // the unused slot 0
-	}
+// push enqueues h.OnEvent(arg) from src at time at, which must not be
+// earlier than base: base never passes the engine's clock, and At and Send
+// refuse a time before it.
+func (q *queue) push(at Time, src ActorID, h Handler, arg uint64) {
+	k := uint64(src)<<32 | uint64(q.alloc(h, arg))
 	q.n++
-	switch d := it.at - q.base; {
+	switch d := at - q.base; {
 	case d >= calSpan:
-		q.farPush(it)
+		q.farPush(farEvent{at: at, n: q.farPushes, key: k})
+		q.farPushes++
 	case d == 0 && q.pos < len(q.cur):
-		q.insertCur(q.alloc(it))
+		q.insertCur(k)
 	default:
-		q.bucketPush(q.alloc(it))
+		q.bucketPush(k, int(at)&calMask)
 	}
 }
 
@@ -97,7 +127,7 @@ func (q *queue) load(last Time) bool {
 
 // refill opens the batch of the earliest pending cycle if it is at or
 // before last: it advances base there and drains that cycle's bucket into
-// cur in (src, seq) order.
+// cur in source order.
 func (q *queue) refill(last Time) bool {
 	if q.n == 0 {
 		return false
@@ -108,56 +138,56 @@ func (q *queue) refill(last Time) bool {
 	}
 	q.advance(t)
 	b := int(t) & calMask
-	for i := q.head[b]; i != 0; i = q.nodes[i].next {
-		q.cur = append(q.cur, i)
+	c := q.cur
+	for i := q.head[b]; i != 0; {
+		l := q.link[i]
+		c = append(c, l&^slotMask|uint64(i))
+		i = uint32(l)
 	}
 	q.head[b] = 0
 	q.occ[b>>6] &^= 1 << uint(b&63)
-	q.cal -= len(q.cur)
-	// Buckets are LIFO lists; reversing restores scheduling order, which
-	// leaves the sort little to do (most same-cycle events share a source).
-	c := q.cur
+	q.cal -= len(c)
+	// Reversing the LIFO list restores scheduling order, which leaves the
+	// sort little to do when most of the cycle's events share a source.
 	for i, j := 0, len(c)-1; i < j; i, j = i+1, j-1 {
 		c[i], c[j] = c[j], c[i]
 	}
 	for i := 1; i < len(c); i++ {
 		x, j := c[i], i
-		for ; j > 0 && q.less(x, c[j-1]); j-- {
+		for ; j > 0 && x>>32 < c[j-1]>>32; j-- {
 			c[j] = c[j-1]
 		}
 		c[j] = x
 	}
+	q.cur = c
 	return true
 }
 
-// take removes and returns cur[pos]; load must have reported true.
-func (q *queue) take() scheduled {
-	i := q.cur[q.pos]
+// take removes cur[pos] and returns its payload, which stays in place
+// until the next push; load must have reported true. The batch's time is
+// base.
+func (q *queue) take() *rec {
+	i := uint32(q.cur[q.pos])
 	q.pos++
 	if q.pos == len(q.cur) {
 		q.cur, q.pos = q.cur[:0], 0
 	}
 	q.n--
-	return q.release(i)
+	q.link[i] = uint64(q.free)
+	q.free = i
+	return &q.recs[i]
 }
 
-// less orders two same-cycle slab records by (src, seq).
-func (q *queue) less(a, b int32) bool {
-	x, y := &q.nodes[a].ev, &q.nodes[b].ev
-	if x.src != y.src {
-		return x.src < y.src
+// insertCur places key k into the pending part of the batch, after every
+// pending key of its source or a lower one.
+func (q *queue) insertCur(k uint64) {
+	c := append(q.cur, k)
+	j := len(c) - 1
+	for ; j > q.pos && k>>32 < c[j-1]>>32; j-- {
+		c[j] = c[j-1]
 	}
-	return x.seq < y.seq
-}
-
-// insertCur places slab record i into the pending part of the batch.
-func (q *queue) insertCur(i int32) {
-	q.cur = append(q.cur, i)
-	j := len(q.cur) - 1
-	for ; j > q.pos && q.less(i, q.cur[j-1]); j-- {
-		q.cur[j] = q.cur[j-1]
-	}
-	q.cur[j] = i
+	c[j] = k
+	q.cur = c
 }
 
 // scan returns the earliest occupied cycle in the calendar (cal > 0).
@@ -179,71 +209,62 @@ func (q *queue) scan() Time {
 	panic("sim: calendar count disagrees with its occupancy bitmap")
 }
 
-// advance moves the window to start at t and pulls overflow events that
-// now fall inside it into their buckets.
+// advance moves the window to start at t and moves overflow events that
+// now fall inside it into their buckets, in (time, push order).
 func (q *queue) advance(t Time) {
 	q.base = t
 	for len(q.far) > 0 && q.far[0].at-t < calSpan {
-		q.bucketPush(q.alloc(q.farPop()))
+		f := q.farPop()
+		q.bucketPush(f.key, int(f.at)&calMask)
 	}
 }
 
-// alloc stores it in a free slab slot and returns the slot's index. The
-// queue must have a slab (push starts one).
-func (q *queue) alloc(it scheduled) int32 {
+// alloc stores a payload in a free slot and returns the slot.
+func (q *queue) alloc(h Handler, arg uint64) uint32 {
 	if i := q.free; i != 0 {
-		q.free = q.nodes[i].next
-		q.nodes[i].ev = it
+		q.free = uint32(q.link[i])
+		q.recs[i] = rec{h, arg}
 		return i
 	}
-	q.nodes = append(q.nodes, node{ev: it})
-	return int32(len(q.nodes) - 1)
+	if len(q.recs) == 0 {
+		q.link, q.recs = append(q.link, 0), append(q.recs, rec{}) // the unused slot 0
+	}
+	q.link, q.recs = append(q.link, 0), append(q.recs, rec{h, arg})
+	return uint32(len(q.recs) - 1)
 }
 
-// release frees slab slot i and returns the record it held, dropping the
-// slot's callback references so finished events can be collected.
-func (q *queue) release(i int32) scheduled {
-	nd := &q.nodes[i]
-	it := nd.ev
-	nd.ev = scheduled{}
-	nd.next = q.free
-	q.free = i
-	return it
-}
-
-// bucketPush links slab record i into its cycle's bucket.
-func (q *queue) bucketPush(i int32) {
-	b := int(q.nodes[i].ev.at) & calMask
-	q.nodes[i].next = q.head[b]
+// bucketPush links key k's slot into bucket b.
+func (q *queue) bucketPush(k uint64, b int) {
+	i := uint32(k)
+	q.link[i] = k&^slotMask | uint64(q.head[b])
 	q.head[b] = i
 	q.occ[b>>6] |= 1 << uint(b&63)
 	q.cal++
 }
 
-// farPush inserts it into the overflow heap, sifting up with the hole
-// technique (move parents down, write the new record once).
-func (q *queue) farPush(it scheduled) {
-	h := append(q.far, it)
+// farPush inserts f into the overflow heap, sifting up with the hole
+// technique (move parents down, write the new entry once).
+func (q *queue) farPush(f farEvent) {
+	h := append(q.far, f)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !it.before(&h[p]) {
+		if !f.before(&h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = it
+	h[i] = f
 	q.far = h
 }
 
-// farPop removes and returns the overflow heap's earliest event.
-func (q *queue) farPop() scheduled {
+// farPop removes and returns the overflow heap's earliest entry.
+func (q *queue) farPop() farEvent {
 	h := q.far
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = scheduled{}
 	h = h[:n]
 	q.far = h
 	if n > 0 {

@@ -54,19 +54,21 @@ func checkQueueOps(t *testing.T, ops []byte) {
 	var ref refHeap
 	var now Time
 	var seq uint64
+	// Each event's argument is its push number, which identifies it: a
+	// popped slot holds no time, source or sequence number.
 	push := func(at Time, src ActorID) {
 		seq++
-		q.push(scheduled{at: at, src: src, seq: seq})
+		q.push(at, src, nil, seq)
 		heap.Push(&ref, refItem{at: at, src: src, seq: seq})
 	}
 	pop := func(op int) {
-		got := q.take()
+		got := q.take().arg
 		want := heap.Pop(&ref).(refItem)
-		if got.at != want.at || got.src != want.src || got.seq != want.seq {
-			t.Fatalf("op %d: pop = (%d,%d,%d), reference = (%d,%d,%d)",
-				op, got.at, got.src, got.seq, want.at, want.src, want.seq)
+		if q.base != want.at || got != want.seq {
+			t.Fatalf("op %d: pop = push %d at %d, reference = push %d at %d (source %d)",
+				op, got, q.base, want.seq, want.at, want.src)
 		}
-		now = got.at
+		now = q.base
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, p := ops[i]%8, int(ops[i+1])
@@ -131,6 +133,86 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{3, 255, 3, 3, 2, 2, 6, 200, 4, 0, 7, 9, 1, 5})
 	f.Add([]byte{2, 6, 0, 1, 4, 0, 0, 3, 0, 2, 5, 0, 5, 0})
 	f.Fuzz(checkQueueOps)
+}
+
+// TestSourceOrderAcrossTiers pins the invariant the batch order rests on:
+// a source's events for one cycle reach that cycle's bucket in scheduling
+// order, whichever tier they entered by, so a stable sort on the source
+// alone yields the canonical (time, src, seq) order. Three sources
+// schedule events for cycle T, out of ID order, three times: while T lies
+// beyond the calendar span (the overflow heap, with neighbouring cycles'
+// events between them), after T enters the window (its bucket), and while
+// T's batch is open (the batch itself). Each firing is checked against
+// the container/heap reference.
+func TestSourceOrderAcrossTiers(t *testing.T) {
+	const T = 3*calSpan + 11
+	e := New()
+	w := WorldOf(e)
+	srcs := []*Actor{w.NewActor(), w.NewActor(), w.NewActor()}
+	var ref refHeap
+	seqs := map[ActorID]uint64{}
+	var h handlerFunc
+	sched := func(a *Actor, at Time, arg uint64) {
+		seqs[a.id]++
+		heap.Push(&ref, refItem{at: at, src: a.id, seq: seqs[a.id], arg: arg})
+		a.At(at, h, arg)
+	}
+	// round has every source schedule two events for T, sources out of ID
+	// order, and, when near is set, one for T-1 or T+1 after each.
+	round := func(base uint64, near bool) {
+		for k, s := range []int{2, 0, 1, 0, 2, 1} {
+			sched(srcs[s], T, base+uint64(k))
+			if near {
+				sched(srcs[s], T-1+2*Time(k%2), base+50+uint64(k))
+			}
+		}
+	}
+	const (
+		trigger = 1   // fires when T enters the window
+		inBatch = 300 // the third round
+		fromLow = 400 // source 1 scheduling while source 3's events fire
+	)
+	fired, opened, lowSent := 0, false, false
+	h = func(arg uint64) {
+		want := heap.Pop(&ref).(refItem)
+		if arg != want.arg || e.Now() != want.at {
+			t.Fatalf("firing %d: event %d at %d, reference event %d at %d (source %d)",
+				fired, arg, e.Now(), want.arg, want.at, want.src)
+		}
+		fired++
+		switch {
+		case arg == trigger:
+			// The advance to this cycle moved T's overflow events into
+			// their bucket; T+1 is exactly one span ahead and stays.
+			if len(e.q.far) != 3 {
+				t.Fatalf("overflow heap holds %d events after T entered the window, want T+1's 3", len(e.q.far))
+			}
+			cal := e.q.cal
+			round(200, false)
+			if e.q.cal != cal+6 {
+				t.Fatalf("calendar grew by %d pushes for T inside the window, want 6", e.q.cal-cal)
+			}
+		case e.Now() == T && !opened:
+			opened = true
+			cal, pending := e.q.cal, len(e.q.cur)-e.q.pos
+			round(inBatch, false)
+			if e.q.cal != cal || len(e.q.cur)-e.q.pos != pending+6 {
+				t.Fatal("pushes for T while its batch is open missed the batch")
+			}
+		case e.Now() == T && want.src == srcs[2].id && !lowSent:
+			lowSent = true
+			sched(srcs[0], T, fromLow)
+		}
+	}
+	round(100, true)
+	sched(w.Root(), T-calSpan+1, trigger)
+	if e.q.cal != 0 || len(e.q.far) != 13 {
+		t.Fatalf("set-up left %d events in the calendar and %d in the overflow heap, want 0 and 13", e.q.cal, len(e.q.far))
+	}
+	e.Run()
+	if fired != 26 || !lowSent || ref.Len() != 0 {
+		t.Fatalf("fired %d events, want 26 with the lower source's send; reference holds %d", fired, ref.Len())
+	}
 }
 
 // prog is a deterministic event program over a set of actors: each firing
@@ -343,8 +425,8 @@ func TestReleasedWorldFiresReferenceSchedule(t *testing.T) {
 		if second.Now() != 0 || second.Fired() != 0 || second.Front() != Forever {
 			t.Fatalf("a world on a handed-on engine starts at %d with %d events fired, front %d", second.Now(), second.Fired(), second.Front())
 		}
-		if len(e.q.nodes) <= bigSlab {
-			t.Fatalf("the handed-on engine's slab has %d records, want the drained run's %d and slot 0", len(e.q.nodes), bigSlab)
+		if len(e.q.recs) <= bigSlab {
+			t.Fatalf("the handed-on engine's slab has %d records, want the drained run's %d and slot 0", len(e.q.recs), bigSlab)
 		}
 		var got []string
 		newProg(second, budget, &got)
@@ -409,7 +491,7 @@ func TestHandlerPathAllocFree(t *testing.T) {
 	step := func() {
 		k++
 		root.After(Time(1+k*2909%(2*calSpan)), &p, 1)
-		e.Step()
+		e.drain(e.q.peek())
 	}
 	for k < 3*2*calSpan {
 		step()
@@ -481,17 +563,71 @@ type mixer struct {
 	rng  uint64
 }
 
-func (m *mixer) schedule() {
+// delay draws the next reschedule distance.
+func (m *mixer) delay() Time {
 	m.rng = m.rng*6364136223846793005 + 1442695040888963407
 	r := m.rng >> 33
 	d := Time(8 + r%24)
 	if r%100 < 20 {
 		d = Time(1024 + r%3072)
 	}
-	m.self.After(d+d%2, m, 0)
+	return d + d%2
 }
 
+func (m *mixer) schedule() { m.self.After(m.delay(), m, 0) }
+
 func (m *mixer) OnEvent(uint64) {
+	if m.left > 0 {
+		m.left--
+		m.schedule()
+	}
+}
+
+// BenchmarkEngineActors spreads BenchmarkEngineMix's delay mix over the 28
+// actors of a k40-ddr4 world (the root, 12 channel slices and 15 SMs):
+// every reschedule comes from an actor drawn at random, so each cycle's
+// batch interleaves sources and the batch order has work to do, as in
+// real runs, which hold 1.6 (sgemm) to 9.2 (xsbench under LOCAL) events
+// per occupied cycle at Shrink 1-2. It reports that figure as
+// events/cycle.
+func BenchmarkEngineActors(b *testing.B) {
+	const pending, actors = 1600, 28
+	e := New()
+	w := WorldOf(e)
+	m := &actorMixer{mixer: mixer{left: b.N - pending}, last: -1}
+	m.actors = append(m.actors, w.Root())
+	for len(m.actors) < actors {
+		m.actors = append(m.actors, w.NewActor())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < pending && i < b.N; i++ {
+		m.schedule()
+	}
+	e.Run()
+	b.ReportMetric(float64(e.Fired())/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(e.Fired())/float64(m.cycles), "events/cycle")
+}
+
+// actorMixer is a mixer whose reschedules come from many actors; it counts
+// the cycles its events fire in.
+type actorMixer struct {
+	mixer
+	actors []*Actor
+	last   Time
+	cycles int
+}
+
+func (m *actorMixer) schedule() {
+	d := m.delay()
+	m.actors[m.rng>>40%uint64(len(m.actors))].After(d, m, 0)
+}
+
+func (m *actorMixer) OnEvent(uint64) {
+	if now := m.actors[0].Now(); now != m.last {
+		m.last = now
+		m.cycles++
+	}
 	if m.left > 0 {
 		m.left--
 		m.schedule()

@@ -2,24 +2,27 @@
 //
 // The engine advances a virtual clock measured in GPU core cycles and fires
 // scheduled events in canonical (time, source actor, per-source seq) order,
-// so two runs with the same inputs produce identical schedules. All
+// where seq is an event's place among its actor's scheduling calls, so two
+// runs with the same inputs produce identical schedules. All
 // higher-level models in this repository (DRAM, caches, SMs) are driven by
 // one Engine, drained window by window by its World (world.go), whose
 // window hooks commit deferred page-table updates and sample probes.
 //
 // Every event is scheduled through an Actor (At/After/Send/SendAfter in
 // world.go) as a long-lived Handler plus a uint64 argument. Scheduling never
-// allocates: the (Handler, arg) record is stored inline in the engine's
-// queue slab, so models that keep pooled per-request records (memsys) or
-// per-actor state machines (gpu warps) can schedule millions of events with
-// zero garbage. Code without an actor of its own — setup code, the
-// migration epoch, CPU co-traffic — schedules through the World's root
+// allocates: the (Handler, arg) payload is stored inline in a slot of the
+// engine's queue slab, so models that keep pooled per-request records
+// (memsys) or per-actor state machines (gpu warps) can schedule millions of
+// events with zero garbage. Code without an actor of its own — setup code,
+// the migration epoch, CPU co-traffic — schedules through the World's root
 // actor.
 //
 // The queue is a monotone calendar (queue.go): the clock never goes
 // backwards — scheduling into the past panics — so events sit in per-cycle
 // buckets over a 4096-cycle window, with a small binary heap for events
-// beyond it.
+// beyond it. No event stores its seq: a source's events for one cycle
+// reach their bucket in scheduling order, so a cycle's batch is put in
+// canonical order by a stable sort on the source alone.
 package sim
 
 import "math"
@@ -40,31 +43,6 @@ const maxTime Time = math.MaxInt64
 // arg.
 type Handler interface {
 	OnEvent(arg uint64)
-}
-
-// scheduled is one queued event. Records live inline in the engine's queue
-// slab — scheduling never boxes them into an interface{} and never
-// heap-allocates per event.
-type scheduled struct {
-	at  Time
-	src ActorID // scheduling actor
-	seq uint64  // per-source insertion order; breaks ties deterministically
-	h   Handler
-	arg uint64
-}
-
-// before is the strict total order events fire in: (time, source actor,
-// per-source seq). (src, seq) is unique, so there are never ties and any
-// correct priority queue yields the same pop sequence — determinism does
-// not depend on queue implementation details.
-func (s *scheduled) before(o *scheduled) bool {
-	if s.at != o.at {
-		return s.at < o.at
-	}
-	if s.src != o.src {
-		return s.src < o.src
-	}
-	return s.seq < o.seq
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use; a
@@ -99,30 +77,18 @@ func (e *Engine) peekTime() (t Time, ok bool) {
 	return e.q.peek(), true
 }
 
-// fire executes one popped event with the clock at its timestamp.
-func (e *Engine) fire(it *scheduled) {
-	e.now = it.at
-	e.fired++
-	it.h.OnEvent(it.arg)
-}
-
-// Step fires the single earliest event, advancing the clock to its time.
-// It reports whether an event was fired.
-func (e *Engine) Step() bool {
-	if !e.q.load(maxTime) {
-		return false
-	}
-	it := e.q.take()
-	e.fire(&it)
-	return true
-}
-
-// drain fires every event with time <= last in canonical order. Events the
-// handlers schedule at or before last fire within the same call.
+// drain fires every event with time <= last in canonical order, each with
+// the clock at its batch's time. Events the handlers schedule at or before
+// last fire within the same call. The slot's handler reference is dropped
+// before the handler runs, so a drained queue holds none.
 func (e *Engine) drain(last Time) {
 	for e.q.load(last) {
-		it := e.q.take()
-		e.fire(&it)
+		r := e.q.take()
+		e.now = e.q.base
+		e.fired++
+		h := r.h
+		r.h = nil
+		h.OnEvent(r.arg)
 	}
 }
 

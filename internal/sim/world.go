@@ -18,15 +18,8 @@ type ActorID int32
 // handlers or from setup code before the world runs.
 type Actor struct {
 	id  ActorID
-	seq uint64
 	eng *Engine
 	w   *World
-}
-
-// nextSeq returns the actor's next per-source sequence number.
-func (a *Actor) nextSeq() uint64 {
-	a.seq++
-	return a.seq
 }
 
 // Now reports the world's clock.
@@ -38,7 +31,7 @@ func (a *Actor) At(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: actor %d event scheduled at %d, before now=%d", a.id, t, e.now))
 	}
-	e.q.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), h: h, arg: arg})
+	e.q.push(t, a.id, h, arg)
 }
 
 // After schedules h.OnEvent(arg) d cycles from now.
@@ -58,7 +51,7 @@ func (a *Actor) Send(dst *Actor, t Time, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: actor %d send scheduled at %d, before now=%d", a.id, t, e.now))
 	}
-	e.q.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), h: h, arg: arg})
+	e.q.push(t, a.id, h, arg)
 }
 
 // SendAfter schedules h.OnEvent(arg) for dst d cycles from now.
@@ -99,10 +92,11 @@ func NewWorld(n int, lookahead Time) *World {
 
 // engines holds the engines of released worlds. A drained engine's queue
 // is empty in every tier — its calendar buckets, occupancy bitmap, batch
-// and overflow heap — and every record of its slab is on the free list,
-// holding no callback references; so only the clock, the event count and
-// the window base need resetting. Which slots a run's events occupy never
-// affects the fire order, which depends only on the scheduling calls.
+// and overflow heap — and every slot of its slab is on the free list,
+// holding no handler reference; so only the clock, the event count and
+// the window base need resetting. The overflow push count runs on, as
+// only its order matters. Which slots a run's events occupy never affects
+// the fire order, which depends only on the scheduling calls.
 var engines sync.Pool // of *Engine
 
 // Release hands the world's engine to the next NewWorld: its calendar

@@ -184,11 +184,19 @@ func (s *Spec) Allocate(rt *gpurt.Runtime, hints []Hint) ([]gpurt.Allocation, er
 // the spec seed. allocs must be the result of Allocate on the same spec.
 // The programs live in one slab, taken from the slabs ReleasePrograms
 // returned when one is large enough, and a reused program keeps the
-// random-source register an earlier run's draws allocated.
+// random-source register an earlier run's draws allocated. A released slab
+// too small for the spec is replaced, and the new slab's first programs
+// take its programs' registers.
 func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
 	slab, _ := slabs.Get().(*programSlab)
 	if slab == nil || len(slab.warps) < s.Warps {
+		small := slab
 		slab = newProgramSlab(s.Warps)
+		if small != nil {
+			for i := range small.warps {
+				slab.warps[i].src.vec = small.warps[i].src.vec
+			}
+		}
 	}
 	return slab.fill(s, allocs)
 }

@@ -462,6 +462,59 @@ func TestProgramsFromReleasedSlab(t *testing.T) {
 	}
 }
 
+// TestProgramsKeepRegistersOfSmallerSlab drains and releases a spec's
+// programs, then builds a spec with more warps: the released slab is too
+// small to reuse, so the new slab's first programs take its registers and
+// only the extra warps allocate theirs, at their first draw. The programs
+// must issue the stream a new slab does.
+func TestProgramsKeepRegistersOfSmallerSlab(t *testing.T) {
+	small, large := BFS(Train()), BFS(Train())
+	small.Shrink(8)
+	large.Shrink(8)
+	small.Warps = large.Warps / 2
+	smallAllocs, err := small.Allocate(testRuntime(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largeAllocs, err := large.Allocate(testRuntime(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sync.Pool may miss a slab put on another P, and under the race
+	// detector drops a quarter of them, so retry until one comes back. A
+	// slab left in the pool by another test may also be large enough.
+	for try := 0; try < 50; try++ {
+		released := small.Programs(smallAllocs)
+		if len(released[0].(*warpProgram).slab.warps) >= large.Warps {
+			continue
+		}
+		phaseStream(released)
+		regs := make([]*[rngLen]uint64, len(released))
+		for i, p := range released {
+			regs[i] = p.(*warpProgram).src.vec
+		}
+		ReleasePrograms(released)
+		progs := large.Programs(largeAllocs)
+		if progs[0].(*warpProgram).src.vec != regs[0] {
+			continue
+		}
+		for i, p := range progs {
+			vec := p.(*warpProgram).src.vec
+			if i < len(regs) && vec != regs[i] {
+				t.Fatalf("warp %d of %d did not take the released warp's register", i, len(regs))
+			}
+			if i >= len(regs) && vec != nil {
+				t.Fatalf("extra warp %d holds a register before its first draw", i)
+			}
+		}
+		if got, want := phaseStream(progs), phaseStream(freshPrograms(&large, largeAllocs)); !slices.Equal(got, want) {
+			t.Fatalf("programs with taken registers issue %d accesses, a new slab %d, or they differ", len(got), len(want))
+		}
+		return
+	}
+	t.Fatal("no larger spec's programs took a released slab's registers in 50 tries")
+}
+
 // TestProgramsConcurrentReuse builds, drains and releases programs of four
 // specs from four goroutines at once, so slabs pass between goroutines and
 // between specs, and compares every stream with a serial build.
