@@ -31,9 +31,10 @@ fmt:
 # memory-system part sets (memsys: slices with their L2 tag arrays, MSHR
 # files and DRAM channels, access records, page-count tables), SM sets
 # with L1s and warp contexts (gpu), page tables (vm) and warp-program
-# slabs with their RNG registers (workloads). cache and dram hold the
-# reset of each reused tag array, MSHR file and channel; experiments'
-# hand-over tests pass parts between four goroutines.
+# slabs with their RNG registers (workloads), and they share the store of
+# recorded access streams (workloads). cache and dram hold the reset of
+# each reused tag array, MSHR file and channel; experiments' hand-over
+# tests pass parts between four goroutines.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/memsys/ ./internal/cache/ ./internal/dram/ ./internal/vm/ ./internal/gpu/ ./internal/migrate/ ./internal/experiments/... ./internal/serve/ ./internal/cluster/ ./internal/telemetry/ ./internal/metrics/ ./internal/tune/ ./internal/workloads/
 

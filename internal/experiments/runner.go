@@ -185,10 +185,10 @@ func (rc RunConfig) resolved() RunConfig {
 // power of two between the cache line and vm.MaxPageSize, an unknown
 // workload or policy, a ratio outside [0,100], an ORACLE run without a
 // profile or with an empty one, a migration config migrate.New would
-// refuse, CPU traffic that is negative or not finite, or a hint outside
-// the placement hints. Run calls it first; the daemon calls it before
-// queueing a job, so a malformed request is refused rather than queued to
-// fail.
+// refuse, CPU traffic that is negative or not finite, a hint outside the
+// placement hints, or a dataset workloads.Dataset.Validate refuses. Run
+// calls it first; the daemon calls it before queueing a job, so a
+// malformed request is refused rather than queued to fail.
 func (rc RunConfig) Validate() error {
 	rc = rc.resolved()
 	// Checked before the zone budgets size the address space from rc.Mem
@@ -229,6 +229,9 @@ func (rc RunConfig) Validate() error {
 		if err := rc.Migration.Validate(); err != nil {
 			return err
 		}
+	}
+	if err := rc.Dataset.Validate(); err != nil {
+		return err
 	}
 	if !(rc.CPUTrafficGBps >= 0) || math.IsInf(rc.CPUTrafficGBps, 1) {
 		return fmt.Errorf("experiments: CPUTrafficGBps %v is not a finite rate >= 0", rc.CPUTrafficGBps)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -284,11 +285,11 @@ func TestTable1SBITMatchesConfig(t *testing.T) {
 }
 
 // TestRunRejectsMalformedMem: a malformed RunConfig — its memory system,
-// GPU, TLB, page size, policy parameters, CPU traffic or hints — as a
-// client may send one, is an error from Run and never a panic. Every row
-// is refused by RunConfig.Validate before any simulation state is built
-// (the daemon's copy of these rows is
-// serve.TestSubmitRejectsMalformedConfigs).
+// GPU, TLB, page size, policy parameters, CPU traffic, hints or dataset —
+// as a client may send one, is an error from Run and never a panic. Every
+// row is refused by RunConfig.Validate before any simulation state is
+// built (the daemon's copy of these rows is
+// serve.TestSubmitRejectsMalformedConfigs, less those JSON cannot carry).
 func TestRunRejectsMalformedMem(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -317,6 +318,15 @@ func TestRunRejectsMalformedMem(t *testing.T) {
 		{"hints outside the placement hints", func(rc *RunConfig) {
 			rc.Policy, rc.Hints = HintedPolicy, []core.Hint{99, 99, 99, 99, 99, 99}
 		}},
+		{"negative dataset size scale", func(rc *RunConfig) { rc.Dataset.SizeScale = -1 }},
+		{"NaN dataset size scale", func(rc *RunConfig) { rc.Dataset.SizeScale = math.NaN() }},
+		{"infinite dataset size scale", func(rc *RunConfig) { rc.Dataset.SizeScale = math.Inf(1) }},
+		{"negative dataset skew scale", func(rc *RunConfig) { rc.Dataset.SkewScale = -5 }},
+		{"NaN dataset skew scale", func(rc *RunConfig) { rc.Dataset.SkewScale = math.NaN() }},
+		{"infinite dataset skew scale", func(rc *RunConfig) { rc.Dataset.SkewScale = math.Inf(1) }},
+		{"dataset weight shift above 1", func(rc *RunConfig) { rc.Dataset.WeightShift = 1e9 }},
+		{"negative dataset weight shift", func(rc *RunConfig) { rc.Dataset.WeightShift = -0.5 }},
+		{"NaN dataset weight shift", func(rc *RunConfig) { rc.Dataset.WeightShift = math.NaN() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rc := RunConfig{Workload: "bfs", Policy: BWAwarePolicy, Shrink: 64, Mem: memsys.Table1Config()}

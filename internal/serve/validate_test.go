@@ -18,8 +18,9 @@ import (
 
 // TestSubmitRejectsMalformedConfigs: /v1/runs, and /v1/sweeps with the
 // config second in its grid, answer 400 to every malformed config of
-// experiments.TestRunRejectsMalformedMem, all of which RunConfig.Validate
-// refuses, and queue no job.
+// experiments.TestRunRejectsMalformedMem that JSON can carry (not a NaN or
+// infinite dataset field), all of which RunConfig.Validate refuses, and
+// queue no job.
 func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	valid, err := json.Marshal(experiments.RunConfig{Workload: "bfs", Shrink: 64})
@@ -53,6 +54,10 @@ func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 		{"hints outside the placement hints", func(rc *experiments.RunConfig) {
 			rc.Policy, rc.Hints = experiments.HintedPolicy, []core.Hint{99, 99, 99, 99, 99, 99}
 		}},
+		{"negative dataset size scale", func(rc *experiments.RunConfig) { rc.Dataset.SizeScale = -1 }},
+		{"negative dataset skew scale", func(rc *experiments.RunConfig) { rc.Dataset.SkewScale = -5 }},
+		{"dataset weight shift above 1", func(rc *experiments.RunConfig) { rc.Dataset.WeightShift = 1e9 }},
+		{"negative dataset weight shift", func(rc *experiments.RunConfig) { rc.Dataset.WeightShift = -0.5 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rc := experiments.RunConfig{Workload: "bfs", Policy: experiments.BWAwarePolicy, Shrink: 64, Mem: memsys.Table1Config()}

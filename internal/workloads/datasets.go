@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 )
@@ -66,9 +67,30 @@ func (d Dataset) skewScale() float64 {
 	return d.SkewScale
 }
 
-// apply specializes a base spec to this dataset.
+// Validate reports a dataset whose scales are not finite and >= 0 (0
+// means 1) or whose WeightShift is outside [0, 1].
+func (d Dataset) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"SizeScale", d.SizeScale}, {"SkewScale", d.SkewScale}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("workloads: dataset %s %v is not a finite scale >= 0", f.name, f.v)
+		}
+	}
+	if !(d.WeightShift >= 0 && d.WeightShift <= 1) {
+		return fmt.Errorf("workloads: dataset WeightShift %v is outside [0, 1]", d.WeightShift)
+	}
+	return nil
+}
+
+// apply specializes a base spec to this dataset. Only a weight shift
+// draws from the dataset's generator, so only a weight shift seeds one.
 func (d Dataset) apply(s *Spec) {
-	rng := rand.New(rand.NewSource(d.Seed))
+	var rng *rand.Rand
+	if d.WeightShift > 0 {
+		rng = rand.New(rand.NewSource(d.Seed))
+	}
 	for i := range s.Structures {
 		st := &s.Structures[i]
 		size := uint64(float64(st.Size) * d.sizeScale())

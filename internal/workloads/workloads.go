@@ -182,12 +182,20 @@ func (s *Spec) Allocate(rt *gpurt.Runtime, hints []Hint) ([]gpurt.Allocation, er
 
 // Programs builds one WarpProgram per warp, deterministically derived from
 // the spec seed. allocs must be the result of Allocate on the same spec.
+// When the process has recorded s's stream, the programs replay it (see
+// streams.go); otherwise they generate it, and record it for
+// ReleasePrograms to publish when it fits a packed word and the store.
 // The programs live in one slab, taken from the slabs ReleasePrograms
 // returned when one is large enough, and a reused program keeps the
 // random-source register an earlier run's draws allocated. A released slab
 // too small for the spec is replaced, and the new slab's first programs
 // take its programs' registers.
 func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
+	return programs(s, allocs, streams)
+}
+
+// programs is Programs over store.
+func programs(s *Spec, allocs []gpurt.Allocation, store *streamStore) []gpu.WarpProgram {
 	slab, _ := slabs.Get().(*programSlab)
 	if slab == nil || len(slab.warps) < s.Warps {
 		small := slab
@@ -198,46 +206,80 @@ func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
 			}
 		}
 	}
-	return slab.fill(s, allocs)
+	return slab.fill(s, allocs, store)
 }
 
 func newProgramSlab(warps int) *programSlab {
 	return &programSlab{warps: make([]warpProgram, warps), progs: make([]gpu.WarpProgram, warps)}
 }
 
-// fill builds s's programs in the slab, which holds at least s.Warps.
-func (slab *programSlab) fill(s *Spec, allocs []gpurt.Allocation) []gpu.WarpProgram {
-	cum := cumulativeWeights(s.Structures)
-	slab.zipfs = resized(slab.zipfs, len(s.Structures))
-	for i, st := range s.Structures {
-		slab.zipfs[i] = st.Pattern.zipf(st.Size)
+// fill builds s's programs in the slab, which holds at least s.Warps: in
+// replay mode when store holds s's stream, else in record mode when store
+// could hold it, else in generate mode. Only generating programs need
+// weights, Zipf distributions and offset generators.
+func (slab *programSlab) fill(s *Spec, allocs []gpurt.Allocation, store *streamStore) []gpu.WarpProgram {
+	slab.key = s.appendKey(slab.key[:0])
+	slab.store, slab.record, slab.done, slab.inUse = store, nil, 0, true
+	replay := store.lookup(slab.key)
+	var cum []float64
+	switch {
+	case replay != nil:
+		slab.mode = replaying
+	case s.packable() && store.fits(slab.key, s.TotalAccesses()):
+		slab.mode = recording
+	default:
+		slab.mode = generating
 	}
-	slab.gens = resized(slab.gens, s.Warps*len(s.Structures))
+	if slab.mode != replaying {
+		cum = cumulativeWeights(s.Structures)
+		slab.zipfs = resized(slab.zipfs, len(s.Structures))
+		for i, st := range s.Structures {
+			slab.zipfs[i] = st.Pattern.zipf(st.Size)
+		}
+		slab.gens = resized(slab.gens, s.Warps*len(s.Structures))
+	}
 	slab.addrs = resized(slab.addrs, s.Warps*s.AccessesPerPhase)
 	progs := slab.progs[:s.Warps]
 	for w := range progs {
-		slab.warps[w].init(s, allocs, cum, slab, w)
+		slab.warps[w].init(s, allocs, cum, slab, w, replay)
 		progs[w] = &slab.warps[w]
-	}
-	if len(progs) > 0 {
-		slab.warps[0].slab = slab
 	}
 	return progs
 }
 
 // ReleasePrograms hands the slab behind progs, a result of Programs, to
-// the next Programs call. No program may run after it. Programs that no
-// slab holds, such as trace replays, are left alone.
+// the next Programs call, and publishes the stream progs recorded if every
+// program produced its last phase. No program may run after it. Programs
+// that no slab holds, such as trace replays, are left alone.
 func ReleasePrograms(progs []gpu.WarpProgram) {
 	if len(progs) == 0 {
 		return
 	}
-	if p, ok := progs[0].(*warpProgram); ok && p.slab != nil {
-		slab := p.slab
-		p.slab = nil // a second release finds nothing to return
-		slabs.Put(slab)
+	p, ok := progs[0].(*warpProgram)
+	if !ok || !p.slab.inUse {
+		return // a second release finds nothing to return
 	}
+	slab := p.slab
+	if slab.mode == recording && slab.done == p.spec.Warps {
+		slab.store.publish(slab.key, slab.record)
+	}
+	slab.record, slab.inUse = nil, false
+	slabs.Put(slab)
 }
+
+// streamMode is how a slab's programs come by their accesses.
+type streamMode uint8
+
+const (
+	// generating programs draw every access and record none.
+	generating streamMode = iota
+	// recording programs draw every access and pack it into their window
+	// of the slab's record.
+	recording
+	// replaying programs expand their window of a published stream and
+	// draw nothing.
+	replaying
+)
 
 // programSlab is the storage of one Programs result: the programs and the
 // interface list over them; each structure's Zipf page distribution,
@@ -251,6 +293,17 @@ type programSlab struct {
 	zipfs []zipfDist
 	gens  []offsetGen
 	addrs []gpu.Access
+	// The stream: key is the spec's, store the one fill looked it up in.
+	// A recording slab's first NextPhase allocates record, one window per
+	// program, and done counts the programs that produced their last
+	// phase; ReleasePrograms publishes the record and the slab forgets it.
+	key    []byte
+	store  *streamStore
+	mode   streamMode
+	record []uint32
+	done   int
+	// inUse is set from fill to ReleasePrograms.
+	inUse bool
 }
 
 var slabs sync.Pool // of *programSlab
@@ -283,26 +336,35 @@ type warpProgram struct {
 	rng      rand.Rand // over src
 	phase    int
 	gens     []offsetGen // per structure
-	// slab is set on a slab's first program until ReleasePrograms returns
-	// the slab.
-	slab *programSlab
+	slab     *programSlab
+	id       int // the warp's index in the spec
+	// words is the program's window of the stream it replays or records,
+	// one word per access of every phase; a recording program takes it at
+	// its first phase.
+	words []uint32
 }
 
-// init sets every field for warp warpID of s, in slab, which Programs
-// has sized for s. The program may be one a released slab held for
-// another spec, so nothing may depend on a zero value: the drift buffers
-// keep their capacity and are resized.
-func (w *warpProgram) init(s *Spec, allocs []gpurt.Allocation, cum []float64, slab *programSlab, warpID int) {
-	w.spec, w.allocs, w.cum = s, allocs, cum
+// init sets every field for warp warpID of s, in slab, which fill has
+// sized for s; replay is the stream a replaying slab expands. The program
+// may be one a released slab held for another spec, so nothing may depend
+// on a zero value: the drift buffers keep their capacity and are resized.
+func (w *warpProgram) init(s *Spec, allocs []gpurt.Allocation, cum []float64, slab *programSlab, warpID int, replay []uint32) {
+	w.spec, w.allocs, w.cum, w.slab, w.id = s, allocs, cum, slab, warpID
 	n, m := len(s.Structures), s.AccessesPerPhase
 	w.addrs = slab.addrs[warpID*m : (warpID+1)*m : (warpID+1)*m]
+	w.phase = 0
+	w.words = nil
+	if replay != nil {
+		per := s.PhasesPerWarp * m
+		w.words = replay[warpID*per : (warpID+1)*per : (warpID+1)*per]
+		return
+	}
 	if s.WeightDrift > 0 {
 		w.weights = resized(w.weights, n)
 		w.cumDrift = resized(w.cumDrift, n)
 	}
 	w.src.Seed(s.Seed*1_000_003 + int64(warpID))
 	w.rng = *rand.New(&w.src)
-	w.phase = 0
 	w.gens = slab.gens[warpID*n : (warpID+1)*n : (warpID+1)*n]
 	for i, st := range s.Structures {
 		st.Pattern.generator(&w.gens[i], st.Size, warpID, s.Warps, &slab.zipfs[i])
@@ -325,25 +387,68 @@ func (w *warpProgram) NextPhase() (gpu.Phase, bool) {
 		return gpu.Phase{}, false
 	}
 	w.phase++
+	if w.slab.mode == replaying {
+		w.replayPhase()
+	} else {
+		w.generatePhase()
+	}
+	return gpu.Phase{
+		ComputeCycles: w.spec.ComputeCycles,
+		Addrs:         w.addrs,
+		MLP:           w.spec.MLP,
+		Overlap:       w.spec.Overlap,
+	}, true
+}
+
+// replayPhase expands the phase's words against the run's allocations.
+func (w *warpProgram) replayPhase() {
+	m := len(w.addrs)
+	words := w.words[(w.phase-1)*m : w.phase*m]
+	addrs := w.addrs[:len(words)]
+	for i, x := range words {
+		line, si, write := unpack(x)
+		addrs[i] = gpu.Access{VA: w.allocs[si].Base + line*LineBytes, Write: write}
+	}
+}
+
+// generatePhase draws the phase's accesses and, when recording, packs each
+// into the program's window of the slab's record.
+func (w *warpProgram) generatePhase() {
 	if w.spec.WeightDrift > 0 {
 		w.updateDriftedWeights()
 	}
 	addrs := w.addrs
+	var rec []uint32
+	if w.slab.mode == recording {
+		if w.words == nil {
+			w.words = w.slab.window(w.id)
+		}
+		rec = w.words[(w.phase-1)*len(addrs) : w.phase*len(addrs)]
+		if w.phase == w.spec.PhasesPerWarp {
+			w.slab.done++
+		}
+	}
 	for i := range addrs {
 		si := w.pickStructure()
 		st := &w.spec.Structures[si]
 		off := w.gens[si].next(&w.rng)
-		addrs[i] = gpu.Access{
-			VA:    w.allocs[si].Base + off,
-			Write: st.WriteFrac > 0 && w.rng.Float64() < st.WriteFrac,
+		write := st.WriteFrac > 0 && w.rng.Float64() < st.WriteFrac
+		addrs[i] = gpu.Access{VA: w.allocs[si].Base + off, Write: write}
+		if rec != nil {
+			rec[i] = pack(off, si, write)
 		}
 	}
-	return gpu.Phase{
-		ComputeCycles: w.spec.ComputeCycles,
-		Addrs:         addrs,
-		MLP:           w.spec.MLP,
-		Overlap:       w.spec.Overlap,
-	}, true
+}
+
+// window returns warp warpID's window of the slab's record, which the
+// first call allocates.
+func (slab *programSlab) window(warpID int) []uint32 {
+	s := slab.warps[0].spec
+	per := s.PhasesPerWarp * s.AccessesPerPhase
+	if slab.record == nil {
+		slab.record = make([]uint32, s.Warps*per)
+	}
+	return slab.record[warpID*per : (warpID+1)*per : (warpID+1)*per]
 }
 
 func (w *warpProgram) pickStructure() int {

@@ -257,6 +257,23 @@ func TestDatasetWeightShiftDeterministic(t *testing.T) {
 	}
 }
 
+func TestDatasetValidate(t *testing.T) {
+	for _, d := range append([]Dataset{Train(), {}, {WeightShift: 1}}, Variants()...) {
+		if err := d.Validate(); err != nil {
+			t.Errorf("%+v: %v", d, err)
+		}
+	}
+	for _, d := range []Dataset{
+		{SizeScale: -1}, {SizeScale: math.NaN()}, {SizeScale: math.Inf(1)},
+		{SkewScale: -5}, {SkewScale: math.NaN()}, {SkewScale: math.Inf(1)},
+		{WeightShift: -0.5}, {WeightShift: 1e9}, {WeightShift: math.NaN()},
+	} {
+		if d.Validate() == nil {
+			t.Errorf("%+v accepted", d)
+		}
+	}
+}
+
 func TestVariantsDistinct(t *testing.T) {
 	vs := Variants()
 	if len(vs) < 3 {
@@ -347,28 +364,37 @@ func TestDescribe(t *testing.T) {
 }
 
 // TestNextPhaseAllocFree: a program refills the same phase buffers every
-// phase, so NextPhase allocates nothing. This holds for every registered
-// workload but nbody, whose gather model coalesces through gpu.Coalesce
-// and allocates per warp instruction.
+// phase, so NextPhase allocates nothing once a recording program has
+// taken its window of the record at its first phase. This holds for every
+// registered workload in replay mode, and in record mode for all but
+// nbody, whose gather model coalesces through gpu.Coalesce and allocates
+// per warp instruction.
 func TestNextPhaseAllocFree(t *testing.T) {
 	for _, name := range AllNames() {
-		if name == "nbody" {
-			continue
-		}
 		s := MustBuild(name, Train())
-		s.PhasesPerWarp = 1000 // enough phases for the measured runs
+		s.Warps, s.PhasesPerWarp = 2, 250 // enough phases for the measured runs
 		allocs, err := s.Allocate(testRuntime(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := s.Programs(allocs)[1]
-		avg := testing.AllocsPerRun(200, func() {
-			if _, ok := p.NextPhase(); !ok {
-				t.Fatalf("%s: program ended early", name)
+		st := &streamStore{budget: streamBudget}
+		for _, mode := range []streamMode{recording, replaying} {
+			progs := programs(&s, allocs, st)
+			if got := progs[0].(*warpProgram).slab.mode; got != mode {
+				t.Fatalf("%s: programs in mode %d, want %d", name, got, mode)
 			}
-		})
-		if avg != 0 {
-			t.Errorf("%s: NextPhase allocates %.2f objects per phase, want 0", name, avg)
+			if mode == replaying || name != "nbody" {
+				avg := testing.AllocsPerRun(200, func() {
+					if _, ok := progs[1].NextPhase(); !ok {
+						t.Fatalf("%s: program ended early", name)
+					}
+				})
+				if avg != 0 {
+					t.Errorf("%s: NextPhase in mode %d allocates %.2f objects per phase, want 0", name, mode, avg)
+				}
+			}
+			phaseStream(progs)
+			ReleasePrograms(progs)
 		}
 	}
 }
@@ -390,9 +416,17 @@ func phaseStream(progs []gpu.WarpProgram) []gpu.Access {
 }
 
 // freshPrograms builds s's programs the way Programs does, but on a new
-// slab, never on one a release handed on.
+// slab, never on one a release handed on, and generating their stream:
+// the zero store records nothing and holds nothing to replay.
 func freshPrograms(s *Spec, allocs []gpurt.Allocation) []gpu.WarpProgram {
-	return newProgramSlab(s.Warps).fill(s, allocs)
+	return newProgramSlab(s.Warps).fill(s, allocs, &streamStore{})
+}
+
+// generatedPrograms is Programs over a store that records nothing, so the
+// programs generate their stream on a pooled slab whichever specs the
+// process has published.
+func generatedPrograms(s *Spec, allocs []gpurt.Allocation) []gpu.WarpProgram {
+	return programs(s, allocs, &streamStore{})
 }
 
 // TestProgramsAllocateRegistersOnFirstDraw: building programs allocates no
@@ -444,10 +478,10 @@ func TestProgramsFromReleasedSlab(t *testing.T) {
 		// detector drops a quarter of them, so retry until one comes back.
 		var reused []gpu.WarpProgram
 		for try := 0; try < 50 && reused == nil; try++ {
-			released := first.Programs(firstAllocs)
+			released := generatedPrograms(&first, firstAllocs)
 			phaseStream(released)
 			ReleasePrograms(released)
-			if reused = next.Programs(nextAllocs); reused[0] != released[0] {
+			if reused = generatedPrograms(&next, nextAllocs); reused[0] != released[0] {
 				reused = nil
 			}
 		}
@@ -484,7 +518,7 @@ func TestProgramsKeepRegistersOfSmallerSlab(t *testing.T) {
 	// detector drops a quarter of them, so retry until one comes back. A
 	// slab left in the pool by another test may also be large enough.
 	for try := 0; try < 50; try++ {
-		released := small.Programs(smallAllocs)
+		released := generatedPrograms(&small, smallAllocs)
 		if len(released[0].(*warpProgram).slab.warps) >= large.Warps {
 			continue
 		}
@@ -494,7 +528,7 @@ func TestProgramsKeepRegistersOfSmallerSlab(t *testing.T) {
 			regs[i] = p.(*warpProgram).src.vec
 		}
 		ReleasePrograms(released)
-		progs := large.Programs(largeAllocs)
+		progs := generatedPrograms(&large, largeAllocs)
 		if progs[0].(*warpProgram).src.vec != regs[0] {
 			continue
 		}
@@ -539,7 +573,7 @@ func TestProgramsConcurrentReuse(t *testing.T) {
 			defer wg.Done()
 			for r := range 8 {
 				i := (g + r) % len(specs)
-				progs := specs[i].Programs(allocs[i])
+				progs := generatedPrograms(&specs[i], allocs[i])
 				got := phaseStream(progs)
 				ReleasePrograms(progs)
 				if !slices.Equal(got, want[i]) {
